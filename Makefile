@@ -1,6 +1,6 @@
 # Radical (SOSP '25) reproduction.
 
-.PHONY: all build test bench examples quick check chaos analyze certify batch propagate shard lease fmt fmt-check clean
+.PHONY: all build test bench examples quick check chaos analyze certify batch propagate shard lease radbench radbench-compare fmt fmt-check clean
 
 all: build
 
@@ -62,6 +62,19 @@ shard:
 # Full volume; `make check` smoke-tests at --scale 1.
 lease:
 	dune exec bench/main.exe -- --json lease
+
+# radbench, the two-clock benchmark (benchmark/README.md): every
+# workload in a fresh process, each result saved under $(OUT) for
+# radbench-compare. Run it on both commits, alternating which goes
+# first, then compare the two directories metric by metric.
+SEED ?= 42
+OUT ?= radbench-results
+
+radbench:
+	dune exec --root . ./benchmark/radbench.exe -- run --workload all --seed $(SEED) --save $(OUT)
+
+radbench-compare:
+	dune exec --root . ./benchmark/radbench.exe -- compare $(BASE) $(NEW)
 
 # CI gate: full build (the dev profile's -warn-error +a makes any
 # compiler warning fail the build), the formatting check (skipped when

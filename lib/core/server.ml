@@ -273,6 +273,12 @@ let outstanding_leases (t : t) = Lease.live t.lease_tbl ~now:(Engine.now ())
 
 let pending_intents (t : t) = Store.Intents.pending_count t.intents
 
+let dedup_entries (t : t) =
+  let now = Engine.now () in
+  Expiring.prune t.reply_cache ~now;
+  Expiring.prune t.exec_replies ~now;
+  Expiring.length t.reply_cache + Expiring.length t.exec_replies
+
 let inject_mutation (t : t) m = t.mutation <- m
 
 let on_stage (t : t) hook = t.stage_hook <- hook

@@ -268,6 +268,12 @@ val outstanding_leases : t -> int
 
 val pending_intents : t -> int
 
+val dedup_entries : t -> int
+(** Entries in the LVI and direct-exec reply caches, after forgetting
+    those whose message lifetime has passed. Bounded by the request rate
+    times {!Net.Transport.max_message_age} (plus in-flight requests), and
+    0 after a quiet period longer than that lifetime. *)
+
 val restart_recover : t -> unit
 (** Simulate an LVI-server restart: in-memory intent timers are gone,
     but the intent records (with the function and inputs needed for

@@ -272,9 +272,12 @@ let handle_lvi_once (t : t) (req : Proto.lvi_request) : Proto.lvi_response =
    find its own writes "stale" and double-execute the backup. The first
    delivery registers an ivar and fills it with the response; a
    duplicate — even one arriving while the original is still being
-   processed — blocks on the same ivar and returns the same response. *)
+   processed — blocks on the same ivar and returns the same response.
+   Entries whose lifetime has passed are pruned first; none of their
+   requests can still arrive. *)
 let handle_lvi (t : t) (req : Proto.lvi_request) : Proto.lvi_response =
-  match Hashtbl.find_opt t.reply_cache req.exec_id with
+  Expiring.prune t.reply_cache ~now:(Engine.now ());
+  match Expiring.find_opt t.reply_cache req.exec_id with
   | Some iv ->
       t.s_dup_deliveries <- t.s_dup_deliveries + 1;
       Log.info (fun m ->
@@ -282,21 +285,23 @@ let handle_lvi (t : t) (req : Proto.lvi_request) : Proto.lvi_response =
       Ivar.read iv
   | None ->
       let iv = Ivar.create () in
-      Hashtbl.replace t.reply_cache req.exec_id iv;
+      Expiring.replace t.reply_cache req.exec_id iv;
       let resp = handle_lvi_once t req in
       Ivar.fill iv resp;
+      expire_reply t.reply_cache req.exec_id iv;
       resp
 
 (* Same reply-cache guard as [handle_lvi]: a duplicated direct-exec
    delivery must not run the function (and its effects) twice. *)
 let handle_exec (t : t) (req : Proto.exec_request) : Proto.exec_result =
-  match Hashtbl.find_opt t.exec_replies req.dx_exec_id with
+  Expiring.prune t.exec_replies ~now:(Engine.now ());
+  match Expiring.find_opt t.exec_replies req.dx_exec_id with
   | Some iv ->
       t.s_dup_deliveries <- t.s_dup_deliveries + 1;
       Ivar.read iv
   | None ->
       let iv = Ivar.create () in
-      Hashtbl.replace t.exec_replies req.dx_exec_id iv;
+      Expiring.replace t.exec_replies req.dx_exec_id iv;
       t.s_direct <- t.s_direct + 1;
       let result =
         match Registry.find t.registry req.dx_fn_name with
@@ -311,4 +316,5 @@ let handle_exec (t : t) (req : Proto.exec_request) : Proto.exec_result =
               req.dx_args
       in
       Ivar.fill iv result;
+      expire_reply t.exec_replies req.dx_exec_id iv;
       result

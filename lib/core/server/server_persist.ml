@@ -52,11 +52,17 @@ let claim_execution (t : t) ~exec_id =
   | None -> true
   | Some { idempotency; _ } -> Store.Idempotency.register idempotency ~exec_id
 
+(* Invocation keys expire after the message lifetime, as the paper's
+   DynamoDB items do by TTL: nothing reads them back, and no copy of the
+   request can still arrive once the lifetime has passed. Execution
+   claims ("ns:") guard re-execution and stay. *)
 let register_invocation (t : t) ~exec_id =
   match t.repl with
   | None -> ()
   | Some { idempotency; _ } ->
-      ignore (Store.Idempotency.register idempotency ~exec_id:("inv:" ^ exec_id))
+      ignore
+        (Store.Idempotency.register ~ttl:Transport.max_message_age idempotency
+           ~exec_id:("inv:" ^ exec_id))
 
 let release (t : t) ~owner keys =
   Locks.release t.locks ~owner;

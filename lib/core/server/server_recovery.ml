@@ -216,16 +216,16 @@ let restart_recover (t : t) =
      double-executes the backup. Direct-exec replies have no durable
      record to rebuild from and keep their in-memory entries. *)
   let filled =
-    Hashtbl.fold
+    Expiring.fold
       (fun id iv acc -> if Ivar.is_full iv then id :: acc else acc)
       t.reply_cache []
   in
-  List.iter (Hashtbl.remove t.reply_cache) filled;
+  List.iter (Expiring.remove t.reply_cache) filled;
   Hashtbl.iter
     (fun exec_id (req : Proto.lvi_request) ->
       if
         Intents.peek t.intents ~exec_id = Some Intents.Pending
-        && not (Hashtbl.mem t.reply_cache exec_id)
+        && not (Expiring.mem t.reply_cache exec_id)
       then begin
         let write_versions =
           List.map
@@ -238,7 +238,8 @@ let restart_recover (t : t) =
         in
         let iv = Ivar.create () in
         Ivar.fill iv (Proto.Validated { write_versions; leases = [] });
-        Hashtbl.replace t.reply_cache exec_id iv
+        Expiring.replace t.reply_cache exec_id iv;
+        expire_reply t.reply_cache exec_id iv
       end)
     t.durable_reqs;
   let orphans = Hashtbl.fold (fun _ req acc -> req :: acc) t.durable_reqs [] in

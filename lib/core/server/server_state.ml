@@ -101,13 +101,15 @@ type t = {
   mutable subscribers :
     (Net.Location.t * (Proto.update * float) Batcher.t) list;
   (* At-least-once delivery defense: the response of every in-flight or
-     completed LVI / direct-exec request, keyed by execution id. A
-     duplicated delivery reads the first delivery's (possibly still
-     pending) response instead of re-running the protocol — the
-     simulation equivalent of a server-side reply cache. Entries live
-     for the run; execution ids are unique per invocation. *)
-  reply_cache : (string, Proto.lvi_response Sim.Ivar.t) Hashtbl.t;
-  exec_replies : (string, Proto.exec_result Sim.Ivar.t) Hashtbl.t;
+     recently completed LVI / direct-exec request, keyed by execution
+     id. A duplicated delivery reads the first delivery's (possibly
+     still pending) response instead of re-running the protocol — the
+     simulation equivalent of a server-side reply cache. An entry is
+     forgotten once the clock passes its fill time plus
+     [Transport.max_message_age]: every copy of a request leaves before
+     the first one arrives, so none can arrive after that. *)
+  reply_cache : (string, Proto.lvi_response Sim.Ivar.t) Sim.Expiring.t;
+  exec_replies : (string, Proto.exec_result Sim.Ivar.t) Sim.Expiring.t;
   (* Some when this server is one shard of a sharded LVI service. *)
   mutable sharding : sharding option;
   (* Outstanding read leases this server (the lease authority for its
@@ -175,8 +177,8 @@ let create ?repl ?admission ?(tracer = Tracer.noop) ~net ~registry ~kv ~extsvc
     pending = Hashtbl.create 64;
     mutation = None;
     subscribers = [];
-    reply_cache = Hashtbl.create 256;
-    exec_replies = Hashtbl.create 64;
+    reply_cache = Sim.Expiring.create 256;
+    exec_replies = Sim.Expiring.create 64;
     sharding = None;
     lease_tbl = Lease.create ();
     lease_peers = [];
@@ -205,3 +207,10 @@ let create ?repl ?admission ?(tracer = Tracer.noop) ~net ~registry ~kv ~extsvc
     prepare_svc = None;
     decide_svc = None;
   }
+
+(* [iv], the reply bound to [id], was filled now: no copy of its request
+   can arrive once the message lifetime has passed, so the entry may go
+   then. *)
+let expire_reply tbl id iv =
+  Sim.Expiring.expire tbl id iv
+    ~at:(Sim.Engine.now () +. Transport.max_message_age)

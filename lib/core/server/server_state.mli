@@ -63,8 +63,10 @@ type t = {
   mutable mutation : Server_config.protocol_mutation option;
   mutable subscribers :
     (Net.Location.t * (Proto.update * float) Batcher.t) list;
-  reply_cache : (string, Proto.lvi_response Sim.Ivar.t) Hashtbl.t;
-  exec_replies : (string, Proto.exec_result Sim.Ivar.t) Hashtbl.t;
+  reply_cache : (string, Proto.lvi_response Sim.Ivar.t) Sim.Expiring.t;
+  exec_replies : (string, Proto.exec_result Sim.Ivar.t) Sim.Expiring.t;
+      (** Dedup tables: entries are forgotten once the clock passes
+          their fill time plus {!Net.Transport.max_message_age}. *)
   mutable sharding : sharding option;
   lease_tbl : Lease.t;
   mutable lease_peers :
@@ -115,3 +117,9 @@ val create :
 (** Bare state with no transport services wired: what [Server.create]
     starts from, and what isolation tests of the extracted layers
     construct without spinning up the full stack. *)
+
+val expire_reply :
+  (string, 'r Sim.Ivar.t) Sim.Expiring.t -> string -> 'r Sim.Ivar.t -> unit
+(** [expire_reply tbl id iv], called when [iv] is filled: forget [id]
+    once {!Net.Transport.max_message_age} has passed, if it is still
+    bound to [iv]. *)

@@ -77,7 +77,8 @@ val record_wire : t -> label:string -> float -> unit
 (** One-way delay of a delivered message, keyed by service label. *)
 
 val record_fault : t -> label:string -> outcome:string -> unit
-(** Count a fault-hook outcome (["drop"], ["delay"], ["late_reply"]). *)
+(** Count a fault-hook outcome (["drop"], ["delay"], ["late_reply"],
+    ["expired"]). *)
 
 val record_raft : t -> float -> unit
 (** Submit-to-commit latency of one replicated lock record. *)

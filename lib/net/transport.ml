@@ -107,6 +107,22 @@ let serve _t ~loc ~name handler = { svc_loc = loc; svc_name = name; handler }
 
 let service_location svc = svc.svc_loc
 
+let max_message_age = 10_000.0
+
+(* Schedule one copy of a message [d] virtual ms from now, unless [d]
+   exceeds the maximum message lifetime: such a copy is dropped. Every
+   delivered copy therefore arrives within [max_message_age] of its send,
+   which is what lets receivers forget their dedup state. *)
+let send_copy t ~label d k =
+  if d > max_message_age then begin
+    t.dropped <- t.dropped + 1;
+    Metrics.Tracer.record_fault t.tracer ~label ~outcome:"expired"
+  end
+  else begin
+    Metrics.Tracer.record_wire t.tracer ~label d;
+    Engine.schedule ~at:(Engine.now () +. d) k
+  end
+
 (* Deliver [k] at [dst] after sampled latency, subject to the fault hooks. *)
 let transmit t ~src ~dst ~label k =
   t.sent <- t.sent + 1;
@@ -114,28 +130,23 @@ let transmit t ~src ~dst ~label k =
   | Drop ->
       t.dropped <- t.dropped + 1;
       Metrics.Tracer.record_fault t.tracer ~label ~outcome:"drop"
-  | Deliver ->
-      let d = one_way t src dst in
-      Metrics.Tracer.record_wire t.tracer ~label d;
-      Engine.schedule ~at:(Engine.now () +. d) k
+  | Deliver -> send_copy t ~label (one_way t src dst) k
   | Delay extra ->
       let d = one_way t src dst +. extra in
       Metrics.Tracer.record_fault t.tracer ~label ~outcome:"delay";
-      Metrics.Tracer.record_wire t.tracer ~label d;
-      Engine.schedule ~at:(Engine.now () +. d) k
+      send_copy t ~label d k
   | Duplicate ->
       (* At-least-once delivery: the message arrives twice, each copy
          with its own sampled latency, so the duplicate may also be
          reordered ahead of the original. [k] runs once per copy —
-         receivers must dedupe. *)
+         receivers must dedupe. Both copies leave now, so both arrive
+         within the lifetime of this send. *)
       t.duplicated <- t.duplicated + 1;
       Metrics.Tracer.record_fault t.tracer ~label ~outcome:"duplicate";
       let d1 = one_way t src dst in
       let d2 = one_way t src dst in
-      Metrics.Tracer.record_wire t.tracer ~label d1;
-      Metrics.Tracer.record_wire t.tracer ~label d2;
-      Engine.schedule ~at:(Engine.now () +. d1) k;
-      Engine.schedule ~at:(Engine.now () +. d2) k
+      send_copy t ~label d1 k;
+      send_copy t ~label d2 k
 
 let dispatch t ~from svc req ~on_reply =
   transmit t ~src:from ~dst:svc.svc_loc ~label:svc.svc_name (fun () ->

@@ -11,9 +11,23 @@
     exercise lost followups, late messages and partitions in the LVI
     protocol. Hooks compose: the legacy [set_fault] slot coexists with any
     number of [add_fault] hooks, so a nemesis campaign and a test-local
-    hook can be active at once. *)
+    hook can be active at once.
+
+    Every message has a maximum lifetime, {!max_message_age} (TCP's
+    maximum segment lifetime): a copy whose sampled delay, a fault's
+    extra delay included, exceeds it is never delivered. Receivers use
+    this bound to forget dedup state. *)
 
 type t
+
+val max_message_age : float
+(** 10,000 virtual ms. A copy whose delay would exceed it is dropped,
+    counted in {!messages_dropped} and traced as an ["expired"] fault.
+    Every copy of a message is sent before any copy arrives, so all
+    copies arrive by [send + max_message_age]; a receiver that filled a
+    reply for a message at time [f] can forget it once the clock passes
+    [f + max_message_age], as no copy of that message can still be in
+    flight. *)
 
 type fault = Deliver | Drop | Delay of float | Duplicate
 (** [Duplicate] models at-least-once delivery: the message arrives
@@ -109,6 +123,8 @@ val post : t -> from:Location.t -> ('req, 'resp) service -> 'req -> unit
 val messages_sent : t -> int
 
 val messages_dropped : t -> int
+(** Copies dropped by a fault hook or because they would outlive
+    {!max_message_age}. *)
 
 val messages_duplicated : t -> int
 (** Messages a fault hook duplicated (each delivered twice). *)

@@ -94,7 +94,6 @@ module Make (Sm : State_machine) = struct
     mutable match_index : int array;
     compaction_threshold : int option;
     mutable sm : Sm.t;
-    mutable applied_cmds : Sm.cmd list; (* newest first *)
     pending : (int, int * waiter list) Hashtbl.t;
         (* log index -> (term when proposed, client wakeups in batch order) *)
     mutable prop_queue : proposal list; (* newest first; group commit only *)
@@ -118,6 +117,7 @@ module Make (Sm : State_machine) = struct
     group_commit : bool;
     append_latency : float;
     on_batch : size:int -> queue_delay:float -> unit;
+    mutable on_apply : node_id -> int -> Sm.cmd -> unit;
     leader_history : (int, node_id list) Hashtbl.t;
   }
 
@@ -187,7 +187,7 @@ module Make (Sm : State_machine) = struct
            rest)
          outs waiters)
 
-  let apply_committed n =
+  let apply_committed c n =
     while n.last_applied < n.commit_index do
       n.last_applied <- n.last_applied + 1;
       let e = entry_at n n.last_applied in
@@ -197,7 +197,7 @@ module Make (Sm : State_machine) = struct
         List.map
           (fun cmd ->
             let out = Sm.apply n.sm cmd in
-            n.applied_cmds <- cmd :: n.applied_cmds;
+            c.on_apply n.id n.last_applied cmd;
             out)
           e.e_cmds
       in
@@ -226,7 +226,7 @@ module Make (Sm : State_machine) = struct
         else scan (i - 1)
     in
     scan (last_index n);
-    apply_committed n
+    apply_committed c n
 
   (* --- Replication (leader side) ---------------------------------- *)
 
@@ -387,7 +387,7 @@ module Make (Sm : State_machine) = struct
       Vote { v_term = n.current_term; granted }
     end
 
-  let handle_append_entries n ~ae_term ~leader ~prev_index ~prev_term ~entries
+  let handle_append_entries c n ~ae_term ~leader ~prev_index ~prev_term ~entries
       ~leader_commit =
     if ae_term < n.current_term then
       Append { a_term = n.current_term; success = false; match_idx = 0 }
@@ -411,7 +411,7 @@ module Make (Sm : State_machine) = struct
         let last_new = prev_index + List.length entries in
         if leader_commit > n.commit_index then
           n.commit_index <- min leader_commit last_new;
-        apply_committed n;
+        apply_committed c n;
         Append { a_term = n.current_term; success = true; match_idx = last_new }
       end
     end
@@ -436,7 +436,7 @@ module Make (Sm : State_machine) = struct
       Append { a_term = n.current_term; success = true; match_idx = snap_index }
     end
 
-  let handle_msg n msg =
+  let handle_msg c n msg =
     if not n.alive then Down
     else
       match msg with
@@ -445,7 +445,7 @@ module Make (Sm : State_machine) = struct
             ~last_log_term
       | Append_entries
           { ae_term; leader; prev_index; prev_term; entries; leader_commit } ->
-          handle_append_entries n ~ae_term ~leader ~prev_index ~prev_term
+          handle_append_entries c n ~ae_term ~leader ~prev_index ~prev_term
             ~entries ~leader_commit
       | Install_snapshot { is_term; is_leader; snap_index; snap_term; snap_data }
         ->
@@ -552,7 +552,8 @@ module Make (Sm : State_machine) = struct
   let create ~net ~locs ~sm ?(election_timeout = (150.0, 300.0))
       ?(heartbeat_interval = 40.0) ?(rpc_timeout = 50.0)
       ?compaction_threshold ?(group_commit = false) ?(append_latency = 0.0)
-      ?(on_batch = fun ~size:_ ~queue_delay:_ -> ()) () =
+      ?(on_batch = fun ~size:_ ~queue_delay:_ -> ())
+      ?(on_apply = fun _ _ _ -> ()) () =
     let n_nodes = List.length locs in
     if n_nodes = 0 then invalid_arg "Consensus.create: empty cluster";
     let root = Engine.rng () in
@@ -579,7 +580,6 @@ module Make (Sm : State_machine) = struct
                next_index = Array.make n_nodes 1;
                match_index = Array.make n_nodes 0;
                sm = sm ();
-               applied_cmds = [];
                pending = Hashtbl.create 16;
                prop_queue = [];
                proposer_running = false;
@@ -595,7 +595,8 @@ module Make (Sm : State_machine) = struct
         (fun n ->
           Transport.serve net ~loc:n.loc
             ~name:(Printf.sprintf "raft-%d" n.id)
-            (fun msg -> handle_msg n msg))
+            (fun msg ->
+              match !c_ref with Some c -> handle_msg c n msg | None -> Down))
         nodes
     in
     let client_svcs =
@@ -623,6 +624,7 @@ module Make (Sm : State_machine) = struct
         group_commit;
         append_latency;
         on_batch;
+        on_apply;
         leader_history = Hashtbl.create 16;
       }
     in
@@ -705,7 +707,6 @@ module Make (Sm : State_machine) = struct
           n.commit_index <- 0;
           n.last_applied <- 0;
           n.sm <- c.sm_factory ());
-      n.applied_cmds <- [];
       n.known_leader <- None;
       n.last_heartbeat <- Engine.now ();
       let epoch = n.epoch in
@@ -735,7 +736,7 @@ module Make (Sm : State_machine) = struct
 
   let commit_index c id = c.nodes.(id).commit_index
 
-  let applied c id = List.rev c.nodes.(id).applied_cmds
+  let on_apply c f = c.on_apply <- f
 
   let leaders_at_term c term =
     List.sort_uniq Int.compare

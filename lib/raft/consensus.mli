@@ -48,6 +48,7 @@ module Make (Sm : State_machine) : sig
     ?group_commit:bool ->
     ?append_latency:float ->
     ?on_batch:(size:int -> queue_delay:float -> unit) ->
+    ?on_apply:(node_id -> int -> Sm.cmd -> unit) ->
     unit ->
     cluster
   (** One node per element of [locs] (normally three availability zones).
@@ -69,6 +70,12 @@ module Make (Sm : State_machine) : sig
       [on_batch] fires once per proposed entry on the leader with the
       entry's command count and the queueing delay of its oldest
       submission (0 for unqueued proposals) — hook it to a histogram.
+      [on_apply node index cmd] fires for every command a node's state
+      machine applies, with the log index of its entry (the commands
+      of one entry share it, in order). A restarted node applies its
+      log again from its snapshot, so an index can repeat. The cluster
+      keeps no applied history itself; tests that compare applied
+      sequences collect them here.
 
       [append_latency] (virtual ms, default 0 = free) models the
       durable log append: each proposed {e entry} pays it once, on a
@@ -132,8 +139,9 @@ module Make (Sm : State_machine) : sig
 
   val commit_index : cluster -> node_id -> int
 
-  val applied : cluster -> node_id -> Sm.cmd list
-  (** Commands applied by this node's state machine, oldest first. *)
+  val on_apply : cluster -> (node_id -> int -> Sm.cmd -> unit) -> unit
+  (** Replace the [on_apply] hook of {!create}, for a cluster built by
+      another component (the replicated LVI server's lock store). *)
 
   val leaders_at_term : cluster -> int -> node_id list
   (** Every node that ever won the given term — safety tests assert the

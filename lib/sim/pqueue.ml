@@ -50,6 +50,11 @@ let push t x =
 
 let peek t = if t.size = 0 then None else Some t.data.(0)
 
+(* The slot a pop vacates still refers to the element moved to the root,
+   which is live, and a queue that empties lets go of its array, so the
+   popped element is not pinned and no filler value is needed for ['a].
+   A slot above [size] can outlive its element only until a push reuses
+   it or the queue empties. *)
 let pop t =
   if t.size = 0 then None
   else begin
@@ -58,11 +63,14 @@ let pop t =
     if t.size > 0 then begin
       t.data.(0) <- t.data.(t.size);
       sift_down t 0
-    end;
+    end
+    else t.data <- [||];
     Some top
   end
 
-let clear t = t.size <- 0
+let clear t =
+  t.data <- [||];
+  t.size <- 0
 
 let to_list t =
   let rec loop i acc = if i < 0 then acc else loop (i - 1) (t.data.(i) :: acc) in

@@ -3,7 +3,11 @@
     Ordering is given by the comparison function supplied at creation.
     Elements that compare equal are popped in unspecified relative order;
     callers that need FIFO tie-breaking should embed a sequence number in
-    the element and in the comparison. *)
+    the element and in the comparison.
+
+    A popped element is not pinned by the backing array: the vacated
+    slot refers to a live element, and emptying the queue (by {!pop} or
+    {!clear}) releases the array. *)
 
 type 'a t
 

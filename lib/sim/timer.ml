@@ -1,18 +1,24 @@
-type state = Armed | Fired | Cancelled
+(* The callback lives in the [Armed] state only: cancelling or firing
+   drops it, so the event still queued for the deadline pins the small
+   timer record and nothing the callback captured. *)
+type state = Armed of (unit -> unit) | Fired | Cancelled
 
 type t = { mutable state : state }
 
 let after d f =
-  let t = { state = Armed } in
+  let t = { state = Armed f } in
   Engine.schedule ~at:(Engine.now () +. d) (fun () ->
-      if t.state = Armed then begin
-        t.state <- Fired;
-        Engine.spawn ~name:"timer" f
-      end);
+      match t.state with
+      | Armed f ->
+          t.state <- Fired;
+          Engine.spawn ~name:"timer" f
+      | Fired | Cancelled -> ());
   t
 
-let cancel t = if t.state = Armed then t.state <- Cancelled
+let cancel t =
+  match t.state with Armed _ -> t.state <- Cancelled | Fired | Cancelled -> ()
 
-let fired t = t.state = Fired
+let fired t = match t.state with Fired -> true | Armed _ | Cancelled -> false
 
-let cancelled t = t.state = Cancelled
+let cancelled t =
+  match t.state with Cancelled -> true | Armed _ | Fired -> false

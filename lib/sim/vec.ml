@@ -27,7 +27,16 @@ let set t i x =
   check t i "set";
   t.data.(i) <- x
 
-let truncate t n = if n < t.size then t.size <- max 0 n
+(* Shrink to [n] elements, overwriting every slot from [n] up with a
+   live element (or letting go of the array when nothing stays), so
+   neither the vacated slots nor the spare capacity pin a removed
+   element until the slot is reused. *)
+let vacate t n =
+  if n = 0 then t.data <- [||]
+  else Array.fill t.data n (Array.length t.data - n) t.data.(0);
+  t.size <- n
+
+let truncate t n = if n < t.size then vacate t (max 0 n)
 
 let last t = if t.size = 0 then None else Some t.data.(t.size - 1)
 
@@ -52,5 +61,5 @@ let drop t n =
   let n = max 0 (min n t.size) in
   if n > 0 then begin
     Array.blit t.data n t.data 0 (t.size - n);
-    t.size <- t.size - n
+    vacate t (t.size - n)
   end

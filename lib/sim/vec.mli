@@ -1,7 +1,10 @@
 (** Growable arrays (OCaml 5.1 predates [Dynarray]).
 
     Used for the Raft log and metric sample buffers. Indices are
-    0-based; bounds errors raise [Invalid_argument]. *)
+    0-based; bounds errors raise [Invalid_argument]. Slots that
+    {!truncate} and {!drop} vacate are overwritten with a live element,
+    and a vector emptied by them lets go of its array, so removed
+    elements (compacted Raft entries, say) can be collected at once. *)
 
 type 'a t
 

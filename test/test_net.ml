@@ -250,6 +250,33 @@ let test_delay_fault () =
       ignore (Transport.call net ~from:Location.ca svc 1);
       check_float "back to rtt" 68.0 (Engine.now () -. t1))
 
+(* A copy delayed past the maximum message lifetime is never delivered:
+   it counts as dropped and is traced as expired. A delay that keeps the
+   copy inside the lifetime still delivers. *)
+let test_delay_beyond_lifetime_expires () =
+  run_sim (fun () ->
+      let net = mknet () in
+      let tracer = Metrics.Tracer.create () in
+      Transport.set_tracer net tracer;
+      let hits = ref 0 in
+      let svc =
+        Transport.serve net ~loc:Location.va ~name:"sink" (fun () -> incr hits)
+      in
+      Transport.set_fault net (fun ~src:_ ~dst:_ ~label:_ ->
+          Transport.Delay Transport.max_message_age);
+      Transport.post net ~from:Location.ca svc ();
+      Engine.sleep (3.0 *. Transport.max_message_age);
+      Alcotest.(check int) "never delivered" 0 !hits;
+      Alcotest.(check int) "counted as dropped" 1
+        (Transport.messages_dropped net);
+      Alcotest.(check (option int)) "traced as expired" (Some 1)
+        (List.assoc_opt ("sink", "expired") (Metrics.Tracer.fault_counts tracer));
+      Transport.set_fault net (fun ~src:_ ~dst:_ ~label:_ ->
+          Transport.Delay (Transport.max_message_age -. 100.0));
+      Transport.post net ~from:Location.ca svc ();
+      Engine.sleep Transport.max_message_age;
+      Alcotest.(check int) "inside the lifetime: delivered" 1 !hits)
+
 (* --- Composable fault hooks ---------------------------------------- *)
 
 let test_fault_hooks_compose () =
@@ -388,6 +415,8 @@ let () =
           Alcotest.test_case "response drop" `Quick test_response_drop;
           Alcotest.test_case "duplicate fault" `Quick test_duplicate_fault;
           Alcotest.test_case "delay fault" `Quick test_delay_fault;
+          Alcotest.test_case "delay beyond lifetime expires" `Quick
+            test_delay_beyond_lifetime_expires;
           Alcotest.test_case "fault hooks compose" `Quick
             test_fault_hooks_compose;
           Alcotest.test_case "set_fault slot vs stack" `Quick

@@ -252,6 +252,49 @@ let test_duplicate_lvi_delivery_processed_once () =
       Alcotest.(check int) "no orphaned intent" 0
         (Server.pending_intents (Framework.server fw)))
 
+(* A duplicate that arrives after the reply but inside the message
+   lifetime replays that reply without a second execution; once the
+   server has been quiet for longer than the lifetime, it holds no dedup
+   state. *)
+let test_late_duplicate_replayed_then_forgotten () =
+  with_radical (fun net fw ->
+      let server = Framework.server fw in
+      let req =
+        {
+          Radical.Proto.exec_id = "late-dup";
+          fn_name = "put";
+          args = [ Dval.Str "x"; Dval.Str "v2" ];
+          reads = [];
+          writes = [ "x" ];
+          ro_hint = false;
+          from_loc = Location.ca;
+          piggyback = [];
+        }
+      in
+      let svc = Server.lvi_service server in
+      let r1 = Transport.call net ~from:Location.ca svc req in
+      Transport.post net ~from:Location.ca (Server.followup_service server)
+        [
+          {
+            Radical.Proto.fu_exec_id = "late-dup";
+            fu_from = Location.ca;
+            fu_updates = [ ("x", Dval.Str "v2") ];
+          };
+        ];
+      Engine.sleep (Transport.max_message_age /. 2.0);
+      Alcotest.(check int) "reply cached" 1 (Server.dedup_entries server);
+      let r2 = Transport.call net ~from:Location.ca svc req in
+      Alcotest.(check bool) "same reply replayed" true (r1 == r2);
+      let st = Server.stats server in
+      Alcotest.(check int) "processed once" 1 st.requests;
+      Alcotest.(check int) "duplicate detected" 1 st.dup_deliveries;
+      (match Kv.peek (Framework.primary fw) "x" with
+      | Some { version; _ } -> Alcotest.(check int) "written once" 2 version
+      | None -> Alcotest.fail "x missing");
+      Engine.sleep (Transport.max_message_age +. 1.0);
+      Alcotest.(check int) "quiet past the lifetime: nothing held" 0
+        (Server.dedup_entries server))
+
 (* --- Write-set accounting regression ---------------------------------- *)
 
 (* Regression for the version-accounting bug: a write outside the
@@ -361,6 +404,8 @@ let () =
         [
           Alcotest.test_case "duplicate lvi delivery processed once" `Quick
             test_duplicate_lvi_delivery_processed_once;
+          Alcotest.test_case "late duplicate replayed, then forgotten" `Quick
+            test_late_duplicate_replayed_then_forgotten;
         ] );
       ( "accounting",
         [

@@ -511,6 +511,13 @@ let test_replicated_unlock_dedupe () =
     }
   in
   with_radical ~config (fun net fw ->
+      let cluster = Option.get (Server.raft_cluster (Framework.server fw)) in
+      (* The cluster keeps no applied history: collect each node's
+         applied commands by log index. *)
+      let applied = Hashtbl.create 64 in
+      Radical.Raft_locks.on_apply cluster (fun node idx cmd ->
+          let prev = Option.value ~default:[] (Hashtbl.find_opt applied (node, idx)) in
+          Hashtbl.replace applied (node, idx) (cmd :: prev));
       Engine.sleep 500.0 (* leader election *);
       (* Release via the followup path. *)
       let o = Framework.invoke fw ~from:Location.ca "incr" [ Dval.Str "ctr" ] in
@@ -523,17 +530,20 @@ let test_replicated_unlock_dedupe () =
       Engine.sleep 4000.0;
       let st = Server.stats (Framework.server fw) in
       Alcotest.(check int) "re-execution ran" 1 st.reexecutions;
-      let cluster = Option.get (Server.raft_cluster (Framework.server fw)) in
       let node = Option.get (Radical.Raft_locks.leader cluster) in
       let sets, dels =
-        List.fold_left
-          (fun (s, d) cmd ->
-            match cmd with
-            | Raft.Kvsm.Set (k, _) when k = "lock:ctr" -> (s + 1, d)
-            | Raft.Kvsm.Del k when k = "lock:ctr" -> (s, d + 1)
-            | _ -> (s, d))
-          (0, 0)
-          (Radical.Raft_locks.applied cluster node)
+        Hashtbl.fold
+          (fun (n, _) cmds acc ->
+            if n <> node then acc
+            else
+              List.fold_left
+                (fun (s, d) cmd ->
+                  match cmd with
+                  | Raft.Kvsm.Set (k, _) when k = "lock:ctr" -> (s + 1, d)
+                  | Raft.Kvsm.Del k when k = "lock:ctr" -> (s, d + 1)
+                  | _ -> (s, d))
+                acc cmds)
+          applied (0, 0)
       in
       Alcotest.(check bool) "both acquisitions persisted" true (sets >= 2);
       Alcotest.(check int) "exactly one Del per Set" sets dels)
@@ -728,6 +738,79 @@ let test_prediction_failure_falls_back () =
       | Error _ -> () (* the function itself faults near storage too *)
       | Ok v -> Alcotest.fail ("expected error, got " ^ Dval.to_string v))
 
+(* --- Bounded state ---------------------------------------------------- *)
+
+(* Steady-state server memory must not grow with run length: dedup
+   entries are forgotten once the message lifetime has passed, and the
+   Raft lock log compacts. Run the same open loop for 30 s and for 90 s
+   of virtual time and sample both tables every second: each stays
+   below rate x (lifetime + 1 s), and the longer run holds no more than
+   the shorter one plus Poisson noise. *)
+let soak_peaks ~seconds =
+  let rate = 100.0 in
+  let config =
+    {
+      Framework.default_config with
+      server =
+        {
+          Server.default_config with
+          mode = Server.Replicated { az_rtt = 1.5 };
+          batching = Server.full_batching;
+        };
+    }
+  in
+  let peak_dedup = ref 0 and peak_raft = ref 0 in
+  with_radical ~config (fun _ fw ->
+      let server = Framework.server fw in
+      let cluster = Option.get (Server.raft_cluster server) in
+      Engine.sleep 800.0 (* leader election *);
+      let running = ref true in
+      Engine.spawn (fun () ->
+          while !running do
+            Engine.sleep 1000.0;
+            peak_dedup := max !peak_dedup (Server.dedup_entries server);
+            for id = 0 to Radical.Raft_locks.size cluster - 1 do
+              peak_raft :=
+                max !peak_raft (Radical.Raft_locks.stored_entries cluster id)
+            done
+          done);
+      let sites = Array.of_list Location.user_locations in
+      let n =
+        Workload.Driver.run_open ~rate ~duration:(seconds *. 1000.0)
+          ~rng:(Rng.create 5) (fun ~arrival ->
+            let from = sites.(arrival mod Array.length sites) in
+            let key = Dval.Str (Printf.sprintf "k%d" (arrival mod 16)) in
+            ignore
+              (if arrival mod 2 = 0 then Framework.invoke fw ~from "incr" [ key ]
+               else Framework.invoke fw ~from "get" [ key ]))
+      in
+      running := false;
+      Alcotest.(check bool) "load ran" true (n > int_of_float (rate *. seconds /. 2.0));
+      Alcotest.(check int) "locks drained" 0 (Server.locks_held server));
+  (!peak_dedup, !peak_raft)
+
+let test_bounded_state_soak () =
+  let bound = int_of_float (100.0 *. (Transport.max_message_age +. 1000.0) /. 1000.0) in
+  let dedup30, raft30 = soak_peaks ~seconds:30.0 in
+  let dedup90, raft90 = soak_peaks ~seconds:90.0 in
+  List.iter
+    (fun (what, v) ->
+      Alcotest.(check bool) (Printf.sprintf "%s = %d < %d" what v bound) true (v < bound))
+    [
+      ("dedup entries, 30 s", dedup30);
+      ("dedup entries, 90 s", dedup90);
+      ("raft stored entries, 30 s", raft30);
+      ("raft stored entries, 90 s", raft90);
+    ];
+  let no_growth what short long =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: 90 s peak %d vs 30 s peak %d" what long short)
+      true
+      (float_of_int long <= 1.2 *. float_of_int short)
+  in
+  no_growth "dedup entries" dedup30 dedup90;
+  no_growth "raft stored entries" raft30 raft90
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -785,6 +868,8 @@ let () =
           Alcotest.test_case "raft-backed server" `Quick test_replicated_server;
           Alcotest.test_case "unlock persistence deduped" `Quick
             test_replicated_unlock_dedupe;
+          Alcotest.test_case "bounded state over a long run" `Quick
+            test_bounded_state_soak;
         ] );
       ( "batching",
         [

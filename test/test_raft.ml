@@ -9,15 +9,43 @@ let az_rtt a b = if String.equal a b then 0.5 else 2.0
 
 let azs = [ "AZ1"; "AZ2"; "AZ3" ]
 
-let with_cluster_net ?(seed = 7) ?(locs = azs) f =
+let with_cluster_net ?(seed = 7) ?(locs = azs) ?on_apply f =
   let e = Engine.create ~seed () in
   Engine.run e (fun () ->
       let net = Transport.create ~rtt:az_rtt ~jitter_sigma:0.02 ~rng:(Rng.split (Engine.rng ())) () in
-      let c = R.create ~net ~locs ~sm:Raft.Kvsm.create () in
+      let c = R.create ~net ~locs ~sm:Raft.Kvsm.create ?on_apply () in
       f net c;
       R.stop c)
 
-let with_cluster ?seed ?locs f = with_cluster_net ?seed ?locs (fun _ c -> f c)
+let with_cluster ?seed ?locs ?on_apply f =
+  with_cluster_net ?seed ?locs ?on_apply (fun _ c -> f c)
+
+(* Commands each node's state machine applied, keyed by (node, log
+   index), collected through the [on_apply] hook. *)
+type applied_log = (int * int, Raft.Kvsm.cmd list) Hashtbl.t
+
+let applied_log () : applied_log = Hashtbl.create 64
+
+let record_apply (log : applied_log) node idx cmd =
+  let prev = Option.value ~default:[] (Hashtbl.find_opt log (node, idx)) in
+  Hashtbl.replace log (node, idx) (cmd :: prev)
+
+(* The node's applied commands, oldest first. *)
+let applied (log : applied_log) node =
+  Hashtbl.fold
+    (fun (n, idx) cmds acc -> if n = node then (idx, List.rev cmds) :: acc else acc)
+    log []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.concat_map snd
+
+(* A restarted node rebuilds its state machine by applying its log
+   again from the start; forget what it applied before the crash so the
+   replay is recorded once. *)
+let restart log c id =
+  Hashtbl.filter_map_inplace
+    (fun (n, _) cmds -> if n = id then None else Some cmds)
+    log;
+  R.restart c id
 
 let is_node_traffic label =
   String.length label >= 5
@@ -119,19 +147,20 @@ let test_no_quorum_blocks () =
       Alcotest.(check bool) "submit times out without quorum" true (r = None))
 
 let test_restart_catches_up () =
-  with_cluster (fun c ->
+  let log = applied_log () in
+  with_cluster ~on_apply:(record_apply log) (fun c ->
       let l = await_leader c in
       let follower = if l = 0 then 1 else 0 in
       R.crash c follower;
       set c "a" "1";
       set c "b" "2";
-      R.restart c follower;
+      restart log c follower;
       Engine.sleep 1000.0;
       Alcotest.(check bool)
         "restarted node caught up" true
         (R.commit_index c follower >= 2);
       (* The state machine was rebuilt by replaying the log. *)
-      let applied = R.applied c follower in
+      let applied = applied log follower in
       Alcotest.(check bool) "replayed both sets" true (List.length applied >= 2))
 
 let test_leader_restart_rejoins () =
@@ -304,7 +333,8 @@ let test_restart_recovers_from_snapshot () =
    with the same committed data. *)
 (* --- Group commit and batched submission --------------------------- *)
 
-let with_gc_cluster ?(seed = 7) ?(locs = azs) ?(jitter_sigma = 0.02) ?on_batch f =
+let with_gc_cluster ?(seed = 7) ?(locs = azs) ?(jitter_sigma = 0.02) ?on_batch
+    ?on_apply f =
   let e = Engine.create ~seed () in
   Engine.run e (fun () ->
       let net =
@@ -312,7 +342,8 @@ let with_gc_cluster ?(seed = 7) ?(locs = azs) ?(jitter_sigma = 0.02) ?on_batch f
           ~rng:(Rng.split (Engine.rng ())) ()
       in
       let c =
-        R.create ~net ~locs ~sm:Raft.Kvsm.create ~group_commit:true ?on_batch ()
+        R.create ~net ~locs ~sm:Raft.Kvsm.create ~group_commit:true ?on_batch
+          ?on_apply ()
       in
       f c;
       R.stop c)
@@ -385,7 +416,8 @@ let test_group_commit_coalesces () =
    than submissions, and every node applies the identical command
    sequence. *)
 let test_group_commit_replicated_order () =
-  with_gc_cluster (fun c ->
+  let log = applied_log () in
+  with_gc_cluster ~on_apply:(record_apply log) (fun c ->
       let _ = await_leader c in
       let len0 = R.log_length c 0 in
       let n = 12 in
@@ -408,14 +440,14 @@ let test_group_commit_replicated_order () =
         (Printf.sprintf "%d submissions in %d entries" n entries)
         true
         (entries >= 1 && entries < n);
-      let reference = R.applied c 0 in
+      let reference = applied log 0 in
       Alcotest.(check bool) "every command applied" true
         (List.length reference >= n);
       for id = 1 to 2 do
         Alcotest.(check bool)
           (Printf.sprintf "node %d applied identical sequence" id)
           true
-          (R.applied c id = reference)
+          (applied log id = reference)
       done)
 
 (* With a modeled durable-append cost, unbatched same-instant submits
@@ -465,7 +497,8 @@ let test_append_cost_amortized () =
    submit retry loop re-routes to the new leader and every caller still
    gets an answer. *)
 let test_group_commit_failover_retries () =
-  with_gc_cluster (fun c ->
+  let log = applied_log () in
+  with_gc_cluster ~on_apply:(record_apply log) (fun c ->
       let l = await_leader c in
       let n = 6 in
       let done_ = ref 0 in
@@ -483,10 +516,10 @@ let test_group_commit_failover_retries () =
       Engine.sleep 1.0;
       R.crash c l;
       Engine.sleep 10_000.0;
-      R.restart c l;
+      restart log c l;
       Engine.sleep 3000.0;
       Alcotest.(check int) "every submitter eventually answered" n !done_;
-      let applied = R.applied c l in
+      let applied = applied log l in
       for i = 1 to n do
         Alcotest.(check bool)
           (Printf.sprintf "f%d committed" i)
@@ -506,7 +539,11 @@ let prop_log_convergence =
             Transport.create ~rtt:az_rtt ~jitter_sigma:0.02
               ~rng:(Rng.split (Engine.rng ())) ()
           in
-          let c = R.create ~net ~locs:azs ~sm:Raft.Kvsm.create () in
+          let log = applied_log () in
+          let c =
+            R.create ~net ~locs:azs ~sm:Raft.Kvsm.create
+              ~on_apply:(record_apply log) ()
+          in
           let rng = Rng.split (Engine.rng ()) in
           let _ = await_leader c in
           List.iteri
@@ -521,14 +558,14 @@ let prop_log_convergence =
                with
               | Some _ -> ()
               | None -> result := false);
-              if crash_now then R.restart c victim;
+              if crash_now then restart log c victim;
               Engine.sleep (Rng.float rng 200.0))
             values;
           Engine.sleep 3000.0;
           (* All live nodes agree on every key. *)
-          let reference = R.applied c 0 in
+          let reference = applied log 0 in
           for id = 1 to 2 do
-            let other = R.applied c id in
+            let other = applied log id in
             let common = min (List.length reference) (List.length other) in
             let prefix l = List.filteri (fun i _ -> i < common) l in
             if prefix reference <> prefix other then result := false

@@ -42,6 +42,99 @@ let prop_pqueue_sorts =
       in
       drain [] = List.sort Int.compare xs)
 
+(* --- Vacated slots do not pin removed elements ------------------------ *)
+
+(* [alloc n] makes [n] fresh heap blocks, each watched by a weak pointer.
+   Allocating in a separate, non-inlined function keeps no stray stack
+   reference to them in the caller. *)
+let[@inline never] alloc n =
+  let xs = List.init n (fun i -> ref i) in
+  let w = Weak.create n in
+  List.iteri (fun i x -> Weak.set w i (Some x)) xs;
+  (xs, w)
+
+let collected w i =
+  Gc.full_major ();
+  Option.is_none (Weak.get w i)
+
+let test_pqueue_pop_releases () =
+  let q = Pqueue.create ~cmp:(fun a b -> Int.compare !a !b) in
+  let w =
+    let xs, w = alloc 3 in
+    List.iter (Pqueue.push q) xs;
+    w
+  in
+  for _ = 1 to 3 do
+    ignore (Pqueue.pop q)
+  done;
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) (Printf.sprintf "popped %d collectable" i) true
+        (collected w i))
+    [ 0; 1; 2 ];
+  Pqueue.push q (ref 7);
+  Alcotest.(check (option int)) "reusable" (Some 7)
+    (Option.map ( ! ) (Pqueue.pop q))
+
+let test_vec_drop_releases () =
+  let v = Vec.create () in
+  let w =
+    let xs, w = alloc 4 in
+    List.iter (Vec.push v) xs;
+    w
+  in
+  Vec.drop v 3;
+  Alcotest.(check int) "one left" 1 (Vec.length v);
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) (Printf.sprintf "dropped %d collectable" i) true
+        (collected w i))
+    [ 0; 1; 2 ];
+  Alcotest.(check int) "survivor intact" 3 !(Vec.get v 0)
+
+let test_vec_truncate_releases () =
+  let v = Vec.create () in
+  let w =
+    let xs, w = alloc 3 in
+    List.iter (Vec.push v) xs;
+    w
+  in
+  Vec.truncate v 1;
+  Alcotest.(check bool) "truncated 1 collectable" true (collected w 1);
+  Alcotest.(check bool) "truncated 2 collectable" true (collected w 2);
+  Alcotest.(check int) "survivor intact" 0 !(Vec.get v 0);
+  Vec.truncate v 0;
+  Alcotest.(check bool) "emptied collectable" true (collected w 0)
+
+(* ------------------------------------------------------------------ *)
+(* Expiring                                                            *)
+
+let test_expiring_forgets_after_deadline () =
+  let t = Expiring.create 8 in
+  Expiring.replace t "a" (ref 1);
+  Expiring.replace t "b" (ref 2);
+  Expiring.expire t "a" (Option.get (Expiring.find_opt t "a")) ~at:10.0;
+  Expiring.prune t ~now:10.0;
+  Alcotest.(check bool) "kept at the deadline" true (Expiring.mem t "a");
+  Expiring.prune t ~now:10.5;
+  Alcotest.(check bool) "forgotten after it" false (Expiring.mem t "a");
+  Alcotest.(check bool) "no deadline, kept" true (Expiring.mem t "b")
+
+(* A key re-bound to a fresh value survives the old value's deadline. *)
+let test_expiring_rebound_survives () =
+  let t = Expiring.create 8 in
+  let old = ref 1 in
+  Expiring.replace t "k" old;
+  Expiring.expire t "k" old ~at:5.0;
+  let fresh = ref 1 in
+  Expiring.replace t "k" fresh;
+  Expiring.prune t ~now:6.0;
+  Alcotest.(check bool) "fresh binding kept" true
+    (match Expiring.find_opt t "k" with Some v -> v == fresh | None -> false);
+  Expiring.expire t "k" fresh ~at:8.0;
+  Expiring.prune t ~now:9.0;
+  Alcotest.(check int) "then forgotten" 0 (Expiring.length t)
+
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
 
@@ -376,6 +469,21 @@ let test_timer_callback_can_block () =
       Engine.sleep 10.0);
   Alcotest.(check int) "both steps ran" 2 (List.length !steps)
 
+(* Cancelling releases the callback, and with it whatever the callback
+   captured, while the timer's event is still queued. *)
+let test_timer_cancel_releases_callback () =
+  run_sim (fun () ->
+      let[@inline never] arm () =
+        let xs, w = alloc 1 in
+        let payload = List.hd xs in
+        (Timer.after 60_000.0 (fun () -> incr payload), w)
+      in
+      let t, w = arm () in
+      Alcotest.(check bool) "held while armed" false (collected w 0);
+      Timer.cancel t;
+      Alcotest.(check bool) "collectable once cancelled" true (collected w 0);
+      Engine.sleep 1.0)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -385,8 +493,22 @@ let () =
         [
           Alcotest.test_case "pops sorted" `Quick test_pqueue_order;
           Alcotest.test_case "peek/clear" `Quick test_pqueue_peek;
+          Alcotest.test_case "pop releases" `Quick test_pqueue_pop_releases;
         ]
         @ qsuite [ prop_pqueue_sorts ] );
+      ( "vec",
+        [
+          Alcotest.test_case "drop releases" `Quick test_vec_drop_releases;
+          Alcotest.test_case "truncate releases" `Quick
+            test_vec_truncate_releases;
+        ] );
+      ( "expiring",
+        [
+          Alcotest.test_case "forgets after deadline" `Quick
+            test_expiring_forgets_after_deadline;
+          Alcotest.test_case "re-bound key survives" `Quick
+            test_expiring_rebound_survives;
+        ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
@@ -445,5 +567,7 @@ let () =
             test_timer_cancel_after_fire;
           Alcotest.test_case "callback can block" `Quick
             test_timer_callback_can_block;
+          Alcotest.test_case "cancel releases callback" `Quick
+            test_timer_cancel_releases_callback;
         ] );
     ]

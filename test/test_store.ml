@@ -491,6 +491,25 @@ let test_idempotency () =
       Alcotest.(check bool) "seen" true (Store.Idempotency.seen t ~exec_id:"e1");
       Alcotest.(check int) "count" 1 (Store.Idempotency.count t))
 
+(* A key registered with a TTL is forgotten once it has passed, like a
+   DynamoDB item expiring; a key without one stays. *)
+let test_idempotency_ttl () =
+  run_sim (fun () ->
+      let t = Store.Idempotency.create () in
+      ignore (Store.Idempotency.register ~ttl:100.0 t ~exec_id:"inv:a");
+      ignore (Store.Idempotency.register t ~exec_id:"ns:a");
+      Alcotest.(check bool) "claimed inside the ttl" false
+        (Store.Idempotency.register ~ttl:100.0 t ~exec_id:"inv:a");
+      Engine.sleep 200.0;
+      Alcotest.(check bool) "registers afresh after the ttl" true
+        (Store.Idempotency.register ~ttl:100.0 t ~exec_id:"inv:a");
+      Alcotest.(check bool) "no ttl: still claimed" false
+        (Store.Idempotency.register t ~exec_id:"ns:a");
+      Engine.sleep 200.0;
+      ignore (Store.Idempotency.register t ~exec_id:"ns:b");
+      Alcotest.(check int) "only the keys without ttl remain" 2
+        (Store.Idempotency.count t))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -549,5 +568,9 @@ let () =
           Alcotest.test_case "unknown complete" `Quick
             test_intents_unknown_complete;
         ] );
-      ("idempotency", [ Alcotest.test_case "at-most-once" `Quick test_idempotency ]);
+      ( "idempotency",
+        [
+          Alcotest.test_case "at-most-once" `Quick test_idempotency;
+          Alcotest.test_case "ttl keys expire" `Quick test_idempotency_ttl;
+        ] );
     ]
