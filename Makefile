@@ -83,12 +83,14 @@ radbench-compare:
 # traced bench run that exercises the
 # per-phase JSON breakdown end to end, the batching load sweep, the
 # propagation experiment, the shard scaling sweep and the read-lease
-# experiment at smoke scale, then three 20-seed chaos smoke campaigns:
-# one with every batching knob and cache-update propagation on, one
-# with the LVI service hash-sharded 4 ways so the shard-chaos template
-# attacks the cross-shard commit under the cross-atomicity oracle, and
-# one with read leases on so the lease-chaos template attacks the
-# revocation channel (see `bench/main.exe chaos --help` for the knobs).
+# experiment at smoke scale, then three 20-seed chaos smoke campaigns,
+# each named by its --deployment (see Radical.Deployment): `batched,
+# propagating` (every batching knob and cache-update propagation on),
+# `sharded=4` (the LVI service hash-sharded 4 ways, so the shard-chaos
+# template attacks the cross-shard commit under the cross-atomicity
+# oracle) and `leased` (read leases on, so the lease-chaos template
+# attacks the revocation channel). Every cell of each grid also runs
+# on a Raft-replicated server; `bench/main.exe --help` lists the flags.
 check:
 	dune build @all
 	$(MAKE) fmt-check
@@ -100,9 +102,9 @@ check:
 	dune exec bench/main.exe -- --scale 1 propagate
 	dune exec bench/main.exe -- --scale 1 shard
 	dune exec bench/main.exe -- --scale 1 lease
-	dune exec bench/main.exe -- chaos --seeds 20 --batching --propagation
-	dune exec bench/main.exe -- chaos --seeds 20 --shards 4
-	dune exec bench/main.exe -- chaos --seeds 20 --leases
+	dune exec bench/main.exe -- chaos --seeds 20 --deployment batched,propagating
+	dune exec bench/main.exe -- chaos --seeds 20 --deployment sharded=4
+	dune exec bench/main.exe -- chaos --seeds 20 --deployment leased
 
 # Full 50-seeds-per-cell chaos campaign (~200 sweep runs) plus the
 # protocol-mutation demo; the acceptance run behind EXPERIMENTS.md.

@@ -137,7 +137,7 @@ let micro () =
 let usage () =
   print_endline
     "usage: main.exe [--scale F] [--seeds N] \
-     [--shards N] [--json] \
+     [--deployment SPEC] [--json] \
      [all|fig1|table1|table2|fig4|fig5|fig6|repl|cost|sensitivity|skew|throughput|bootstrap|ablation|analyze|phases|batch|propagate|lease|shard|chaos|micro]";
   print_endline
     "  batch: batching load sweep — open-loop Poisson load against the";
@@ -191,59 +191,48 @@ let usage () =
     "    everything), then a protocol mutation is injected to prove the";
   print_endline "    invariant oracle catches and shrinks real bugs.";
   print_endline
-    "    --batching  run every cell with all batching knobs on (group";
+    "    --deployment SPEC  run every cell with these deployment features:";
   print_endline
-    "                commit, lock flush, admission, followup coalescing).";
+    "                'paper' (default) or a comma-separated list of";
   print_endline
-    "    --propagation  run every cell with asynchronous cache-update";
+    "                replicated, batched (every batching knob and followup";
   print_endline
-    "                propagation on; the propagation-chaos template then";
+    "                coalescing), propagating, leased and sharded=N (N >= 2).";
   print_endline
-    "                stresses the channel with lost/duplicated/delayed";
-  print_endline "                cache_update messages.";
+    "                Each feature has a chaos template that attacks it:";
   print_endline
-    "    --shards N  run every cell with the LVI service hash-sharded N";
+    "                propagation-chaos (lost/duplicated/delayed";
   print_endline
-    "                ways; the shard-chaos template then attacks the";
+    "                cache_update messages), lease-chaos (the same for";
   print_endline
-    "                cross-shard commit (delayed prepares, dropped";
+    "                lease_revoke, plus cache wipes and late cache updates)";
   print_endline
-    "                decisions, shard restarts, leader crashes) under";
-  print_endline "                the cross-atomicity oracle.";
+    "                and shard-chaos (delayed prepares, dropped decisions,";
   print_endline
-    "    --leases    run every cell with read leases on; the lease-chaos";
-  print_endline
-    "                template then attacks the settle protocol (lost/";
-  print_endline
-    "                duplicated/delayed revocations, cache wipes, late";
-  print_endline "                cache updates).";
+    "                shard restarts, leader crashes) under the";
+  print_endline "                cross-atomicity oracle.";
   print_endline
     "  --json: additionally write each measurement-returning experiment's";
   print_endline
     "    results as BENCH_<experiment>.json (medians, p99, throughput,";
-  print_endline "    acceptance flags, run config).";
+  print_endline "    acceptance flags, request scale).";
   exit 1
 
 let () =
   (* Default 5.0 reproduces the paper's 10,000 requests per deployment. *)
   let scale = ref 5.0 in
   let seeds = ref 50 in
-  let batching = ref false in
-  let propagation = ref false in
-  let leases = ref false in
+  let deployment = ref [] in
   let json = ref false in
-  let shards = ref 1 in
   let targets = ref [] in
   let rec parse = function
     | [] -> ()
-    | "--batching" :: rest ->
-        batching := true;
-        parse rest
-    | "--propagation" :: rest ->
-        propagation := true;
-        parse rest
-    | "--leases" :: rest ->
-        leases := true;
+    | "--deployment" :: v :: rest ->
+        (match Radical.Deployment.of_string v with
+        | Ok features -> deployment := features
+        | Error e ->
+            prerr_endline e;
+            usage ());
         parse rest
     | "--json" :: rest ->
         json := true;
@@ -258,11 +247,6 @@ let () =
         | Some n when n > 0 -> seeds := n
         | _ -> usage ());
         parse rest
-    | "--shards" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n > 0 -> shards := n
-        | _ -> usage ());
-        parse rest
     | arg :: rest ->
         targets := arg :: !targets;
         parse rest
@@ -272,13 +256,7 @@ let () =
   let scale = !scale in
   let emit experiment measurements =
     if !json then begin
-      let config =
-        [
-          ("scale", Printf.sprintf "%g" scale);
-          ("seeds", string_of_int !seeds);
-          ("shards", string_of_int !shards);
-        ]
-      in
+      let config = [ ("scale", Printf.sprintf "%g" scale) ] in
       let path = Experiments.Runner.write_json ~experiment ~config measurements in
       Printf.printf "wrote %s\n" path
     end
@@ -311,8 +289,7 @@ let () =
       | "shard" -> emit "shard" (Experiments.Shard_exp.run ~scale ())
       | "chaos" ->
           let violations =
-            Experiments.Chaos_exp.run ~seeds:!seeds ~batching:!batching
-              ~propagation:!propagation ~leases:!leases ~shards:!shards ()
+            Experiments.Chaos_exp.run ~seeds:!seeds ~deployment:!deployment ()
           in
           if violations > 0 then exit 2
       | "micro" -> micro ()

@@ -36,6 +36,22 @@ let setup_logs verbose =
 let verbose_arg =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print protocol-event logs.")
 
+let deployment_arg ~doc =
+  let spec =
+    Arg.conv'
+      ( Radical.Deployment.of_string,
+        fun ppf d -> Format.pp_print_string ppf (Radical.Deployment.to_string d)
+      )
+  in
+  Arg.(value & opt spec [] & info [ "deployment" ] ~docv:"SPEC" ~doc)
+
+let deployment_doc =
+  "$(b,paper) (the default), or a comma-separated list of $(b,replicated) \
+   (Raft-replicated LVI server), $(b,batched) (every batching knob and \
+   followup coalescing), $(b,propagating) (asynchronous cache-update \
+   propagation), $(b,leased) (read leases) and $(b,sharded=)$(i,N) (the \
+   LVI service hash-sharded $(i,N) >= 2 ways)."
+
 
 let experiment_targets =
   [ "all"; "fig1"; "table1"; "table2"; "fig4"; "fig5"; "fig6"; "repl"; "cost"; "sensitivity"; "skew"; "throughput"; "bootstrap"; "ablation"; "phases" ]
@@ -330,77 +346,33 @@ let trace_cmd =
     Arg.(value & opt int 5 & info [ "top" ] ~docv:"K"
            ~doc:"Print the K slowest request traces as span trees.")
   in
-  let batching_arg =
-    Arg.(value & flag
-         & info [ "batching" ]
-             ~doc:"Deploy the Raft-replicated server with every batching \
-                   knob on (group commit, lock-record flush, \
-                   conflict-aware admission, followup coalescing) so the \
-                   batch-size and queue-delay histograms fill up.")
+  let deployment =
+    deployment_arg
+      ~doc:
+        ("Deploy Radical with these features so their histograms fill \
+          up: $(b,replicated,batched) fills the raft_entry, \
+          lock_persist, followup and admission rows; $(b,propagating) \
+          the propagation and per-site prop_lag rows; $(b,leased) the \
+          lease_grant/lease_revoke/lease_wait rows and the \
+          lease_local/lease_settle phases; $(b,sharded=)$(i,N) the \
+          per-shard load table and shard_prepare phases. " ^ deployment_doc)
   in
-  let propagation_arg =
-    Arg.(value & flag
-         & info [ "propagation" ]
-             ~doc:"Turn asynchronous cache-update propagation on so the \
-                   'propagation' batch histogram and per-site \
-                   'prop_lag:*' freshness-lag histograms fill up. \
-                   Composes with --batching.")
+  let system =
+    let with_deployment system deployment =
+      match (system, deployment) with
+      | system, [] -> `Ok system
+      | Experiments.Runner.Radical, features ->
+          `Ok
+            (Experiments.Runner.Radical_with
+               (Radical.Deployment.config features))
+      | _ -> `Error (true, "--deployment applies only to --system radical")
+    in
+    Term.(ret (const with_deployment $ system_arg $ deployment))
   in
-  let leases_arg =
-    Arg.(value & flag
-         & info [ "leases" ]
-             ~doc:"Turn read leases on so the 'lease_grant'/'lease_revoke' \
-                   batch histograms, the 'lease_wait' expiry-wait \
-                   histogram and the 'lease_local'/'lease_settle' phases \
-                   in the JSON breakdown fill up. Composes with \
-                   --batching/--propagation/--shards.")
-  in
-  let shards_arg =
-    Arg.(value & opt int 1
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"Deploy the LVI service hash-sharded N ways and print \
-                   the per-shard load table (requests and cross-shard \
-                   rate per shard); cross-shard requests additionally \
-                   show up as 'shard_prepare' phases in the JSON \
-                   breakdown. Composes with --batching/--propagation.")
-  in
-  let run verbose app system requests seed top batching propagation leases
-      shards =
+  let run verbose app system requests seed top =
     setup_logs verbose;
     let tracer = Metrics.Tracer.create () in
     let requests_per_client = max 1 (requests / 50) in
-    let system =
-      if batching || propagation || leases || shards > 1 then
-        let base = Radical.Framework.default_config in
-        let server =
-          {
-            Radical.Server.default_config with
-            mode =
-              (if batching then Radical.Server.Replicated { az_rtt = 1.5 }
-               else Radical.Server.default_config.mode);
-            batching =
-              (if batching then Radical.Server.full_batching
-               else Radical.Server.default_config.batching);
-            propagation =
-              (if propagation then Radical.Server.default_propagation
-               else Radical.Server.no_propagation);
-            leases =
-              (if leases then Radical.Server.default_leases
-               else Radical.Server.no_leases);
-          }
-        in
-        Experiments.Runner.Radical_with
-          {
-            base with
-            server;
-            sharding =
-              (if shards > 1 then Some (Shard.Directory.Hash { shards })
-               else base.sharding);
-            fu_window = (if batching then 2.0 else base.fu_window);
-            fu_piggyback = batching || base.fu_piggyback;
-          }
-      else system
-    in
     let r = Experiments.Runner.run ~seed ~requests_per_client ~tracer system app in
     Printf.printf "%d samples, %d errors, %d traces\n" (List.length r.samples)
       r.errors
@@ -463,8 +435,7 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Run a traced deployment: per-phase JSON breakdown, batching \
              histograms, plus the slowest request span trees")
-    Term.(const run $ verbose_arg $ app_arg $ system_arg $ requests $ seed
-          $ top $ batching_arg $ propagation_arg $ leases_arg $ shards_arg)
+    Term.(const run $ verbose_arg $ app_arg $ system $ requests $ seed $ top)
 
 let timeline_cmd =
   let app_arg =
@@ -515,25 +486,15 @@ let chaos_cmd =
   let app_arg =
     Arg.(value & opt (some (enum apps)) None & info [ "app" ] ~docv:"APP"
            ~doc:"Sweep one application only (default: the full social/forum \
-                 grid plus the protocol-mutation demonstration).")
+                 grid, each deployment also Raft-replicated, plus the \
+                 protocol-mutation demonstration).")
   in
-  let replicated =
-    Arg.(value & flag & info [ "replicated" ]
-           ~doc:"Raft-replicated LVI server (with --app).")
-  in
-  let propagation =
-    Arg.(value & flag & info [ "propagation" ]
-           ~doc:"Asynchronous cache-update propagation on; the \
-                 propagation-chaos template then exercises the channel \
-                 with lost, duplicated and delayed cache_update \
-                 messages.")
-  in
-  let leases_arg =
-    Arg.(value & flag & info [ "leases" ]
-           ~doc:"Read leases on; the lease-chaos template then attacks \
-                 the settle protocol with lost, duplicated and delayed \
-                 lease_revoke messages, cache wipes and late cache \
-                 updates.")
+  let deployment =
+    deployment_arg
+      ~doc:
+        ("Deploy these features; each has a chaos template that attacks \
+          it (propagation-chaos, lease-chaos, shard-chaos under the \
+          cross-atomicity oracle). " ^ deployment_doc)
   in
   let template_names =
     List.map
@@ -543,97 +504,31 @@ let chaos_cmd =
   let template_arg =
     Arg.(value & opt (some (enum template_names)) None
          & info [ "template" ] ~docv:"NAME"
-             ~doc:(Printf.sprintf "Sweep a single plan template (%s)."
+             ~doc:(Printf.sprintf "Sweep a single plan template (%s); \
+                                   needs --app."
                      (String.concat ", " (List.map fst template_names))))
   in
   let mutate =
     Arg.(value & flag & info [ "mutate" ]
            ~doc:"Inject the Skip_reexecution protocol mutation: the oracle \
                  must catch it and the failing plan is shrunk to a minimal \
-                 reproduction.")
+                 reproduction. Needs --app.")
   in
-  let shards_arg =
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
-           ~doc:"Hash-shard the LVI service N ways: multi-key functions \
-                 then cross shards, the shard-chaos template attacks the \
-                 commit protocol, and the cross-atomicity oracle judges \
-                 the quiescent state.")
-  in
-  (* Cross-shard commit timing knobs (Server.tuning), exposed so a
-     sweep can shrink or stretch the prepare/decide timeouts relative
-     to the fault templates' delay distributions. Defaults are the
-     production values. *)
-  let dt = Radical.Server.default_tuning in
-  let try_prepare_timeout =
-    Arg.(value & opt float dt.try_prepare_timeout
-         & info [ "try-prepare-timeout" ] ~docv:"MS"
-             ~doc:"Cross-shard commit: per-shard timeout of the \
-                   non-blocking first prepare round.")
-  in
-  let blocking_prepare_timeout =
-    Arg.(value & opt float dt.blocking_prepare_timeout
-         & info [ "blocking-prepare-timeout" ] ~docv:"MS"
-             ~doc:"Cross-shard commit: per-attempt timeout of the \
-                   blocking ascending-order prepare fallback.")
-  in
-  let blocking_prepare_attempts =
-    Arg.(value & opt int dt.blocking_prepare_attempts
-         & info [ "blocking-prepare-attempts" ] ~docv:"N"
-             ~doc:"Cross-shard commit: blocking prepare attempts before \
-                   the coordinator aborts the request.")
-  in
-  let decide_timeout =
-    Arg.(value & opt float dt.decide_timeout
-         & info [ "decide-timeout" ] ~docv:"MS"
-             ~doc:"Cross-shard commit: per-call timeout of a decision \
-                   delivery to a prepared shard.")
-  in
-  let decide_retry_backoff =
-    Arg.(value & opt float dt.decide_retry_backoff
-         & info [ "decide-retry-backoff" ] ~docv:"MS"
-             ~doc:"Cross-shard commit: pause between decision-delivery \
-                   retries.")
-  in
-  let decide_retries =
-    Arg.(value & opt int dt.decide_retries
-         & info [ "decide-retries" ] ~docv:"N"
-             ~doc:"Cross-shard commit: decision-delivery attempts per \
-                   shard before giving up (the shard's own intent timer \
-                   then resolves the orphan).")
-  in
-  let tuning_term =
-    let mk try_prepare_timeout blocking_prepare_timeout
-        blocking_prepare_attempts decide_timeout decide_retry_backoff
-        decide_retries =
-      {
-        Radical.Server.try_prepare_timeout;
-        blocking_prepare_timeout;
-        blocking_prepare_attempts;
-        decide_timeout;
-        decide_retry_backoff;
-        decide_retries;
-      }
-    in
-    Term.(const mk $ try_prepare_timeout $ blocking_prepare_timeout
-          $ blocking_prepare_attempts $ decide_timeout
-          $ decide_retry_backoff $ decide_retries)
-  in
-  let run verbose seeds app replicated propagation leases template mutate
-      shards tuning =
+  let run verbose seeds app deployment template mutate =
     setup_logs verbose;
     match app with
+    | None when template <> None || mutate ->
+        `Error (true, "--template and --mutate need --app")
     | None ->
-        if Experiments.Chaos_exp.run ~seeds ~propagation ~leases ~shards () > 0
-        then exit 2
+        if Experiments.Chaos_exp.run ~seeds ~deployment () > 0 then exit 2;
+        `Ok ()
     | Some bundle ->
         let config =
           {
             Chaos.Campaign.default_config with
-            replicated;
-            propagation;
-            leases;
-            shards;
-            tuning;
+            deployment =
+              Radical.Deployment.config
+                ~base:Chaos.Campaign.default_config.deployment deployment;
             mutation =
               (if mutate then Some Radical.Server.Skip_reexecution else None);
           }
@@ -657,15 +552,15 @@ let chaos_cmd =
             in
             Format.printf "minimal reproduction (seed %d):@.%a@."
               c.Chaos.Campaign.c_seed Chaos.Plan.pp shrunk;
-            if not mutate then exit 2)
+            if not mutate then exit 2);
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Sweep fault plans against live deployments and judge the \
              survivors with the invariant oracle")
-    Term.(const run $ verbose_arg $ seeds $ app_arg $ replicated
-          $ propagation $ leases_arg $ template_arg $ mutate $ shards_arg
-          $ tuning_term)
+    Term.(ret (const run $ verbose_arg $ seeds $ app_arg $ deployment
+               $ template_arg $ mutate))
 
 let analyze_cmd =
   let run () = print_string (Apps.Report.render ()) in

@@ -117,15 +117,9 @@ let () =
       banner "4. Raft-backed replicated LVI server surviving a leader crash";
       Framework.stop fw;
       let config =
-        {
-          Framework.default_config with
-          locations = [ Location.ca ];
-          server =
-            {
-              Radical.Server.default_config with
-              mode = Radical.Server.Replicated { az_rtt = 1.5 };
-            };
-        }
+        Radical.Deployment.config
+          ~base:{ Framework.default_config with locations = [ Location.ca ] }
+          [ Replicated ]
       in
       let fw2 =
         Framework.create ~config ~net ~funcs:Apps.Forum.functions ~data ()

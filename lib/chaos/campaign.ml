@@ -13,40 +13,30 @@ type app = {
 }
 
 type config = {
-  locations : Location.t list;
+  deployment : Framework.config;
   clients_per_loc : int;
   requests_per_client : int;
   think_time : float;
   horizon : float;
   drain : float;
   jitter : float;
-  replicated : bool;
-  batching : bool;
-  propagation : bool;
-  leases : bool;
-  shards : int;
-  intent_timeout : float;
-  tuning : Server.tuning;
   mutation : Server.protocol_mutation option;
   charge_every : int;
 }
 
 let default_config =
   {
-    locations = Location.user_locations;
+    deployment =
+      {
+        Framework.default_config with
+        server = { Server.default_config with intent_timeout = 800.0 };
+      };
     clients_per_loc = 2;
     requests_per_client = 3;
     think_time = 400.0;
     horizon = 5000.0;
     drain = 4000.0;
     jitter = 0.05;
-    replicated = false;
-    batching = false;
-    propagation = false;
-    leases = false;
-    shards = 1;
-    intent_timeout = 800.0;
-    tuning = Server.default_tuning;
     mutation = None;
     charge_every = 6;
   }
@@ -126,49 +116,12 @@ let run_one ?(config = default_config) ~seed app (plan : Plan.t) =
              ~fault_rng:(Rng.split rng) ()
          in
          let data = app.ca_seed (Rng.split rng) in
-         let mode =
-           if config.replicated then Server.Replicated { az_rtt = 1.5 }
-           else Server.Singleton
-         in
-         let batching =
-           if config.batching then Server.full_batching
-           else Server.no_batching
-         in
-         let propagation =
-           if config.propagation then Server.default_propagation
-           else Server.no_propagation
-         in
-         let leases =
-           if config.leases then Server.default_leases else Server.no_leases
-         in
-         let fw_config =
-           {
-             Framework.default_config with
-             locations = config.locations;
-             server =
-               {
-                 Server.default_config with
-                 mode;
-                 intent_timeout = config.intent_timeout;
-                 batching;
-                 propagation;
-                 leases;
-                 tuning = config.tuning;
-               };
-             sharding =
-               (if config.shards > 1 then
-                  Some (Shard.Directory.Hash { shards = config.shards })
-                else None);
-             fu_window = (if config.batching then 2.0 else 0.0);
-             fu_piggyback = config.batching;
-           }
-         in
          let funcs =
            if config.charge_every > 0 then app.ca_funcs @ [ charge_fn ]
            else app.ca_funcs
          in
          let fw =
-           Framework.create ~config:fw_config ~net ~funcs ~data ()
+           Framework.create ~config:config.deployment ~net ~funcs ~data ()
          in
          if config.charge_every > 0 then
            Framework.register_external fw ~name:charge_service (fun v ->
@@ -179,13 +132,14 @@ let run_one ?(config = default_config) ~seed app (plan : Plan.t) =
          Framework.record_history fw;
          let nemesis = Nemesis.launch { net; fw } plan in
          let gen = app.ca_gen () in
-         let n_locs = List.length config.locations in
+         let locations = config.deployment.locations in
+         let n_locs = List.length locations in
          let n_clients = n_locs * config.clients_per_loc in
          let client_rngs = Array.init n_clients (fun _ -> Rng.split rng) in
          Workload.Driver.run_clients ~n:n_clients
            ~iterations:config.requests_per_client
            ~think_time:config.think_time (fun ~client ~iter ->
-             let from = List.nth config.locations (client mod n_locs) in
+             let from = List.nth locations (client mod n_locs) in
              let crng = client_rngs.(client) in
              let seq = !requests in
              incr requests;
@@ -243,7 +197,8 @@ let run_one ?(config = default_config) ~seed app (plan : Plan.t) =
                  "run never completed (%d/%d requests issued): workload \
                   deadlocked or teardown blocked"
                  !requests
-                 (List.length config.locations * config.clients_per_loc
+                 (List.length config.deployment.locations
+                 * config.clients_per_loc
                 * config.requests_per_client);
            };
          ]
@@ -302,7 +257,11 @@ let sweep ?(config = default_config) ?(templates = Plan.default_templates)
     ~seeds app =
   let templates =
     List.filter
-      (fun (t : Plan.template) -> config.replicated || not t.t_replicated_only)
+      (fun (t : Plan.template) ->
+        (match config.deployment.server.mode with
+        | Server.Replicated _ -> true
+        | Server.Singleton -> false)
+        || not t.t_replicated_only)
       templates
   in
   let total = seeds * List.length templates in
@@ -320,7 +279,7 @@ let sweep ?(config = default_config) ?(templates = Plan.default_templates)
         let plan_rng = Rng.create ((seed * 8191) lxor ((i + 1) * 524287)) in
         let plan =
           t.t_gen ~rng:plan_rng ~horizon:config.horizon
-            ~locations:config.locations
+            ~locations:config.deployment.locations
         in
         let o = run_one ~config ~seed app plan in
         incr runs;

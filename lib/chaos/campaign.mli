@@ -18,7 +18,15 @@ type app = {
 }
 
 type config = {
-  locations : Net.Location.t list;
+  deployment : Radical.Framework.config;
+      (** What to deploy — build it with {!Radical.Deployment.config}
+          over [default_config.deployment]. Its [locations] are where
+          the clients run. A [Replicated] server mode also admits the
+          replicated-only templates; a sharded deployment puts the
+          applications' multi-key functions on the cross-shard commit
+          path, which the shard-chaos template attacks and the
+          {!Oracle.cross_atomic} invariant judges. The fault campaign
+          must find zero violations in every deployment. *)
   clients_per_loc : int;
   requests_per_client : int;
   think_time : float;
@@ -29,47 +37,6 @@ type config = {
       (** Extra quiet time after the horizon and the last request, long
           enough for intent timers to fire and re-executions to settle. *)
   jitter : float;
-  replicated : bool;  (** Raft-replicated LVI server (§5.6). *)
-  batching : bool;
-      (** Every batching knob on: Raft group commit, per-request lock
-          flush + 2 ms persist window, conflict-aware admission, and
-          followup coalescing/piggybacking on the near-user side. The
-          fault campaign must find zero violations with or without. *)
-  propagation : bool;
-      (** Asynchronous cache-update propagation on
-          ({!Radical.Server.default_propagation}): committed writes fan
-          out to every subscribed site. Combined with the
-          propagation-chaos template (lost/duplicated/reordered
-          cache_update messages), the campaign must still find zero
-          violations — the version guard is the whole argument. *)
-  leases : bool;
-      (** Read leases on ({!Radical.Server.default_leases}): validated
-          read replies and propagation flushes grant per-key leases to
-          near-user sites, which then serve statically read-only
-          functions locally with zero round trips; writers settle the
-          grants (revoke-and-ack, or wait out expiry + ε) before
-          validating. Combined with the lease-chaos template (lost /
-          delayed / duplicated [lease_revoke] messages, cache wipes,
-          late cache updates), the campaign must still find zero
-          violations — a lost revocation may only ever slow a writer
-          down to the expiry wait, never let a stale local read
-          through. *)
-  shards : int;
-      (** [> 1] deploys the LVI service hash-sharded over that many
-          servers ({!Radical.Framework.config.sharding}); the
-          applications' multi-key functions then exercise cross-shard
-          atomic commit, which the shard-chaos template attacks
-          (delayed prepares, dropped decisions, shard restarts, leader
-          crashes) and the {!Oracle.cross_atomic} invariant judges.
-          Default 1: the seed single-server deployment. *)
-  intent_timeout : float;
-  tuning : Radical.Server.tuning;
-      (** Cross-shard commit timing knobs, passed through to every
-          server in the deployment (default
-          {!Radical.Server.default_tuning}). The shard-chaos template's
-          delayed prepares and dropped decisions interact directly with
-          these timeouts, so sweeping them widens the schedule space the
-          campaign explores. *)
   mutation : Radical.Server.protocol_mutation option;
       (** Deliberate protocol bug, injected into the server — the
           oracle-has-teeth demonstration. *)
@@ -80,9 +47,10 @@ type config = {
 }
 
 val default_config : config
-(** 5 user sites × 2 clients × 3 requests, 5 s horizon + 4 s drain,
-    singleton server with an 800 ms intent-timeout ceiling, a charge
-    every 6th request, no mutation. *)
+(** The paper deployment ({!Radical.Framework.default_config}) with an
+    800 ms intent-timeout ceiling; 5 user sites × 2 clients × 3
+    requests, 5 s horizon + 4 s drain, a charge every 6th request, no
+    mutation. *)
 
 type outcome = {
   violations : Oracle.violation list;

@@ -20,7 +20,6 @@ type kind =
 type t = {
   kind : kind;
   reg : Registry.t;
-  invoke_overhead : float;
   primary_kv : Kv.t;
 }
 
@@ -39,19 +38,19 @@ let find reg fn =
   | Some e -> e
   | None -> invalid_arg ("Baselines.invoke: unknown function " ^ fn)
 
-let centralized ?(invoke_overhead = 12.0) ~net ~funcs ~data () =
+let centralized ~net ~funcs ~data () =
   let reg = make_registry funcs in
   let kv = Kv.create () in
   Kv.load kv data;
   let svc =
     Transport.serve net ~loc:Location.near_storage ~name:"baseline-app"
       (fun (fn, args) ->
-        Engine.sleep invoke_overhead;
+        Engine.sleep Runtime.invoke_overhead;
         Execute.on_kv (find reg fn) ~kv args)
   in
-  { kind = Centralized { net; svc }; reg; invoke_overhead; primary_kv = kv }
+  { kind = Centralized { net; svc }; reg; primary_kv = kv }
 
-let local ?(invoke_overhead = 12.0) ~locations ~funcs ~data () =
+let local ~locations ~funcs ~data () =
   let reg = make_registry funcs in
   let sites =
     List.map
@@ -66,26 +65,26 @@ let local ?(invoke_overhead = 12.0) ~locations ~funcs ~data () =
     | Some kv -> kv
     | None -> snd (List.hd sites)
   in
-  { kind = Local sites; reg; invoke_overhead; primary_kv }
+  { kind = Local sites; reg; primary_kv }
 
-let geo_replicated ?(invoke_overhead = 12.0) ~replicas ~locations:_ ~funcs
+let geo_replicated ~replicas ~locations:_ ~funcs
     ~data () =
   let reg = make_registry funcs in
   let kv = Kv.create () in
   Kv.load kv data;
-  { kind = Geo { replicas; kv }; reg; invoke_overhead; primary_kv = kv }
+  { kind = Geo { replicas; kv }; reg; primary_kv = kv }
 
-let naive_edge ?(invoke_overhead = 12.0) ~funcs ~data () =
+let naive_edge ~funcs ~data () =
   let reg = make_registry funcs in
   let kv = Kv.create () in
   Kv.load kv data;
-  { kind = Naive_edge kv; reg; invoke_overhead; primary_kv = kv }
+  { kind = Naive_edge kv; reg; primary_kv = kv }
 
-let validate_per_read ?(invoke_overhead = 12.0) ~funcs ~data () =
+let validate_per_read ~funcs ~data () =
   let reg = make_registry funcs in
   let kv = Kv.create () in
   Kv.load kv data;
-  { kind = Validate_per_read kv; reg; invoke_overhead; primary_kv = kv }
+  { kind = Validate_per_read kv; reg; primary_kv = kv }
 
 (* Strongly consistent geo-replicated storage: each operation reaches
    the nearest replica and then coordinates across the replica set. The
@@ -116,10 +115,10 @@ let invoke t ~from fn args =
           | Some kv -> kv
           | None -> invalid_arg ("Baselines.invoke: no local site at " ^ from)
         in
-        Engine.sleep t.invoke_overhead;
+        Engine.sleep Runtime.invoke_overhead;
         Execute.on_kv (find t.reg fn) ~kv args
     | Geo { replicas; kv } ->
-        Engine.sleep t.invoke_overhead;
+        Engine.sleep Runtime.invoke_overhead;
         let delay = geo_op_delay ~replicas ~from in
         Execute.run (find t.reg fn)
           ~read:(fun k ->
@@ -134,7 +133,7 @@ let invoke t ~from fn args =
     | Naive_edge kv ->
         (* §2: the application moved near the user but the data stayed in
            VA — every storage operation pays the full user↔VA RTT. *)
-        Engine.sleep t.invoke_overhead;
+        Engine.sleep Runtime.invoke_overhead;
         let delay = Location.rtt from Location.near_storage in
         Execute.run (find t.reg fn)
           ~read:(fun k ->
@@ -151,7 +150,7 @@ let invoke t ~from fn args =
            fast local copy, but each read must be validated against the
            primary as it happens — a blocking round trip that nothing
            overlaps. Writes also cross to VA. *)
-        Engine.sleep t.invoke_overhead;
+        Engine.sleep Runtime.invoke_overhead;
         let rtt = Location.rtt from Location.near_storage in
         Execute.run (find t.reg fn)
           ~read:(fun k ->

@@ -20,7 +20,6 @@ type outcome = { value : (Dval.t, string) result; latency : float }
 type t
 
 val centralized :
-  ?invoke_overhead:float ->
   net:Net.Transport.t ->
   funcs:Fdsl.Ast.func list ->
   data:(string * Dval.t) list ->
@@ -28,7 +27,6 @@ val centralized :
   t
 
 val local :
-  ?invoke_overhead:float ->
   locations:Net.Location.t list ->
   funcs:Fdsl.Ast.func list ->
   data:(string * Dval.t) list ->
@@ -36,7 +34,6 @@ val local :
   t
 
 val geo_replicated :
-  ?invoke_overhead:float ->
   replicas:Net.Location.t list ->
   locations:Net.Location.t list ->
   funcs:Fdsl.Ast.func list ->
@@ -45,7 +42,6 @@ val geo_replicated :
   t
 
 val naive_edge :
-  ?invoke_overhead:float ->
   funcs:Fdsl.Ast.func list ->
   data:(string * Dval.t) list ->
   unit ->
@@ -55,7 +51,6 @@ val naive_edge :
     the full user↔VA round trip. Used by the ablation bench. *)
 
 val validate_per_read :
-  ?invoke_overhead:float ->
   funcs:Fdsl.Ast.func list ->
   data:(string * Dval.t) list ->
   unit ->

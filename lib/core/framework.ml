@@ -2,8 +2,6 @@ type config = {
   locations : Net.Location.t list;
   server : Server.config;
   sharding : Shard.Directory.strategy option;
-  invoke_overhead : float;
-  frw_overhead : float;
   overlap : bool;
   ro_fast : bool;
   fu_window : float;
@@ -17,8 +15,6 @@ let default_config =
     locations = Net.Location.user_locations;
     server = Server.default_config;
     sharding = None;
-    invoke_overhead = 12.0;
-    frw_overhead = 1.0;
     overlap = true;
     ro_fast = true;
     fu_window = 0.0;
@@ -120,10 +116,9 @@ let create ?(config = default_config) ?schema ?(manual = [])
         let rt =
           Runtime.create ~extsvc ~tracer ?sharding ~net ~registry:reg ~cache
             ~server:srv
-            (Runtime.config ~invoke_overhead:config.invoke_overhead
-               ~frw_overhead:config.frw_overhead ~overlap:config.overlap
-               ~ro_fast:config.ro_fast ~fu_window:config.fu_window
-               ~fu_piggyback:config.fu_piggyback loc)
+            (Runtime.config ~overlap:config.overlap ~ro_fast:config.ro_fast
+               ~fu_window:config.fu_window ~fu_piggyback:config.fu_piggyback
+               loc)
         in
         (loc, rt))
       config.locations

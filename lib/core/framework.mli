@@ -17,8 +17,6 @@ type config = {
           cross-shard atomic commit; every runtime routes by key shape
           through a shared {!Shard.Router}. [None] (default) builds the
           single seed server, bit-identically. *)
-  invoke_overhead : float;
-  frw_overhead : float;
   overlap : bool; (** Disable to ablate speculation/LVI overlap. *)
   ro_fast : bool;
       (** Enable the read-only LVI fast path for functions the static
@@ -41,7 +39,7 @@ type config = {
 
 val default_config : config
 (** The paper's evaluation setup: the five user locations, singleton
-    server in VA, 12 ms invoke overhead, warm caches. *)
+    server in VA, warm caches. *)
 
 type t
 

@@ -8,28 +8,19 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type config = {
   loc : Net.Location.t;
-  invoke_overhead : float;
-  frw_overhead : float;
   overlap : bool;
   ro_fast : bool;
   fu_window : float;
   fu_piggyback : bool;
-  rpc_timeout : float;
 }
 
-let config ?(invoke_overhead = 12.0) ?(frw_overhead = 1.0) ?(overlap = true)
-    ?(ro_fast = true) ?(fu_window = 0.0) ?(fu_piggyback = false)
-    ?(rpc_timeout = 60_000.0) loc =
-  {
-    loc;
-    invoke_overhead;
-    frw_overhead;
-    overlap;
-    ro_fast;
-    fu_window;
-    fu_piggyback;
-    rpc_timeout;
-  }
+let config ?(overlap = true) ?(ro_fast = true) ?(fu_window = 0.0)
+    ?(fu_piggyback = false) loc =
+  { loc; overlap; ro_fast; fu_window; fu_piggyback }
+
+let invoke_overhead = 12.0
+let frw_overhead = 1.0
+let rpc_timeout = 60_000.0
 
 type path = Speculative | Backup | Fallback | Local
 
@@ -345,7 +336,7 @@ let direct_execute t ~start ~exec_id ~root ep fn args =
   let res =
     Tracer.with_phase t.tracer ~parent:root "direct_exec" (fun () ->
         Transport.call_timeout t.net ~from:t.cfg.loc
-          ~timeout:t.cfg.rpc_timeout ep.ep_exec
+          ~timeout:rpc_timeout ep.ep_exec
           { Proto.dx_exec_id = exec_id; dx_fn_name = fn; dx_args = args })
   in
   let finish = Engine.now () in
@@ -387,7 +378,7 @@ let invoke t fn args =
     o
   in
   Tracer.with_phase t.tracer ~parent:root "invoke_overhead" (fun () ->
-      Engine.sleep t.cfg.invoke_overhead);
+      Engine.sleep invoke_overhead);
   let entry =
     match Registry.find t.registry fn with
     | Some e -> e
@@ -410,7 +401,7 @@ let invoke t fn args =
          the cache (paying its latency); an analysis-time [Compute] kept
          in an expensive f^rw burns virtual CPU. *)
       let sp_predict = Tracer.child t.tracer ~parent:root "frw_predict" in
-      Engine.sleep t.cfg.frw_overhead;
+      Engine.sleep frw_overhead;
       let cache_read k =
         match Cache.get t.cache k with
         | Some { value; _ } -> value
@@ -484,7 +475,7 @@ let invoke t fn args =
           match
             Tracer.with_phase t.tracer ~parent:root "lvi_rtt" (fun () ->
                 Transport.call_timeout t.net ~from:t.cfg.loc
-                  ~timeout:t.cfg.rpc_timeout ep.ep_lvi
+                  ~timeout:rpc_timeout ep.ep_lvi
                   {
                     Proto.exec_id;
                     fn_name = fn;

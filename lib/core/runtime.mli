@@ -12,12 +12,6 @@
 
 type config = {
   loc : Net.Location.t;
-  invoke_overhead : float;
-      (** Lambda instantiation + WASM blob load (§5.5 items 1–2);
-          the paper measures ~12 ms. *)
-  frw_overhead : float;
-      (** Base CPU cost of running [f^rw] (§5.5 item 3); dependent
-          reads additionally pay cache latency. *)
   overlap : bool;
       (** Overlap speculation with the LVI request (the paper's design).
           [false] serializes them — the speculation-ablation bench. *)
@@ -39,19 +33,27 @@ type config = {
           ([Proto.lvi_request.piggyback]) instead of waiting for the
           window timer — the request carries them for free and the
           server applies them first. Default [false]. *)
-  rpc_timeout : float;
-      (** Timeout (virtual ms) for the LVI and direct-execution calls;
-          on expiry the invocation returns an [Error] outcome instead of
-          blocking its fiber forever on a lost message. Deliberately
-          generous (default 60 s): the runtime never re-sends, because
-          the server may have installed the write intent — its timer
-          re-executes the write deterministically. *)
 }
 
 val config :
-  ?invoke_overhead:float -> ?frw_overhead:float -> ?overlap:bool ->
-  ?ro_fast:bool -> ?fu_window:float -> ?fu_piggyback:bool ->
-  ?rpc_timeout:float -> Net.Location.t -> config
+  ?overlap:bool -> ?ro_fast:bool -> ?fu_window:float -> ?fu_piggyback:bool ->
+  Net.Location.t -> config
+
+val invoke_overhead : float
+(** Lambda instantiation + WASM blob load per invocation (§5.5 items
+    1–2): the paper measures ~12 ms. The baselines pay it too. *)
+
+val frw_overhead : float
+(** Base CPU cost of running [f^rw] (§5.5 item 3), 1 ms; dependent
+    reads additionally pay cache latency. *)
+
+val rpc_timeout : float
+(** Timeout (virtual ms) for the LVI and direct-execution calls; on
+    expiry the invocation returns an [Error] outcome instead of blocking
+    its fiber forever on a lost message. Deliberately generous (60 s):
+    the runtime never re-sends, because the server may have installed
+    the write intent — its timer re-executes the write
+    deterministically. *)
 
 type path =
   | Speculative (** Validation succeeded; the speculative result was used. *)

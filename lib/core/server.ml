@@ -14,8 +14,7 @@
      Server_pipeline        the explicit request-stage engine
      Server_lvi_engine      LVI admission: ro-fast and slow pipelines
 
-   This module re-exports the configuration types with manifest
-   equations (so call sites keep compiling against [Server.*]), seals
+   This module includes the configuration layer, seals
    [Server_state.t] abstract, constructs the engine, and delegates
    every operation to its layer. *)
 
@@ -24,64 +23,7 @@ module Transport = Net.Transport
 module RaftLocks = Raft_locks
 module Tracer = Metrics.Tracer
 
-type mode = Server_config.mode = Singleton | Replicated of { az_rtt : float }
-
-type protocol_mutation = Server_config.protocol_mutation = Skip_reexecution
-
-type batching = Server_config.batching = {
-  group_commit : bool;
-  request_flush : bool;
-  persist_window : float;
-  admission : bool;
-  append_cost : float;
-}
-
-let no_batching = Server_config.no_batching
-let full_batching = Server_config.full_batching
-
-type propagation = Server_config.propagation = {
-  enabled : bool;
-  prop_window : float;
-  invalidate_only : bool;
-}
-
-let no_propagation = Server_config.no_propagation
-let default_propagation = Server_config.default_propagation
-
-type leases = Server_config.leases = {
-  enabled : bool;
-  duration : float;
-  skew : float;
-  revoke : bool;
-  revoke_timeout : float;
-}
-
-let no_leases = Server_config.no_leases
-let default_leases = Server_config.default_leases
-
-type tuning = Server_config.tuning = {
-  try_prepare_timeout : float;
-  blocking_prepare_timeout : float;
-  blocking_prepare_attempts : int;
-  decide_timeout : float;
-  decide_retry_backoff : float;
-  decide_retries : int;
-}
-
-let default_tuning = Server_config.default_tuning
-
-type config = Server_config.config = {
-  loc : Net.Location.t;
-  intent_timeout : float;
-  adaptive_timeout : bool;
-  mode : mode;
-  batching : batching;
-  propagation : propagation;
-  leases : leases;
-  tuning : tuning;
-}
-
-let default_config = Server_config.default_config
+include Server_config
 
 type t = Server_state.t
 

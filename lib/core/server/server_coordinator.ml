@@ -20,8 +20,11 @@
    increase strictly around itself. Single-shard requests (sorted-key
    incremental acquire at one shard) embed in the same order.
 
-   Protocol timing (try/blocking prepare timeouts, decision retry
-   policy) comes from [t.config.tuning]. *)
+   Protocol timing: the try round fails fast (prepares are
+   non-blocking); the ordered fallback must outlive lock waits, which
+   are bounded by intent timers. Decisions are retried until
+   acknowledged — the retry cap only bounds a pathological total
+   blackout. *)
 
 open Sim
 open Server_state
@@ -30,6 +33,13 @@ module Kv = Store.Kv
 module Locks = Store.Locks
 module Intents = Store.Intents
 module Tracer = Metrics.Tracer
+
+let try_prepare_timeout = 50.0
+let blocking_prepare_timeout = 4000.0
+let blocking_prepare_attempts = 4
+let decide_timeout = 200.0
+let decide_retry_backoff = 100.0
+let decide_retries = 50
 
 let cross_parts (t : t) (req : Proto.lvi_request) =
   match t.sharding with
@@ -221,7 +231,6 @@ let handle_shard_decide (t : t) (sd : Proto.shard_decision) : unit =
    than every chaos window. *)
 let broadcast_decisions (t : t) sh ~exec_id ~round ~commit ~from ~targets
     updates =
-  let tuning = t.config.tuning in
   let slice_updates target =
     List.filter
       (fun u -> Shard.Directory.shard_of_key sh.sh_dir u.Proto.up_key = target)
@@ -246,16 +255,16 @@ let broadcast_decisions (t : t) sh ~exec_id ~round ~commit ~from ~targets
                 let rec attempt n =
                   match
                     Transport.call_timeout t.net ~from:t.config.loc
-                      ~timeout:tuning.decide_timeout peer.pe_decide sd
+                      ~timeout:decide_timeout peer.pe_decide sd
                   with
                   | Some () -> ()
-                  | None when n >= tuning.decide_retries ->
+                  | None when n >= decide_retries ->
                       Log.info (fun m ->
                           m "shard %d: decision %s round %d to shard %d \
                              undeliverable"
                             sh.sh_id exec_id round target)
                   | None ->
-                      Engine.sleep tuning.decide_retry_backoff;
+                      Engine.sleep decide_retry_backoff;
                       attempt (n + 1)
                 in
                 attempt 1))
@@ -294,10 +303,8 @@ let prepare_at (t : t) sh ~exec_id ~round ~blocking ~intent (target, sl) =
     match List.assoc_opt target sh.sh_peers with
     | None -> Proto.Shard_busy
     | Some peer -> (
-        let tuning = t.config.tuning in
         let timeout =
-          if blocking then tuning.blocking_prepare_timeout
-          else tuning.try_prepare_timeout
+          if blocking then blocking_prepare_timeout else try_prepare_timeout
         in
         match
           Transport.call_timeout t.net ~from:t.config.loc ~timeout
@@ -461,7 +468,7 @@ let handle_lvi_cross (t : t) sh (req : Proto.lvi_request) ~root ~arm_intent
     let r, votes = run_round ~blocking:(attempt > 0) ~intent:true parts in
     if any_busy votes then begin
       abort ~r ~parts [];
-      if attempt >= t.config.tuning.blocking_prepare_attempts then None
+      if attempt >= blocking_prepare_attempts then None
       else prepare_phase (attempt + 1)
     end
     else Some (r, votes)

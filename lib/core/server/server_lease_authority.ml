@@ -123,7 +123,7 @@ let settle_write_leases ?(span = Tracer.none) (t : t) keys =
                   List.fold_left
                     (fun acc (_, until) -> Float.max acc until)
                     0.0 unsettled
-                  +. lc.skew
+                  +. Server_config.lease_skew
                 in
                 let wait = horizon -. Engine.now () in
                 if wait > 0.0 then begin

@@ -99,12 +99,10 @@ let resolve_orphaned_intent (t : t) (req : Proto.lvi_request) =
    by the configured ceiling) so transient jitter does not trigger
    spurious re-executions, while fast functions recover quickly. *)
 let intent_timeout_for (t : t) fn_name =
-  if not t.config.adaptive_timeout then t.config.intent_timeout
-  else
-    match Hashtbl.find_opt t.followup_delay fn_name with
-    | Some avg ->
-        Float.min t.config.intent_timeout (Float.max 200.0 (4.0 *. avg))
-    | None -> t.config.intent_timeout
+  match Hashtbl.find_opt t.followup_delay fn_name with
+  | Some avg ->
+      Float.min t.config.intent_timeout (Float.max 200.0 (4.0 *. avg))
+  | None -> t.config.intent_timeout
 
 let observe_followup_delay (t : t) fn_name delay =
   let avg =

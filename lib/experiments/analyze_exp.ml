@@ -198,16 +198,7 @@ let fast_path ~scale ~seed () =
   let rpc = scaled scale 40 in
   let cases =
     let base = Radical.Framework.default_config in
-    let repl =
-      {
-        base with
-        server =
-          {
-            Radical.Server.default_config with
-            mode = Radical.Server.Replicated { az_rtt = 1.5 };
-          };
-      }
-    in
+    let repl = Radical.Deployment.config [ Replicated ] in
     [
       ("singleton,  ro_fast off", { base with ro_fast = false });
       ("singleton,  ro_fast on", { base with ro_fast = true });

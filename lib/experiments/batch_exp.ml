@@ -84,12 +84,7 @@ let seed_data =
 
 (* --- variants --------------------------------------------------------- *)
 
-type variant = {
-  v_name : string;
-  v_batching : Server.batching;
-  v_fu_window : float;
-  v_fu_piggyback : bool;
-}
+type variant = { v_name : string; v_config : Framework.config }
 
 (* Modeled durable-append cost per Raft log entry (virtual ms). Without
    it the simulated fsync is free and every unbatched proposal commits
@@ -99,55 +94,46 @@ type variant = {
    rate deliberately exceeds. *)
 let append_cost = 1.0
 
+let with_batching (c : Framework.config) batching =
+  { c with server = { c.server with batching } }
+
 let replicated_variants =
+  let repl = Radical.Deployment.config [ Replicated ] in
+  let all_on = Radical.Deployment.config [ Replicated; Batched ] in
   [
     {
       v_name = "unbatched";
-      v_batching = { Server.no_batching with append_cost };
-      v_fu_window = 0.0;
-      v_fu_piggyback = false;
+      v_config = with_batching repl { Server.no_batching with append_cost };
     };
     {
       v_name = "group-commit";
-      v_batching = { Server.no_batching with group_commit = true; append_cost };
-      v_fu_window = 0.0;
-      v_fu_piggyback = false;
+      v_config =
+        with_batching repl
+          { Server.no_batching with group_commit = true; append_cost };
     };
     {
       v_name = "gc+lock-flush";
-      v_batching =
-        {
-          Server.no_batching with
-          group_commit = true;
-          request_flush = true;
-          persist_window = 2.0;
-          append_cost;
-        };
-      v_fu_window = 0.0;
-      v_fu_piggyback = false;
+      v_config =
+        with_batching repl
+          {
+            Server.no_batching with
+            group_commit = true;
+            request_flush = true;
+            persist_window = 2.0;
+            append_cost;
+          };
     };
     {
       v_name = "all-on";
-      v_batching = { Server.full_batching with append_cost };
-      v_fu_window = 2.0;
-      v_fu_piggyback = true;
+      v_config =
+        with_batching all_on { all_on.server.batching with append_cost };
     };
   ]
 
 let singleton_variants =
   [
-    {
-      v_name = "unbatched";
-      v_batching = Server.no_batching;
-      v_fu_window = 0.0;
-      v_fu_piggyback = false;
-    };
-    {
-      v_name = "all-on";
-      v_batching = Server.full_batching;
-      v_fu_window = 2.0;
-      v_fu_piggyback = true;
-    };
+    { v_name = "unbatched"; v_config = Radical.Deployment.config [] };
+    { v_name = "all-on"; v_config = Radical.Deployment.config [ Batched ] };
   ]
 
 (* --- one sweep cell --------------------------------------------------- *)
@@ -164,7 +150,7 @@ type cell = {
   c_queue_p99 : float; (* raft_entry proposal queueing delay; nan singleton *)
 }
 
-let run_cell ?(seed = 42) ~mode ~variant ~rate ~duration () =
+let run_cell ?(seed = 42) ~variant ~rate ~duration () =
   let engine = Engine.create ~seed () in
   let out = ref None in
   Engine.run engine (fun () ->
@@ -173,17 +159,9 @@ let run_cell ?(seed = 42) ~mode ~variant ~rate ~duration () =
         Transport.create ~jitter_sigma:0.05 ~rng:(Rng.split rng) ()
       in
       let tracer = Tracer.create () in
-      let config =
-        {
-          Framework.default_config with
-          server =
-            { Server.default_config with mode; batching = variant.v_batching };
-          fu_window = variant.v_fu_window;
-          fu_piggyback = variant.v_fu_piggyback;
-        }
-      in
+      let config = variant.v_config in
       let fw = Framework.create ~config ~tracer ~net ~funcs ~data:seed_data () in
-      (match mode with
+      (match config.server.mode with
       | Server.Replicated _ -> Engine.sleep 800.0 (* raft warm-up *)
       | Server.Singleton -> ());
       let sites = Framework.locations fw in
@@ -236,7 +214,7 @@ let run_cell ?(seed = 42) ~mode ~variant ~rate ~duration () =
          List.assoc_opt label (Tracer.queue_stats tracer))
       in
       let batch_mean, queue_p99 =
-        match mode with
+        match config.server.mode with
         | Server.Singleton -> (nan, nan)
         | Server.Replicated _ -> (
             match hist "raft_entry" with
@@ -339,7 +317,7 @@ let run ?(scale = 1.0) ?(seed = 42) () =
       (fun v ->
         List.map
           (fun rate ->
-            run_cell ~seed ~mode:Server.Singleton ~variant:v ~rate ~duration ())
+            run_cell ~seed ~variant:v ~rate ~duration ())
           single_rates)
       singleton_variants
   in
@@ -352,9 +330,7 @@ let run ?(scale = 1.0) ?(seed = 42) () =
       (fun v ->
         List.map
           (fun rate ->
-            run_cell ~seed
-              ~mode:(Server.Replicated { az_rtt = 1.5 })
-              ~variant:v ~rate ~duration ())
+            run_cell ~seed ~variant:v ~rate ~duration ())
           repl_rates)
       replicated_variants
   in

@@ -13,28 +13,27 @@ let of_bundle (b : Bundle.app) =
 
 let grid = [ Bundle.social; Bundle.forum ]
 
-let campaign ?(seeds = 50) ?(progress = true) ?(batching = false)
-    ?(propagation = false) ?(leases = false) ?(shards = 1) () =
+(* The grid's two server modes: [features] as given (minus
+   [Replicated]) and the same with a Raft-replicated server. *)
+let cells features =
+  let singleton = List.filter (( <> ) Radical.Deployment.Replicated) features in
+  [ singleton; Radical.Deployment.Replicated :: singleton ]
+
+let campaign ?(seeds = 50) ?(progress = true) ?(deployment = []) () =
   List.concat_map
     (fun bundle ->
       List.map
-        (fun replicated ->
+        (fun features ->
           let label =
-            Printf.sprintf "%s/%s%s%s%s%s" bundle.Bundle.name
-              (if replicated then "replicated" else "singleton")
-              (if batching then "+batching" else "")
-              (if propagation then "+propagation" else "")
-              (if leases then "+leases" else "")
-              (if shards > 1 then Printf.sprintf "+%dshards" shards else "")
+            Printf.sprintf "%s/%s" bundle.Bundle.name
+              (Radical.Deployment.to_string features)
           in
           let config =
             {
               Campaign.default_config with
-              replicated;
-              batching;
-              propagation;
-              leases;
-              shards;
+              deployment =
+                Radical.Deployment.config
+                  ~base:Campaign.default_config.deployment features;
             }
           in
           let last = ref 0 in
@@ -50,7 +49,7 @@ let campaign ?(seeds = 50) ?(progress = true) ?(batching = false)
               (of_bundle bundle)
           in
           { r_label = label; r_summary = summary })
-        [ false; true ])
+        (cells deployment))
     grid
 
 (* A noisy plan for the teeth demonstration: one full-horizon followup
@@ -99,8 +98,7 @@ let demo_mutation ?(seed = 7) () =
     shrunk;
   (original, shrunk)
 
-let run ?(seeds = 50) ?(batching = false) ?(propagation = false)
-    ?(leases = false) ?(shards = 1) () =
+let run ?(seeds = 50) ?(deployment = []) () =
   print_newline ();
   print_endline
     "================================================================";
@@ -108,16 +106,14 @@ let run ?(seeds = 50) ?(batching = false) ?(propagation = false)
   print_endline
     "================================================================";
   Printf.printf
-    "grid: {social, forum} x {singleton, replicated}%s%s%s%s, %d seeds each,\n\
+    "grid: {social, forum} x {singleton, replicated} over deployment %s, %d \
+     seeds each,\n\
      templates: %s\n"
-    (if batching then " with all batching knobs on" else "")
-    (if propagation then " with cache-update propagation on" else "")
-    (if leases then " with read leases on" else "")
-    (if shards > 1 then Printf.sprintf " sharded %d ways" shards else "")
+    (Radical.Deployment.to_string (List.hd (cells deployment)))
     seeds
     (String.concat ", "
        (List.map (fun (t : Plan.template) -> t.t_name) Plan.default_templates));
-  let reports = campaign ~seeds ~batching ~propagation ~leases ~shards () in
+  let reports = campaign ~seeds ~deployment () in
   let violations = ref 0 in
   List.iter
     (fun r ->

@@ -13,21 +13,18 @@ type report = { r_label : string; r_summary : Chaos.Campaign.summary }
 val of_bundle : Bundle.app -> Chaos.Campaign.app
 
 val campaign :
-  ?seeds:int -> ?progress:bool -> ?batching:bool -> ?propagation:bool ->
-  ?leases:bool -> ?shards:int -> unit -> report list
+  ?seeds:int -> ?progress:bool -> ?deployment:Radical.Deployment.feature list ->
+  unit -> report list
 (** [seeds] per (app × mode) cell, default 50 — 200 seeded sweeps in
-    total over the 4-cell grid. [batching] turns every batching knob on
-    in every cell (group commit, lock-record flush, admission, followup
-    coalescing); [propagation] turns asynchronous cache-update
-    propagation on, which the propagation-chaos template then stresses
-    with lost/duplicated/delayed cache_update messages; [leases] turns
-    read leases on, which the lease-chaos template then stresses with
-    lost/duplicated/delayed lease_revoke messages, cache wipes and late
-    cache updates; [shards > 1]
-    hash-shards the LVI service that many ways, putting every cell's
-    multi-key functions on the cross-shard commit path under the
-    shard-chaos template and the cross-atomicity oracle — the oracle
-    expects zero violations in every combination. *)
+    total over the 4-cell grid. Every cell deploys [deployment] (default
+    the paper's), once on a singleton and once on a Raft-replicated
+    server, and is labelled [app/<deployment>]. Each feature has a
+    chaos template that attacks it: propagation-chaos loses, duplicates
+    and delays cache_update messages; lease-chaos does the same to
+    lease_revoke messages and adds cache wipes and late cache updates;
+    shard-chaos attacks the cross-shard commit under the
+    cross-atomicity oracle. The oracle expects zero violations in every
+    combination. *)
 
 val demo_mutation : ?seed:int -> unit -> Chaos.Plan.t * Chaos.Plan.t
 (** Inject [Skip_reexecution], run a deliberately noisy plan, and
@@ -35,8 +32,7 @@ val demo_mutation : ?seed:int -> unit -> Chaos.Plan.t * Chaos.Plan.t
     violation and is 1-minimal. *)
 
 val run :
-  ?seeds:int -> ?batching:bool -> ?propagation:bool -> ?leases:bool ->
-  ?shards:int -> unit -> int
+  ?seeds:int -> ?deployment:Radical.Deployment.feature list -> unit -> int
 (** Print campaign reports and the mutation demonstration; returns the
     number of genuine violations (0 expected — mutation-demo failures
     are intentional and not counted). *)

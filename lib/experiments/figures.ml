@@ -385,18 +385,15 @@ let replication ?(seed = 42) () =
      locks (paper model: 3 + 2.3 * L ms)";
   let lock_counts = [ 1; 2; 4; 8 ] in
   let funcs = List.map write_heavy_fn lock_counts in
-  let measure mode l =
+  let measure features l =
     let engine = Engine.create ~seed () in
     let out = ref nan in
     Engine.run engine (fun () ->
         let net = Transport.create ~jitter_sigma:0.0 ~rng:(Rng.split (Engine.rng ())) () in
-        let config =
-          {
-            Radical.Framework.default_config with
-            locations = [ Location.ca ];
-            server = { Radical.Server.default_config with mode };
-          }
+        let base =
+          { Radical.Framework.default_config with locations = [ Location.ca ] }
         in
+        let config = Radical.Deployment.config ~base features in
         let fw = Radical.Framework.create ~config ~net ~funcs ~data:[] () in
         Engine.sleep 1000.0 (* raft warm-up *);
         let s = Stats.create () in
@@ -416,8 +413,8 @@ let replication ?(seed = 42) () =
   let rows, ms =
     List.fold_left
       (fun (rows, ms) l ->
-        let single = measure Radical.Server.Singleton l in
-        let repl = measure (Radical.Server.Replicated { az_rtt = 1.5 }) l in
+        let single = measure [] l in
+        let repl = measure [ Replicated ] l in
         let added = repl -. single in
         let model = 3.0 +. (2.3 *. float_of_int l) in
         ( rows

@@ -132,15 +132,12 @@ let run_cell ?(seed = 42) ?(trace = false) ~shards ~cross_frac ~rate
       let rng = Engine.rng () in
       let net = Transport.create ~jitter_sigma:0.05 ~rng:(Rng.split rng) () in
       let tracer = if trace then Tracer.create () else Tracer.noop in
+      let repl = Radical.Deployment.config [ Replicated ] in
+      let batching = { Server.no_batching with append_cost } in
       let config =
         {
-          Framework.default_config with
-          server =
-            {
-              Server.default_config with
-              mode = Server.Replicated { az_rtt = 1.5 };
-              batching = { Server.no_batching with append_cost };
-            };
+          repl with
+          server = { repl.server with batching };
           sharding = Some (strategy shards);
         }
       in

@@ -47,17 +47,8 @@ let radical_run label system =
 
 let featureful =
   {
-    Radical.Framework.default_config with
-    server =
-      {
-        Radical.Server.default_config with
-        batching = Radical.Server.full_batching;
-        propagation = Radical.Server.default_propagation;
-        leases = Radical.Server.default_leases;
-      };
-    sharding = Some (Shard.Directory.Hash { shards = 2 });
+    (Radical.Deployment.config [ Batched; Propagating; Leased; Sharded 2 ]) with
     fu_window = 3.0;
-    fu_piggyback = true;
   }
 
 let replicated =
@@ -86,11 +77,16 @@ let chaos_block label ~seeds ~config templates =
   for seed = 1 to seeds do
     List.iteri
       (fun i (t : Plan.template) ->
-        if config.Campaign.replicated || not t.t_replicated_only then begin
+        let replicated =
+          match config.Campaign.deployment.server.mode with
+          | Radical.Server.Replicated _ -> true
+          | Radical.Server.Singleton -> false
+        in
+        if replicated || not t.t_replicated_only then begin
           let rng = Sim.Rng.create ((seed * 1009) + i) in
           let plan =
             t.t_gen ~rng ~horizon:config.Campaign.horizon
-              ~locations:config.Campaign.locations
+              ~locations:config.Campaign.deployment.locations
           in
           let o = Campaign.run_one ~config ~seed app plan in
           pr "chaos.%s seed=%d template=%s fingerprint=%s violations=%d\n"
@@ -99,6 +95,14 @@ let chaos_block label ~seeds ~config templates =
         end)
       templates
   done
+
+let campaign features =
+  {
+    Campaign.default_config with
+    deployment =
+      Radical.Deployment.config ~base:Campaign.default_config.deployment
+        features;
+  }
 
 let () =
   measurements "fig1" (Figures.fig1 ~scale:0.25 ~seed:42 ());
@@ -109,25 +113,11 @@ let () =
   radical_run "replicated" (Runner.Radical_with replicated);
   chaos_block "all-templates"
     ~seeds:5
-    ~config:
-      {
-        Campaign.default_config with
-        batching = true;
-        propagation = true;
-        leases = true;
-        shards = 4;
-      }
+    ~config:(campaign [ Batched; Propagating; Leased; Sharded 4 ])
     Plan.default_templates;
   (match Plan.find_template "everything" with
   | Some t ->
       chaos_block "everything-20seed" ~seeds:20
-        ~config:
-          {
-            Campaign.default_config with
-            batching = true;
-            propagation = true;
-            leases = true;
-            shards = 2;
-          }
+        ~config:(campaign [ Batched; Propagating; Leased; Sharded 2 ])
         [ t ]
   | None -> failwith "everything template missing")

@@ -42,11 +42,8 @@ let with_radical ?(seed = 11) ?config ?(funcs = funcs) ?(data = data) f =
       f net fw;
       Framework.stop fw)
 
-let short_timer_config =
-  {
-    Framework.default_config with
-    server = { Server.default_config with intent_timeout = 800.0 };
-  }
+(* The paper deployment with an 800 ms intent-timeout ceiling. *)
+let short_timer_config = Campaign.default_config.deployment
 
 let ok_value (o : Runtime.outcome) =
   match o.value with
@@ -422,7 +419,13 @@ let test_mutation_caught_and_shrunk () =
     (List.length healthy.Campaign.violations)
 
 let test_replicated_raft_churn () =
-  let config = { Campaign.default_config with replicated = true } in
+  let config =
+    {
+      Campaign.default_config with
+      deployment =
+        Radical.Deployment.config ~base:short_timer_config [ Replicated ];
+    }
+  in
   let plan =
     [
       Plan.event ~at:400.0

@@ -178,7 +178,7 @@ let test_site_drop_fences_inflight_grants () =
 (* The tentpole behaviour: after one validated read earns the lease, the
    next read of the same key never leaves the site. *)
 let test_local_serve_zero_round_trips () =
-  let config = lease_config Server.default_leases in
+  let config = Radical.Deployment.config [ Leased ] in
   with_radical ~config (fun _ fw ->
       let o1 = Framework.invoke fw ~from:Location.ca "get" [ Dval.Str "x" ] in
       check_path "first read pays the LVI trip" Runtime.Speculative o1;
@@ -246,7 +246,7 @@ let test_leases_off_is_seed_behaviour () =
    wait for the ack) before it validates — and the reader must never
    serve the stale value locally afterwards. *)
 let test_writer_blocked_until_revocation () =
-  let config = lease_config Server.default_leases in
+  let config = Radical.Deployment.config [ Leased ] in
   with_radical ~config (fun _ fw ->
       let _ = Framework.invoke fw ~from:Location.ca "get" [ Dval.Str "x" ] in
       let o_local =
@@ -343,7 +343,14 @@ let test_lease_chaos_smoke () =
     | Some t -> t
     | None -> Alcotest.fail "lease-chaos template missing"
   in
-  let config = { Chaos.Campaign.default_config with leases = true } in
+  let config =
+    {
+      Chaos.Campaign.default_config with
+      deployment =
+        Radical.Deployment.config
+          ~base:Chaos.Campaign.default_config.deployment [ Leased ];
+    }
+  in
   let app = Experiments.Chaos_exp.of_bundle Experiments.Bundle.social in
   let summary =
     Chaos.Campaign.sweep ~config ~templates:[ template ] ~replay_every:10

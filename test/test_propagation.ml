@@ -70,7 +70,7 @@ let check_dval msg expected got =
    test_radical's cross-site read-after-write, which documents the seed
    behaviour with propagation off). *)
 let test_remote_read_validates_after_propagation () =
-  let config = prop_config Server.default_propagation in
+  let config = Radical.Deployment.config [ Propagating ] in
   with_radical ~config (fun _ fw ->
       let _ =
         Framework.invoke fw ~from:Location.ca "put"
@@ -115,7 +115,7 @@ let test_propagation_off_is_seed_behaviour () =
 (* The origin site already installed its own writes optimistically; the
    propagated copy must not double-install (version guard). *)
 let test_origin_not_reinstalled () =
-  let config = prop_config Server.default_propagation in
+  let config = Radical.Deployment.config [ Propagating ] in
   with_radical ~config (fun _ fw ->
       let _ =
         Framework.invoke fw ~from:Location.ca "put"
@@ -176,7 +176,7 @@ let test_monotonic_under_duplication_and_reorder () =
 (* Lost cache_update messages are harmless: the site just stays stale
    until its own next mismatch, exactly like propagation off. *)
 let test_lost_updates_degrade_to_seed_behaviour () =
-  let config = prop_config Server.default_propagation in
+  let config = Radical.Deployment.config [ Propagating ] in
   with_radical ~config (fun net fw ->
       Transport.set_fault net (fun ~src:_ ~dst:_ ~label ->
           if String.equal label "cache_update" then Transport.Drop
@@ -366,7 +366,14 @@ let test_propagation_chaos_smoke () =
     | Some t -> t
     | None -> Alcotest.fail "propagation-chaos template missing"
   in
-  let config = { Chaos.Campaign.default_config with propagation = true } in
+  let config =
+    {
+      Chaos.Campaign.default_config with
+      deployment =
+        Radical.Deployment.config
+          ~base:Chaos.Campaign.default_config.deployment [ Propagating ];
+    }
+  in
   let app = Experiments.Chaos_exp.of_bundle Experiments.Bundle.social in
   let summary =
     Chaos.Campaign.sweep ~config ~templates:[ template ] ~replay_every:10

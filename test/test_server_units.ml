@@ -146,7 +146,7 @@ let test_settle_by_expiry_wait () =
       Alcotest.(check (list (list string))) "holder never contacted" []
         !received;
       Alcotest.(check (float 1e-6)) "slept to expiry + skew"
-        (grant.Proto.lg_until +. Server_config.default_leases.skew)
+        (grant.Proto.lg_until +. Server_config.lease_skew)
         (Engine.now ());
       Alcotest.(check int) "lease dead" 0
         (Lease.live t.lease_tbl ~now:(Engine.now ())))
@@ -166,8 +166,7 @@ let test_settle_no_holders () =
 let prop_config =
   {
     Server_config.default_config with
-    propagation =
-      { enabled = true; prop_window = 2.0; invalidate_only = false };
+    propagation = Server_config.default_propagation;
   }
 
 let cache_update_sink net ~loc received =
