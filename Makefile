@@ -36,30 +36,29 @@ certify:
 # Batching load sweep: open-loop load against the replicated LVI
 # server with group commit / lock-record flush / conflict-aware
 # admission / followup coalescing toggled per variant; prints the
-# batched-vs-unbatched acceptance verdict. Full volume; `make check`
-# smoke-tests the same sweep at --scale 1.
+# batched-vs-unbatched acceptance verdict. `make check` runs it with
+# every other BENCH target and diffs BENCH_batch.json.
 batch:
 	dune exec bench/main.exe -- batch
 
 # Cache-update propagation experiment: multi-site shared-key workload
 # with propagation off / Nagle window sweep / invalidate-only; prints
 # the on-vs-off acceptance verdict (speculation success up, median
-# latency down). Full volume; `make check` smoke-tests at --scale 1.
+# latency down). `make check` diffs BENCH_propagate.json.
 propagate:
 	dune exec bench/main.exe -- propagate
 
 # Shard scaling sweep: prefix-disjoint key families over 1/2/4 LVI
 # shards, peak sustainable throughput per shard count, a cross-shard
 # transfer mix at 4 shards, and the one-round-trip / >=3x scaling
-# acceptance verdicts. Full volume; `make check` smoke-tests at
-# --scale 1.
+# acceptance verdicts. `make check` diffs BENCH_shard.json.
 shard:
 	dune exec bench/main.exe -- shard
 
 # Read-lease experiment: read-heavy zipf mix with leases off / on
 # (revocation) / on (expiry-wait only); prints the >=40% read-only
 # median reduction acceptance verdict and writes BENCH_lease.json.
-# Full volume; `make check` smoke-tests at --scale 1.
+# `make check` diffs BENCH_lease.json.
 lease:
 	dune exec bench/main.exe -- --json lease
 
@@ -78,30 +77,31 @@ radbench-compare:
 
 # CI gate: full build (the dev profile's -warn-error +a makes any
 # compiler warning fail the build), the formatting check (skipped when
-# ocamlformat is absent), full test suite, the analyzer
-# golden + bench run, the bytecode-certification golden run, a small
-# traced bench run that exercises the
-# per-phase JSON breakdown end to end, the batching load sweep, the
-# propagation experiment, the shard scaling sweep and the read-lease
-# experiment at smoke scale, then three 20-seed chaos smoke campaigns,
-# each named by its --deployment (see Radical.Deployment): `batched,
-# propagating` (every batching knob and cache-update propagation on),
-# `sharded=4` (the LVI service hash-sharded 4 ways, so the shard-chaos
-# template attacks the cross-shard commit under the cross-atomicity
-# oracle) and `leased` (read leases on, so the lease-chaos template
-# attacks the revocation channel). Every cell of each grid also runs
-# on a Raft-replicated server; `bench/main.exe --help` lists the flags.
+# ocamlformat is absent), full test suite, the analyzer golden + bench
+# run, the bytecode-certification golden run, then all 18 measurement
+# targets of bench/main.exe (the paper's tables and figures, then the
+# feature experiments) at bench scale with --json: every
+# BENCH_<target>.json must match the checked-in file exactly, each
+# number and each `accept` verdict flag included (a change that moves
+# them commits the regenerated files). Then three 20-seed chaos smoke
+# campaigns, each named by its --deployment (see Radical.Deployment):
+# `batched,propagating` (every batching knob and cache-update
+# propagation on), `sharded=4` (the LVI service hash-sharded 4 ways, so
+# the shard-chaos template attacks the cross-shard commit under the
+# cross-atomicity oracle) and `leased` (read leases on, so the
+# lease-chaos template attacks the revocation channel). Every cell of
+# each grid also runs on a Raft-replicated server; `bench/main.exe
+# --help` lists the flags.
 check:
 	dune build @all
 	$(MAKE) fmt-check
 	dune runtest --force
 	$(MAKE) analyze
 	$(MAKE) certify
-	dune exec bench/main.exe -- --scale 1 phases
-	dune exec bench/main.exe -- --scale 1 batch
-	dune exec bench/main.exe -- --scale 1 propagate
-	dune exec bench/main.exe -- --scale 1 shard
-	dune exec bench/main.exe -- --scale 1 lease
+	dune exec bench/main.exe -- --json fig1 table1 table2 fig4 fig5 fig6 \
+	  repl cost sensitivity skew throughput bootstrap ablation phases \
+	  batch propagate lease shard
+	git diff --exit-code -- 'BENCH_*.json'
 	dune exec bench/main.exe -- chaos --seeds 20 --deployment batched,propagating
 	dune exec bench/main.exe -- chaos --seeds 20 --deployment sharded=4
 	dune exec bench/main.exe -- chaos --seeds 20 --deployment leased

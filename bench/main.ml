@@ -1,10 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md's experiment index), plus Bechamel
-   microbenchmarks of the core primitives.
+   evaluation and the feature experiments (see DESIGN.md's experiment
+   index), plus Bechamel microbenchmarks of the core primitives.
 
-     dune exec bench/main.exe                 # everything at paper volume
+     dune exec bench/main.exe                 # the paper's evaluation + micro
      dune exec bench/main.exe -- fig4         # one experiment
-     dune exec bench/main.exe -- --scale 1 fig4   # quick 2k-request run *)
+     dune exec bench/main.exe -- --scale 1 fig4   # quick 2k-request run
+     dune exec bench/main.exe -- --json shard # also write BENCH_shard.json *)
 
 let micro () =
   print_newline ();
@@ -136,86 +137,39 @@ let micro () =
 
 let usage () =
   print_endline
-    "usage: main.exe [--scale F] [--seeds N] \
-     [--deployment SPEC] [--json] \
-     [all|fig1|table1|table2|fig4|fig5|fig6|repl|cost|sensitivity|skew|throughput|bootstrap|ablation|analyze|phases|batch|propagate|lease|shard|chaos|micro]";
-  print_endline
-    "  batch: batching load sweep — open-loop Poisson load against the";
-  print_endline
-    "    replicated LVI server with group commit / lock-record flush /";
-  print_endline
-    "    admission / followup coalescing toggled per variant; prints";
-  print_endline
-    "    median+p99+achieved throughput per offered rate and the";
-  print_endline "    batched-vs-unbatched acceptance verdict.";
-  print_endline
-    "  lease: read-lease experiment — read-heavy zipf mix; read-only";
-  print_endline
-    "    median latency with leases off / on (revocation) / on";
-  print_endline
-    "    (expiry-wait only), lease-local and settle counters, plus the";
-  print_endline "    >=40% read-only median reduction acceptance verdict.";
-  print_endline
-    "  propagate: cache-update propagation experiment — multi-site";
-  print_endline
-    "    shared-key workload; speculation-success rate and latency with";
-  print_endline
-    "    propagation off / Nagle window sweep / invalidate-only, plus";
-  print_endline "    the on-vs-off acceptance verdict.";
-  print_endline
-    "  shard: shard scaling sweep — prefix-disjoint key families over";
-  print_endline
-    "    1/2/4 LVI shards (one replicated lock cluster each), peak";
-  print_endline
-    "    sustainable throughput per shard count, a cross-shard transfer";
-  print_endline
-    "    mix at 4 shards, and the one-round-trip / >=3x scaling";
-  print_endline "    acceptance verdicts.";
-  print_endline
-    "  analyze: f^rw predict cost raw vs. residual-optimized, and the";
-  print_endline
-    "    read-only LVI fast-path latency ablation (on/off, singleton and";
-  print_endline "    replicated).";
-  print_endline
-    "  chaos: fault-plan campaign over {social,forum} x \
-     {singleton,replicated};";
-  print_endline
-    "    --seeds N   seeds per grid cell (default 50 = 200 sweeps total;";
-  print_endline
-    "                'make check' smoke-tests with --seeds 20); each seed";
-  print_endline
-    "    runs every default template (followup-storm, message-chaos,";
-  print_endline
-    "    cache-loss, server-restart, partition-heal, raft-churn,";
-  print_endline
-    "    everything), then a protocol mutation is injected to prove the";
-  print_endline "    invariant oracle catches and shrinks real bugs.";
-  print_endline
-    "    --deployment SPEC  run every cell with these deployment features:";
-  print_endline
-    "                'paper' (default) or a comma-separated list of";
-  print_endline
-    "                replicated, batched (every batching knob and followup";
-  print_endline
-    "                coalescing), propagating, leased and sharded=N (N >= 2).";
-  print_endline
-    "                Each feature has a chaos template that attacks it:";
-  print_endline
-    "                propagation-chaos (lost/duplicated/delayed";
-  print_endline
-    "                cache_update messages), lease-chaos (the same for";
-  print_endline
-    "                lease_revoke, plus cache wipes and late cache updates)";
-  print_endline
-    "                and shard-chaos (delayed prepares, dropped decisions,";
-  print_endline
-    "                shard restarts, leader crashes) under the";
-  print_endline "                cross-atomicity oracle.";
-  print_endline
-    "  --json: additionally write each measurement-returning experiment's";
-  print_endline
-    "    results as BENCH_<experiment>.json (medians, p99, throughput,";
-  print_endline "    acceptance flags, request scale).";
+    "usage: main.exe [--scale F] [--seeds N] [--deployment SPEC] [--json] \
+     [TARGET...]";
+  let line name doc = Printf.printf "  %-12s%s\n" name doc in
+  line "all" "every target from fig1 to phases, then micro (the default)";
+  List.iter
+    (fun (t : Experiments.Targets.t) -> line t.name t.doc)
+    (Experiments.Targets.paper @ Experiments.Targets.features);
+  print_string
+    "  analyze     f^rw predict cost raw vs. residual-optimized, and the\n\
+    \              read-only LVI fast-path latency ablation (on/off,\n\
+    \              singleton and replicated)\n\
+    \  chaos       fault-plan campaign over {social,forum} x \
+     {singleton,replicated};\n\
+    \    --seeds N   seeds per grid cell (default 50 = 200 sweeps total;\n\
+    \                'make check' smoke-tests with --seeds 20); each seed\n\
+    \    runs every default template (followup-storm, message-chaos,\n\
+    \    cache-loss, server-restart, partition-heal, raft-churn,\n\
+    \    everything), then a protocol mutation is injected to prove the\n\
+    \    invariant oracle catches and shrinks real bugs.\n\
+    \    --deployment SPEC  run every cell with these deployment features:\n\
+    \                'paper' (default) or a comma-separated list of\n\
+    \                replicated, batched (every batching knob and followup\n\
+    \                coalescing), propagating, leased and sharded=N (N >= 2).\n\
+    \                Each feature has a chaos template that attacks it:\n\
+    \                propagation-chaos (lost/duplicated/delayed\n\
+    \                cache_update messages), lease-chaos (the same for\n\
+    \                lease_revoke, plus cache wipes and late cache updates)\n\
+    \                and shard-chaos (delayed prepares, dropped decisions,\n\
+    \                shard restarts, leader crashes) under the\n\
+    \                cross-atomicity oracle.\n\
+    \  micro       Bechamel microbenchmarks of the core primitives\n\
+    \  --json: also write each target's measurements to BENCH_<target>.json\n\
+    \    (medians, p99, throughput, acceptance flags, scale).\n";
   exit 1
 
 let () =
@@ -254,44 +208,31 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let targets = if !targets = [] then [ "all" ] else List.rev !targets in
   let scale = !scale in
-  let emit experiment measurements =
+  let run (t : Experiments.Targets.t) =
+    let measurements = t.run ~scale in
     if !json then begin
       let config = [ ("scale", Printf.sprintf "%g" scale) ] in
-      let path = Experiments.Runner.write_json ~experiment ~config measurements in
+      let path =
+        Experiments.Runner.write_json ~experiment:t.name ~config measurements
+      in
       Printf.printf "wrote %s\n" path
     end
   in
-  let eval_data = lazy (Experiments.Figures.collect_eval ~scale ()) in
   List.iter
     (fun target ->
       match target with
       | "all" ->
-          Experiments.Figures.all ~scale ();
+          List.iter run Experiments.Targets.paper;
           micro ()
-      | "fig1" -> emit "fig1" (Experiments.Figures.fig1 ~scale ())
-      | "table1" -> emit "table1" (Experiments.Figures.table1 ())
-      | "table2" -> ignore (Experiments.Figures.table2 ())
-      | "fig4" -> ignore (Experiments.Figures.fig4 (Lazy.force eval_data))
-      | "fig5" -> ignore (Experiments.Figures.fig5 (Lazy.force eval_data))
-      | "fig6" -> ignore (Experiments.Figures.fig6 (Lazy.force eval_data))
-      | "repl" -> ignore (Experiments.Figures.replication ())
-      | "sensitivity" -> ignore (Experiments.Figures.sensitivity ())
-      | "skew" -> ignore (Experiments.Figures.skew ())
-      | "throughput" -> ignore (Experiments.Figures.throughput ())
-      | "bootstrap" -> ignore (Experiments.Figures.bootstrap ())
-      | "cost" -> ignore (Experiments.Figures.cost ())
-      | "ablation" -> ignore (Experiments.Figures.ablation ~scale ())
       | "analyze" -> Experiments.Analyze_exp.run ~scale ()
-      | "phases" -> ignore (Experiments.Figures.phases ~scale ())
-      | "batch" -> emit "batch" (Experiments.Batch_exp.run ~scale ())
-      | "propagate" -> emit "propagate" (Experiments.Propagate_exp.run ~scale ())
-      | "lease" -> emit "lease" (Experiments.Lease_exp.run ~scale ())
-      | "shard" -> emit "shard" (Experiments.Shard_exp.run ~scale ())
       | "chaos" ->
           let violations =
             Experiments.Chaos_exp.run ~seeds:!seeds ~deployment:!deployment ()
           in
           if violations > 0 then exit 2
       | "micro" -> micro ()
-      | _ -> usage ())
+      | name -> (
+          match Experiments.Targets.find name with
+          | Some t -> run t
+          | None -> usage ()))
     targets

@@ -1,7 +1,6 @@
-(* Command-line interface to the Radical reproduction.
+(* Command-line interface to the Radical reproduction. The paper's
+   tables and figures are regenerated by bench/main.exe.
 
-     radical_cli experiments [TARGETS] [--scale F]
-         regenerate the paper's tables and figures (default: all)
      radical_cli run --app APP --system SYS [--requests N] [--seed N]
          one deployment run with a latency summary
      radical_cli inspect FUNCTION
@@ -53,52 +52,10 @@ let deployment_doc =
    LVI service hash-sharded $(i,N) >= 2 ways)."
 
 
-let experiment_targets =
-  [ "all"; "fig1"; "table1"; "table2"; "fig4"; "fig5"; "fig6"; "repl"; "cost"; "sensitivity"; "skew"; "throughput"; "bootstrap"; "ablation"; "phases" ]
-
-let experiments_cmd =
-  let targets =
-    Arg.(value & pos_all (enum (List.map (fun t -> (t, t)) experiment_targets)) [ "all" ]
-         & info [] ~docv:"TARGET")
-  in
-  let scale =
-    Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"F"
-           ~doc:"Multiply request volume (5.0 reproduces the paper's 10k).")
-  in
-  let run targets scale =
-    let eval_data = lazy (Experiments.Figures.collect_eval ~scale ()) in
-    List.iter
-      (fun t ->
-        match t with
-        | "all" -> Experiments.Figures.all ~scale ()
-        | "fig1" -> ignore (Experiments.Figures.fig1 ~scale ())
-        | "table1" -> ignore (Experiments.Figures.table1 ())
-        | "table2" -> ignore (Experiments.Figures.table2 ())
-        | "fig4" -> ignore (Experiments.Figures.fig4 (Lazy.force eval_data))
-        | "fig5" -> ignore (Experiments.Figures.fig5 (Lazy.force eval_data))
-        | "fig6" -> ignore (Experiments.Figures.fig6 (Lazy.force eval_data))
-        | "repl" -> ignore (Experiments.Figures.replication ())
-        | "sensitivity" -> ignore (Experiments.Figures.sensitivity ())
-        | "skew" -> ignore (Experiments.Figures.skew ())
-        | "throughput" -> ignore (Experiments.Figures.throughput ())
-        | "bootstrap" -> ignore (Experiments.Figures.bootstrap ())
-        | "cost" -> ignore (Experiments.Figures.cost ())
-        | "ablation" -> ignore (Experiments.Figures.ablation ~scale ())
-        | "phases" -> ignore (Experiments.Figures.phases ~scale ())
-        | _ -> ())
-      targets
-  in
-  Cmd.v
-    (Cmd.info "experiments" ~doc:"Regenerate the paper's tables and figures")
-    Term.(const run $ targets $ scale)
-
 let apps =
-  [
-    ("social", Experiments.Bundle.social);
-    ("hotel", Experiments.Bundle.hotel);
-    ("forum", Experiments.Bundle.forum);
-    ("simple", Experiments.Bundle.simple);
-  ]
+  List.map
+    (fun (app : Apps.Bundle.app) -> (app.name, app))
+    Apps.Bundle.[ social; hotel; forum; simple ]
 
 let systems =
   [
@@ -118,7 +75,8 @@ let run_cmd =
   let system_arg =
     Arg.(value & opt (enum systems) Experiments.Runner.Radical
          & info [ "system" ] ~docv:"SYS"
-             ~doc:"Deployment: radical, central, local, geo, naive-edge.")
+             ~doc:("Deployment: " ^ String.concat ", " (List.map fst systems)
+                   ^ "."))
   in
   let requests =
     Arg.(value & opt int 2000 & info [ "requests" ] ~docv:"N"
@@ -266,7 +224,7 @@ let check_cmd =
 
 let trace_gen_cmd =
   let app_arg =
-    Arg.(value & opt (enum apps) Experiments.Bundle.social
+    Arg.(value & opt (enum apps) Apps.Bundle.social
          & info [ "app" ] ~docv:"APP")
   in
   let rate = Arg.(value & opt float 100.0 & info [ "rate" ] ~docv:"REQ_PER_S") in
@@ -293,7 +251,7 @@ let trace_replay_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE_FILE")
   in
   let app_arg =
-    Arg.(value & opt (enum apps) Experiments.Bundle.social
+    Arg.(value & opt (enum apps) Apps.Bundle.social
          & info [ "app" ] ~docv:"APP")
   in
   let system_arg =
@@ -328,7 +286,7 @@ let trace_replay_cmd =
 
 let trace_cmd =
   let app_arg =
-    Arg.(value & opt (enum apps) Experiments.Bundle.social
+    Arg.(value & opt (enum apps) Apps.Bundle.social
          & info [ "app" ] ~docv:"APP"
              ~doc:"Application: social, hotel, forum, or simple.")
   in
@@ -439,7 +397,7 @@ let trace_cmd =
 
 let timeline_cmd =
   let app_arg =
-    Arg.(value & opt (enum apps) Experiments.Bundle.social
+    Arg.(value & opt (enum apps) Apps.Bundle.social
          & info [ "app" ] ~docv:"APP")
   in
   let from_arg =
@@ -449,7 +407,7 @@ let timeline_cmd =
          & info [ "from" ] ~docv:"LOC" ~doc:"Client location.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED") in
-  let run (app : Experiments.Bundle.app) from seed =
+  let run (app : Apps.Bundle.app) from seed =
     Logs.set_reporter (sim_reporter ());
     Logs.set_level (Some Logs.Debug);
     let engine = Sim.Engine.create ~seed () in
@@ -538,16 +496,13 @@ let chaos_cmd =
           | None -> Chaos.Plan.default_templates
           | Some t -> [ t ]
         in
-        let capp = Experiments.Chaos_exp.of_bundle bundle in
-        let summary =
-          Chaos.Campaign.sweep ~config ~templates ~seeds capp
-        in
+        let summary = Chaos.Campaign.sweep ~config ~templates ~seeds bundle in
         Format.printf "%a@." Chaos.Campaign.pp_summary summary;
         (match summary.failures with
         | [] -> ()
         | c :: _ ->
             let shrunk =
-              Chaos.Campaign.shrink ~config ~seed:c.Chaos.Campaign.c_seed capp
+              Chaos.Campaign.shrink ~config ~seed:c.Chaos.Campaign.c_seed bundle
                 c.Chaos.Campaign.c_plan
             in
             Format.printf "minimal reproduction (seed %d):@.%a@."
@@ -591,7 +546,7 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "radical_cli" ~doc)
           [
-            experiments_cmd; run_cmd; inspect_cmd; check_cmd; analyze_cmd;
+            run_cmd; inspect_cmd; check_cmd; analyze_cmd;
             certify_cmd; timeline_cmd; trace_cmd; trace_gen_cmd;
             trace_replay_cmd; chaos_cmd;
           ]))

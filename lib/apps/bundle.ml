@@ -9,37 +9,37 @@ type app = {
 let social =
   {
     name = "social";
-    funcs = Apps.Social.functions;
-    schema = Apps.Social.schema;
-    seed = (fun rng -> Apps.Social.seed rng);
+    funcs = Social.functions;
+    schema = Social.schema;
+    seed = (fun rng -> Social.seed rng);
     new_gen =
       (fun () ->
-        let g = Apps.Social.gen () in
-        fun rng -> Apps.Social.next g rng);
+        let g = Social.gen () in
+        fun rng -> Social.next g rng);
   }
 
 let hotel =
   {
     name = "hotel";
-    funcs = Apps.Hotel.functions;
-    schema = Apps.Hotel.schema;
-    seed = (fun rng -> Apps.Hotel.seed rng);
+    funcs = Hotel.functions;
+    schema = Hotel.schema;
+    seed = (fun rng -> Hotel.seed rng);
     new_gen =
       (fun () ->
-        let g = Apps.Hotel.gen () in
-        fun rng -> Apps.Hotel.next g rng);
+        let g = Hotel.gen () in
+        fun rng -> Hotel.next g rng);
   }
 
 let forum =
   {
     name = "forum";
-    funcs = Apps.Forum.functions;
-    schema = Apps.Forum.schema;
-    seed = (fun rng -> Apps.Forum.seed ~n_posts:2000 rng);
+    funcs = Forum.functions;
+    schema = Forum.schema;
+    seed = (fun rng -> Forum.seed ~n_posts:2000 rng);
     new_gen =
       (fun () ->
-        let g = Apps.Forum.gen ~n_posts:2000 () in
-        fun rng -> Apps.Forum.next g rng);
+        let g = Forum.gen ~n_posts:2000 () in
+        fun rng -> Forum.next g rng);
   }
 
 let evaluated = [ social; hotel; forum ]

@@ -1,5 +1,6 @@
-(** Application bundles consumed by the experiment runner: functions,
-    seed data, and a workload generator with Table 1's request mix. *)
+(** Application bundles deployed by the experiment harness and attacked
+    by the chaos campaigns: functions, seed data, and a workload
+    generator with Table 1's request mix. *)
 
 type app = {
   name : string;

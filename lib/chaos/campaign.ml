@@ -5,23 +5,10 @@ module Location = Net.Location
 module Framework = Radical.Framework
 module Server = Radical.Server
 
-type app = {
-  ca_name : string;
-  ca_funcs : Fdsl.Ast.func list;
-  ca_seed : Rng.t -> (string * Dval.t) list;
-  ca_gen : unit -> Rng.t -> string * Dval.t list;
-}
-
 type config = {
   deployment : Framework.config;
-  clients_per_loc : int;
-  requests_per_client : int;
-  think_time : float;
   horizon : float;
-  drain : float;
-  jitter : float;
   mutation : Server.protocol_mutation option;
-  charge_every : int;
 }
 
 let default_config =
@@ -31,15 +18,18 @@ let default_config =
         Framework.default_config with
         server = { Server.default_config with intent_timeout = 800.0 };
       };
-    clients_per_loc = 2;
-    requests_per_client = 3;
-    think_time = 400.0;
     horizon = 5000.0;
-    drain = 4000.0;
-    jitter = 0.05;
     mutation = None;
-    charge_every = 6;
   }
+
+(* The workload shape, the same in every campaign. [drain] follows the
+   horizon; every [charge_every]th request is a synthetic payment. *)
+let clients_per_loc = 2
+let requests_per_client = 3
+let think_time = 400.0
+let drain = 4000.0
+let jitter = 0.05
+let charge_every = 6
 
 type outcome = {
   violations : Oracle.violation list;
@@ -89,7 +79,8 @@ let fingerprint_of_history ops =
     ops;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let run_one ?(config = default_config) ~seed app (plan : Plan.t) =
+let run_one ?(config = default_config) ~seed (app : Apps.Bundle.app)
+    (plan : Plan.t) =
   let engine = Engine.create ~seed () in
   let violations = ref [] in
   let fingerprint = ref "" in
@@ -112,42 +103,35 @@ let run_one ?(config = default_config) ~seed app (plan : Plan.t) =
      Engine.run ~until:stuck_cap engine (fun () ->
          let rng = Engine.rng () in
          let net =
-           Transport.create ~jitter_sigma:config.jitter ~rng:(Rng.split rng)
+           Transport.create ~jitter_sigma:jitter ~rng:(Rng.split rng)
              ~fault_rng:(Rng.split rng) ()
          in
-         let data = app.ca_seed (Rng.split rng) in
-         let funcs =
-           if config.charge_every > 0 then app.ca_funcs @ [ charge_fn ]
-           else app.ca_funcs
-         in
+         let data = app.seed (Rng.split rng) in
          let fw =
-           Framework.create ~config:config.deployment ~net ~funcs ~data ()
+           Framework.create ~config:config.deployment ~net
+             ~funcs:(app.funcs @ [ charge_fn ])
+             ~data ()
          in
-         if config.charge_every > 0 then
-           Framework.register_external fw ~name:charge_service (fun v ->
-               Dval.Record [ ("paid", v) ]);
+         Framework.register_external fw ~name:charge_service (fun v ->
+             Dval.Record [ ("paid", v) ]);
          List.iter
            (fun s -> Server.inject_mutation s config.mutation)
            (Framework.servers fw);
          Framework.record_history fw;
          let nemesis = Nemesis.launch { net; fw } plan in
-         let gen = app.ca_gen () in
+         let gen = app.new_gen () in
          let locations = config.deployment.locations in
          let n_locs = List.length locations in
-         let n_clients = n_locs * config.clients_per_loc in
+         let n_clients = n_locs * clients_per_loc in
          let client_rngs = Array.init n_clients (fun _ -> Rng.split rng) in
          Workload.Driver.run_clients ~n:n_clients
-           ~iterations:config.requests_per_client
-           ~think_time:config.think_time (fun ~client ~iter ->
+           ~iterations:requests_per_client ~think_time (fun ~client ~iter ->
              let from = List.nth locations (client mod n_locs) in
              let crng = client_rngs.(client) in
              let seq = !requests in
              incr requests;
              let fn, args =
-               if
-                 config.charge_every > 0
-                 && seq mod config.charge_every = config.charge_every - 1
-               then
+               if seq mod charge_every = charge_every - 1 then
                  ( charge_fn.fn_name,
                    [ Dval.Str (Printf.sprintf "u%d-%d" client iter) ] )
                else gen crng
@@ -163,27 +147,20 @@ let run_one ?(config = default_config) ~seed app (plan : Plan.t) =
          let target =
            Float.max (Engine.now ())
              (Float.max config.horizon (Plan.horizon_of plan))
-           +. config.drain
+           +. drain
          in
          Engine.sleep (Float.max 0.0 (target -. Engine.now ()));
          faults := Nemesis.stats nemesis;
          let effects =
-           if config.charge_every > 0 then
-             [
-               {
-                 Oracle.e_service = charge_service;
-                 e_issued = !issued;
-                 e_completed = !completed;
-               };
-             ]
-           else []
+           [
+             {
+               Oracle.e_service = charge_service;
+               e_issued = !issued;
+               e_completed = !completed;
+             };
+           ]
          in
-         if Sys.getenv_opt "CHAOS_DEBUG" <> None then
-           Printf.eprintf "DEBUG: workload done, now=%.1f, history=%d ops\n%!"
-             (Engine.now ()) (List.length (Framework.history fw));
          violations := Oracle.check ~init:data ~effects fw;
-         if Sys.getenv_opt "CHAOS_DEBUG" <> None then
-           Printf.eprintf "DEBUG: oracle done\n%!";
          fingerprint := fingerprint_of_history (Framework.history fw);
          Framework.stop fw;
          finished := true);
@@ -198,8 +175,7 @@ let run_one ?(config = default_config) ~seed app (plan : Plan.t) =
                   deadlocked or teardown blocked"
                  !requests
                  (List.length config.deployment.locations
-                 * config.clients_per_loc
-                * config.requests_per_client);
+                 * clients_per_loc * requests_per_client);
            };
          ]
    with exn ->

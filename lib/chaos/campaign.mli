@@ -8,15 +8,6 @@
     {!shrink} reduces a failing plan to a 1-minimal event list that
     still reproduces a violation. *)
 
-type app = {
-  ca_name : string;
-  ca_funcs : Fdsl.Ast.func list;
-  ca_seed : Sim.Rng.t -> (string * Dval.t) list;
-  ca_gen : unit -> Sim.Rng.t -> string * Dval.t list;
-      (** Fresh workload generator (same contract as the experiment
-          bundles): called once per run, then per request. *)
-}
-
 type config = {
   deployment : Radical.Framework.config;
       (** What to deploy — build it with {!Radical.Deployment.config}
@@ -27,30 +18,23 @@ type config = {
           path, which the shard-chaos template attacks and the
           {!Oracle.cross_atomic} invariant judges. The fault campaign
           must find zero violations in every deployment. *)
-  clients_per_loc : int;
-  requests_per_client : int;
-  think_time : float;
   horizon : float;
       (** Window (virtual ms) within which template events start and
           finish. *)
-  drain : float;
-      (** Extra quiet time after the horizon and the last request, long
-          enough for intent timers to fire and re-executions to settle. *)
-  jitter : float;
   mutation : Radical.Server.protocol_mutation option;
       (** Deliberate protocol bug, injected into the server — the
           oracle-has-teeth demonstration. *)
-  charge_every : int;
-      (** Every Nth request calls a synthetic external-payment function
-          with a fresh idempotency scope, feeding the exactly-once
-          oracle; 0 disables. *)
 }
 
 val default_config : config
 (** The paper deployment ({!Radical.Framework.default_config}) with an
-    800 ms intent-timeout ceiling; 5 user sites × 2 clients × 3
-    requests, 5 s horizon + 4 s drain, a charge every 6th request, no
-    mutation. *)
+    800 ms intent-timeout ceiling, a 5 s horizon, no mutation.
+
+    The workload shape is fixed: 2 clients per site × 3 requests,
+    400 ms think time, 5% network jitter, a 4 s drain after the
+    horizon, and every 6th request a synthetic external payment with a
+    fresh idempotency scope, feeding the exactly-once oracle. The
+    application's [schema] is not checked. *)
 
 type outcome = {
   violations : Oracle.violation list;
@@ -65,14 +49,16 @@ type outcome = {
   faults_skipped : int;
 }
 
-val run_one : ?config:config -> seed:int -> app -> Plan.t -> outcome
+val run_one :
+  ?config:config -> seed:int -> Apps.Bundle.app -> Plan.t -> outcome
 (** One deterministic chaos run. A crash anywhere in the run (engine
     fiber error) is reported as a ["no-crash"] violation rather than an
     exception; a run that never completes — a deadlocked workload or a
     teardown that cannot quiesce — is cut off at a virtual-time cap and
     reported as a ["stuck"] violation. *)
 
-val shrink : ?config:config -> seed:int -> app -> Plan.t -> Plan.t
+val shrink :
+  ?config:config -> seed:int -> Apps.Bundle.app -> Plan.t -> Plan.t
 (** Greedy delta-debugging: repeatedly drop events while the plan still
     produces at least one violation under [seed]; the result is
     1-minimal (removing any single remaining event makes the run pass).
@@ -104,7 +90,7 @@ val sweep :
   ?replay_every:int ->
   ?progress:(done_:int -> total:int -> unit) ->
   seeds:int ->
-  app ->
+  Apps.Bundle.app ->
   summary
 (** Run seeds 1..[seeds] against every template (skipping
     replicated-only templates on a singleton config). Every

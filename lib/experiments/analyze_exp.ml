@@ -1,16 +1,6 @@
 module Derive = Analyzer.Derive
 module Optimize = Analyzer.Optimize
 
-let scaled scale n = max 1 (int_of_float (float_of_int n *. scale))
-
-let banner title =
-  print_newline ();
-  print_endline
-    "================================================================";
-  print_endline title;
-  print_endline
-    "================================================================"
-
 (* ------------------------------------------------------------------ *)
 (* Part 1: predict cost, raw residual vs. optimized residual.          *)
 
@@ -75,8 +65,8 @@ let classification_str (d : Derive.t) =
   Format.asprintf "%a" Derive.pp_classification d.classification
 
 let predict_cost ~scale ~seed () =
-  banner "analyze: f^rw predict cost, raw vs. residual-optimized";
-  let n = scaled scale 200 in
+  Runner.heading "analyze: f^rw predict cost, raw vs. residual-optimized";
+  let n = Runner.scaled scale 200 in
   let rng = Sim.Rng.create seed in
   let rows = ref [] in
   let wall_raw = ref 0.0 and wall_opt = ref 0.0 in
@@ -180,8 +170,8 @@ let predict_cost ~scale ~seed () =
    end to end rather than only in server-side work. *)
 let digest_heavy_forum =
   {
-    Bundle.forum with
-    Bundle.name = "forum+digest";
+    Apps.Bundle.forum with
+    Apps.Bundle.name = "forum+digest";
     new_gen =
       (fun () ->
         let inner = Apps.Forum.gen () in
@@ -193,9 +183,9 @@ let digest_heavy_forum =
   }
 
 let fast_path ~scale ~seed () =
-  banner
+  Runner.heading
     "analyze: read-only LVI fast path (forum + 50% digest, 3 seeds merged)";
-  let rpc = scaled scale 40 in
+  let rpc = Runner.scaled scale 40 in
   let cases =
     let base = Radical.Framework.default_config in
     let repl = Radical.Deployment.config [ Replicated ] in

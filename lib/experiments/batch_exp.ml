@@ -1,18 +1,9 @@
 open Sim
-module Location = Net.Location
-module Transport = Net.Transport
 module Stats = Metrics.Stats
 module Table = Metrics.Table
 module Tracer = Metrics.Tracer
 module Framework = Radical.Framework
 module Server = Radical.Server
-
-type measurement = string * float
-
-let heading title =
-  Printf.printf "\n================================================================\n";
-  Printf.printf "%s\n" title;
-  Printf.printf "================================================================\n"
 
 (* --- synthetic mixed workload ----------------------------------------
 
@@ -26,57 +17,9 @@ let heading title =
 let n_accounts = 500
 let n_walls = 50
 
-let key prefix input = Fdsl.Ast.(Concat [ Str prefix; Input input ])
-
-let pay_fn =
-  let open Fdsl.Ast in
-  {
-    fn_name = "pay";
-    params = [ "src"; "dst" ];
-    body =
-      Compute
-        ( 1.0,
-          Let
-            ( "s",
-              Read (key "bal:" "src"),
-              Let
-                ( "d",
-                  Read (key "bal:" "dst"),
-                  Seq
-                    [
-                      Write (key "bal:" "src", Binop (Sub, Var "s", Int 1L));
-                      Write (key "bal:" "dst", Binop (Add, Var "d", Int 1L));
-                      Var "d";
-                    ] ) ) );
-  }
-
-let post_fn =
-  let open Fdsl.Ast in
-  {
-    fn_name = "post";
-    params = [ "w"; "txt" ];
-    body =
-      Compute
-        ( 1.0,
-          Let
-            ( "cur",
-              Read (key "wall:" "w"),
-              Seq
-                [
-                  Write (key "wall:" "w", Concat [ Var "cur"; Str "|"; Input "txt" ]);
-                  Var "cur";
-                ] ) );
-  }
-
-let read_wall_fn =
-  let open Fdsl.Ast in
-  {
-    fn_name = "read_wall";
-    params = [ "w" ];
-    body = Compute (0.5, Read (key "wall:" "w"));
-  }
-
-let funcs = [ pay_fn; post_fn; read_wall_fn ]
+let funcs =
+  [ Synthetic.transfer "pay" ~src:"bal:" ~dst:"bal:"; Synthetic.post;
+    Synthetic.read_wall ]
 
 let seed_data =
   List.init n_accounts (fun i -> (Printf.sprintf "bal:a%d" i, Dval.int 100))
@@ -140,30 +83,20 @@ let singleton_variants =
 
 type cell = {
   c_variant : string;
-  c_offered : float; (* requests per virtual second *)
-  c_achieved : float; (* completions / time-to-last-completion *)
-  c_median : float;
-  c_p99 : float;
-  c_requests : int;
-  c_errors : int;
+  c_load : Runner.load;
   c_batch_mean : float; (* raft_entry commands per entry; nan singleton *)
   c_queue_p99 : float; (* raft_entry proposal queueing delay; nan singleton *)
 }
 
-let run_cell ?(seed = 42) ~variant ~rate ~duration () =
-  let engine = Engine.create ~seed () in
-  let out = ref None in
-  Engine.run engine (fun () ->
-      let rng = Engine.rng () in
-      let net =
-        Transport.create ~jitter_sigma:0.05 ~rng:(Rng.split rng) ()
-      in
-      let tracer = Tracer.create () in
-      let config = variant.v_config in
-      let fw = Framework.create ~config ~tracer ~net ~funcs ~data:seed_data () in
-      (match config.server.mode with
-      | Server.Replicated _ -> Engine.sleep 800.0 (* raft warm-up *)
-      | Server.Singleton -> ());
+let run_cell ~seed ~variant ~rate ~duration =
+  let tracer = Tracer.create () in
+  Runner.simulate ~seed ~jitter:0.05 ~tracer
+    ~locations:Net.Location.user_locations (Runner.Radical_with variant.v_config)
+    ~funcs
+    ~schema:[]
+    ~data:(fun _ -> seed_data)
+    (fun d rng ->
+      let fw = Runner.framework d in
       let sites = Framework.locations fw in
       let n_sites = List.length sites in
       let zipf = Workload.Zipf.create ~n:n_accounts ~theta:0.2 in
@@ -171,12 +104,8 @@ let run_cell ?(seed = 42) ~variant ~rate ~duration () =
         Workload.Mix.create [ (`Pay, 0.45); (`Post, 0.20); (`Read, 0.35) ]
       in
       let wrng = Rng.split rng in
-      let lat = Stats.create () in
-      let errors = ref 0 in
-      let t0 = Engine.now () in
-      let t_last = ref t0 in
-      let n =
-        Workload.Driver.run_open ~rate ~duration ~rng:(Rng.split rng)
+      let load =
+        Runner.open_loop fw ~rate ~duration ~rng:(Rng.split rng)
           (fun ~arrival ->
             let from = List.nth sites (arrival mod n_sites) in
             let fn, args =
@@ -202,61 +131,28 @@ let run_cell ?(seed = 42) ~variant ~rate ~duration () =
                     [ Dval.Str (Printf.sprintf "w%d" (Rng.int wrng n_walls)) ]
                   )
             in
-            let o = Framework.invoke fw ~from fn args in
-            if Result.is_error o.Radical.Runtime.value then incr errors;
-            Stats.add lat o.latency;
-            t_last := Float.max !t_last (Engine.now ()))
+            Framework.invoke fw ~from fn args)
       in
-      Framework.stop fw;
-      let elapsed_s = Float.max 1e-9 ((!t_last -. t0) /. 1000.0) in
-      let hist label =
-        (List.assoc_opt label (Tracer.batch_stats tracer),
-         List.assoc_opt label (Tracer.queue_stats tracer))
-      in
+      (* A singleton server has no Raft log: both stay nan. *)
       let batch_mean, queue_p99 =
-        match config.server.mode with
-        | Server.Singleton -> (nan, nan)
-        | Server.Replicated _ -> (
-            match hist "raft_entry" with
-            | Some b, Some q -> (Stats.mean b, Stats.p99 q)
-            | Some b, None -> (Stats.mean b, nan)
-            | _ -> (nan, nan))
+        match
+          ( List.assoc_opt "raft_entry" (Tracer.batch_stats tracer),
+            List.assoc_opt "raft_entry" (Tracer.queue_stats tracer) )
+        with
+        | Some b, Some q -> (Stats.mean b, Stats.p99 q)
+        | Some b, None -> (Stats.mean b, nan)
+        | None, _ -> (nan, nan)
       in
-      out :=
-        Some
-          {
-            c_variant = variant.v_name;
-            c_offered = rate;
-            c_achieved = float_of_int n /. elapsed_s;
-            c_median = Stats.median lat;
-            c_p99 = Stats.p99 lat;
-            c_requests = n;
-            c_errors = !errors;
-            c_batch_mean = batch_mean;
-            c_queue_p99 = queue_p99;
-          });
-  match !out with Some c -> c | None -> assert false
+      {
+        c_variant = variant.v_name;
+        c_load = load;
+        c_batch_mean = batch_mean;
+        c_queue_p99 = queue_p99;
+      })
 
 (* --- the sweep -------------------------------------------------------- *)
 
-let rate_label r = Printf.sprintf "%.0f/s" r
-
-(* Highest offered rate before the latency knee: a cell is sustainable
-   while its median stays within 2x the variant's own lowest-rate
-   median (the classic saturation criterion — queueing delay, not the
-   raw latency floor, is what blows up past the knee). 0 when even the
-   lowest rate has collapsed. *)
-let peak_sustainable cells =
-  match cells with
-  | [] -> 0.0
-  | first :: _ ->
-      let base = first.c_median in
-      List.fold_left
-        (fun acc c ->
-          if c.c_median <= 2.0 *. base then Float.max acc c.c_offered else acc)
-        0.0 cells
-
-let print_cells mode_name cells =
+let print_cells cells =
   Table.print
     ~header:
       [
@@ -266,37 +162,36 @@ let print_cells mode_name cells =
     ~rows:
       (List.map
          (fun c ->
+           let l = c.c_load in
            [
              c.c_variant;
-             rate_label c.c_offered;
-             Printf.sprintf "%.0f/s" c.c_achieved;
-             Table.ms c.c_median;
-             Table.ms c.c_p99;
-             string_of_int c.c_requests;
-             string_of_int c.c_errors;
+             Runner.rate_label l.offered;
+             Printf.sprintf "%.0f/s" l.achieved;
+             Table.ms l.median;
+             Table.ms l.p99;
+             string_of_int l.requests;
+             string_of_int l.errors;
              (if Float.is_nan c.c_batch_mean then "-"
               else Printf.sprintf "%.1f" c.c_batch_mean);
              (if Float.is_nan c.c_queue_p99 then "-"
               else Table.ms c.c_queue_p99);
            ])
-         cells);
-  ignore mode_name
+         cells)
 
 let measurements_of prefix cells =
   List.concat_map
     (fun c ->
-      let p =
-        Printf.sprintf "batch.%s.%s.r%.0f" prefix c.c_variant c.c_offered
-      in
+      let l = c.c_load in
+      let p = Printf.sprintf "batch.%s.%s.r%.0f" prefix c.c_variant l.offered in
       [
-        (p ^ ".median_ms", c.c_median);
-        (p ^ ".p99_ms", c.c_p99);
-        (p ^ ".achieved_rps", c.c_achieved);
+        (p ^ ".median_ms", l.median);
+        (p ^ ".p99_ms", l.p99);
+        (p ^ ".achieved_rps", l.achieved);
       ])
     cells
 
 let run ?(scale = 1.0) ?(seed = 42) () =
-  heading
+  Runner.heading
     (Printf.sprintf
        "Batching load sweep — group commit / lock-record flush /\n\
         conflict-aware admission / followup coalescing, open-loop Poisson\n\
@@ -317,11 +212,11 @@ let run ?(scale = 1.0) ?(seed = 42) () =
       (fun v ->
         List.map
           (fun rate ->
-            run_cell ~seed ~variant:v ~rate ~duration ())
+            run_cell ~seed ~variant:v ~rate ~duration)
           single_rates)
       singleton_variants
   in
-  print_cells "singleton" single_cells;
+  print_cells single_cells;
 
   Printf.printf "\n-- replicated server (az_rtt 1.5 ms, append %.1f ms) --\n"
     append_cost;
@@ -330,39 +225,41 @@ let run ?(scale = 1.0) ?(seed = 42) () =
       (fun v ->
         List.map
           (fun rate ->
-            run_cell ~seed ~variant:v ~rate ~duration ())
+            run_cell ~seed ~variant:v ~rate ~duration)
           repl_rates)
       replicated_variants
   in
-  print_cells "replicated" repl_cells;
+  print_cells repl_cells;
 
   let cells_of name =
-    List.filter (fun c -> c.c_variant = name) repl_cells
+    List.filter_map
+      (fun c -> if c.c_variant = name then Some c.c_load else None)
+      repl_cells
   in
   let unbatched = cells_of "unbatched" in
   let gc = cells_of "group-commit" in
   let top_rate = List.fold_left (fun a r -> Float.max a r) 0.0 repl_rates in
-  let at_top cells =
-    List.find (fun c -> c.c_offered = top_rate) cells
+  let at_top loads =
+    List.find (fun (l : Runner.load) -> l.offered = top_rate) loads
   in
   let u_top = at_top unbatched and g_top = at_top gc in
-  let u_peak = peak_sustainable unbatched
-  and g_peak = peak_sustainable gc in
+  let u_peak = Runner.peak_sustainable unbatched
+  and g_peak = Runner.peak_sustainable gc in
   Printf.printf
     "\npeak sustainable throughput (highest offered rate with median\n\
      within 2x the variant's lowest-rate median):\n";
   List.iter
     (fun v ->
       Printf.printf "  %-14s %.0f req/s\n" v.v_name
-        (peak_sustainable (cells_of v.v_name)))
+        (Runner.peak_sustainable (cells_of v.v_name)))
     replicated_variants;
-  let median_ok = g_top.c_median < u_top.c_median in
+  let median_ok = g_top.median < u_top.median in
   let peak_ok = g_peak > u_peak in
   Printf.printf
     "\nacceptance (replicated, group commit vs unbatched):\n\
     \  median @ %s: %s vs %s  -> %s\n\
     \  peak sustainable: %.0f vs %.0f req/s  -> %s\n"
-    (rate_label top_rate) (Table.ms g_top.c_median) (Table.ms u_top.c_median)
+    (Runner.rate_label top_rate) (Table.ms g_top.median) (Table.ms u_top.median)
     (if median_ok then "OK (lower with group commit)" else "FAIL")
     g_peak u_peak
     (if peak_ok then "OK (higher with group commit)" else "FAIL");

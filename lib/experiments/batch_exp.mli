@@ -12,7 +12,7 @@
     - [all-on] — plus conflict-aware admission and followup coalescing
       / piggybacking on the near-user side.
 
-    Replicated cells model a 0.5 ms durable append per log {e entry}
+    Replicated cells model a 1 ms durable append per log {e entry}
     (serialized per node — the fsync queue), which is the resource
     group commit amortizes; without it the simulated append is free and
     batching has nothing to win. Singleton cells check the knobs cost
@@ -24,9 +24,6 @@
     verdict: replicated median latency and peak sustainable throughput
     must both be strictly better with group commit than unbatched. *)
 
-type measurement = string * float
-
-val run : ?scale:float -> ?seed:int -> unit -> measurement list
-(** [scale] multiplies the 250 ms per-cell load window ([make check]
-    smoke-runs at [--scale 1]; the acceptance run uses the default
-    bench scale 5). *)
+val run : ?scale:float -> ?seed:int -> unit -> Runner.measurement list
+(** [scale] multiplies the 250 ms per-cell load window (bench scale 5,
+    as [make check] runs it). *)

@@ -3,15 +3,7 @@ module Plan = Chaos.Plan
 
 type report = { r_label : string; r_summary : Campaign.summary }
 
-let of_bundle (b : Bundle.app) =
-  {
-    Campaign.ca_name = b.name;
-    ca_funcs = b.funcs;
-    ca_seed = b.seed;
-    ca_gen = b.new_gen;
-  }
-
-let grid = [ Bundle.social; Bundle.forum ]
+let grid = [ Apps.Bundle.social; Apps.Bundle.forum ]
 
 (* The grid's two server modes: [features] as given (minus
    [Replicated]) and the same with a Raft-replicated server. *)
@@ -25,7 +17,7 @@ let campaign ?(seeds = 50) ?(progress = true) ?(deployment = []) () =
       List.map
         (fun features ->
           let label =
-            Printf.sprintf "%s/%s" bundle.Bundle.name
+            Printf.sprintf "%s/%s" bundle.Apps.Bundle.name
               (Radical.Deployment.to_string features)
           in
           let config =
@@ -45,8 +37,7 @@ let campaign ?(seeds = 50) ?(progress = true) ?(deployment = []) () =
             end
           in
           let summary =
-            Campaign.sweep ~config ~progress:on_progress ~seeds
-              (of_bundle bundle)
+            Campaign.sweep ~config ~progress:on_progress ~seeds bundle
           in
           { r_label = label; r_summary = summary })
         (cells deployment))
@@ -82,7 +73,7 @@ let demo_mutation ?(seed = 7) () =
       horizon = 9500.0;
     }
   in
-  let app = of_bundle Bundle.social in
+  let app = Apps.Bundle.social in
   let original = noisy_mutation_plan in
   let o = Campaign.run_one ~config ~seed app original in
   Printf.printf
@@ -99,12 +90,7 @@ let demo_mutation ?(seed = 7) () =
   (original, shrunk)
 
 let run ?(seeds = 50) ?(deployment = []) () =
-  print_newline ();
-  print_endline
-    "================================================================";
-  print_endline "Chaos campaign — fault-plan sweeps with invariant oracle";
-  print_endline
-    "================================================================";
+  Runner.heading "Chaos campaign — fault-plan sweeps with invariant oracle";
   Printf.printf
     "grid: {social, forum} x {singleton, replicated} over deployment %s, %d \
      seeds each,\n\

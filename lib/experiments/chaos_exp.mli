@@ -10,8 +10,6 @@
 
 type report = { r_label : string; r_summary : Chaos.Campaign.summary }
 
-val of_bundle : Bundle.app -> Chaos.Campaign.app
-
 val campaign :
   ?seeds:int -> ?progress:bool -> ?deployment:Radical.Deployment.feature list ->
   unit -> report list

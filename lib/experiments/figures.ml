@@ -4,45 +4,40 @@ module Transport = Net.Transport
 module Stats = Metrics.Stats
 module Table = Metrics.Table
 
-type measurement = string * float
-
-let scaled scale n = max 1 (int_of_float (float_of_int n *. scale))
-
-let heading title =
-  Printf.printf "\n================================================================\n";
-  Printf.printf "%s\n" title;
-  Printf.printf "================================================================\n"
+(* A table's rows and measurements, built item by item and concatenated
+   in order. *)
+let tabulate f items =
+  let rows, ms = List.split (List.map f items) in
+  (List.concat rows, List.concat ms)
 
 (* --- Figure 1 -------------------------------------------------------- *)
 
 let fig1 ?(scale = 1.0) ?(seed = 42) () =
-  heading
+  Runner.heading
     "Figure 1 — simple app (~100 ms compute + 1 read): centralized vs\n\
      geo-replicated storage vs inconsistent local (best possible)";
-  let app = Bundle.simple in
-  let rpc = scaled scale 40 in
+  let app = Apps.Bundle.simple in
+  let rpc = Runner.scaled scale 40 in
   let run sys = Runner.run ~seed ~requests_per_client:rpc sys app in
   let central = run Runner.Central in
   let geo = run (Runner.Geo [ Location.va; Location.oh; Location.oregon ]) in
   let local = run Runner.Local in
   let rows, measurements =
-    List.fold_left
-      (fun (rows, ms) loc ->
+    tabulate
+      (fun loc ->
         let med r =
           match List.assoc_opt loc (Runner.by_loc r) with
           | Some s -> Stats.median s
           | None -> nan
         in
         let c = med central and g = med geo and l = med local in
-        ( rows
-          @ [ [ loc; Table.ms c; Table.ms g; Table.ms l ] ],
-          ms
-          @ [
-              ("fig1." ^ loc ^ ".central", c);
-              ("fig1." ^ loc ^ ".geo", g);
-              ("fig1." ^ loc ^ ".local", l);
-            ] ))
-      ([], []) Location.user_locations
+        ( [ [ loc; Table.ms c; Table.ms g; Table.ms l ] ],
+          [
+            ("fig1." ^ loc ^ ".central", c);
+            ("fig1." ^ loc ^ ".geo", g);
+            ("fig1." ^ loc ^ ".local", l);
+          ] ))
+      Location.user_locations
   in
   Table.print
     ~header:[ "loc"; "centralized"; "geo-replicated"; "local (ideal)" ]
@@ -63,7 +58,7 @@ let fig1 ?(scale = 1.0) ?(seed = 42) () =
 (* --- Table 2 ---------------------------------------------------------- *)
 
 let table2 ?(seed = 42) () =
-  heading "Table 2 — storage ping RTT (ms) from each location to the\nprimary in VA";
+  Runner.heading "Table 2 — storage ping RTT (ms) from each location to the\nprimary in VA";
   let engine = Engine.create ~seed () in
   let meds = ref [] in
   Engine.run engine (fun () ->
@@ -110,7 +105,7 @@ let measured_exec_ms ?(seed = 42) (info : Apps.Catalog.info) =
   Engine.run engine (fun () ->
       let rng = Engine.rng () in
       let app =
-        List.find (fun (a : Bundle.app) -> a.name = info.app) Bundle.evaluated
+        List.find (fun (a : Apps.Bundle.app) -> a.name = info.app) Apps.Bundle.evaluated
       in
       let data = app.seed (Rng.split rng) in
       let kv = Store.Kv.create ~access_latency:6.0 () in
@@ -149,14 +144,14 @@ let measured_exec_ms ?(seed = 42) (info : Apps.Catalog.info) =
   !result
 
 let table1 ?(seed = 42) () =
-  heading
+  Runner.heading
     "Table 1 — function catalog: writes, analyzability, measured median\n\
      execution time (vs paper), workload share";
   let reg = Radical.Registry.create () in
   List.iter (fun f -> ignore (Radical.Registry.register reg f)) Apps.Catalog.all_functions;
   let rows, ms =
-    List.fold_left
-      (fun (rows, ms) (info : Apps.Catalog.info) ->
+    tabulate
+      (fun (info : Apps.Catalog.info) ->
         let entry = Option.get (Radical.Registry.find reg info.fn_name) in
         let analyzable, dependent =
           match entry.derived with
@@ -169,24 +164,22 @@ let table1 ?(seed = 42) () =
                   ("Yes", false))
         in
         let measured = measured_exec_ms ~seed info in
-        ( rows
-          @ [
-              [
-                info.fn_name;
-                (if info.writes then "Yes" else "No");
-                analyzable;
-                Table.ms measured;
-                Table.ms info.exec_ms;
-                Printf.sprintf "%.1f%%" info.workload_pct;
-              ];
-            ],
-          ms
-          @ [
-              ("table1." ^ info.fn_name ^ ".exec_ms", measured);
-              ( "table1." ^ info.fn_name ^ ".dependent",
-                if dependent then 1.0 else 0.0 );
-            ] ))
-      ([], []) Apps.Catalog.table1
+        ( [
+            [
+              info.fn_name;
+              (if info.writes then "Yes" else "No");
+              analyzable;
+              Table.ms measured;
+              Table.ms info.exec_ms;
+              Printf.sprintf "%.1f%%" info.workload_pct;
+            ];
+          ],
+          [
+            ("table1." ^ info.fn_name ^ ".exec_ms", measured);
+            ( "table1." ^ info.fn_name ^ ".dependent",
+              if dependent then 1.0 else 0.0 );
+          ] ))
+      Apps.Catalog.table1
   in
   Table.print
     ~header:[ "function"; "writes"; "analyzable"; "exec (ms)"; "paper"; "workload%" ]
@@ -199,12 +192,12 @@ let table1 ?(seed = 42) () =
 
 (* --- Figures 4, 5, 6 --------------------------------------------------- *)
 
-type eval_data = (Bundle.app * (string * Runner.result) list) list
+type eval_data = (Apps.Bundle.app * (string * Runner.result) list) list
 
 let collect_eval ?(scale = 1.0) ?(seed = 42) () =
-  let rpc = scaled scale 40 in
+  let rpc = Runner.scaled scale 40 in
   List.map
-    (fun (app : Bundle.app) ->
+    (fun (app : Apps.Bundle.app) ->
       let run sys = Runner.run ~seed ~requests_per_client:rpc sys app in
       ( app,
         [
@@ -212,15 +205,15 @@ let collect_eval ?(scale = 1.0) ?(seed = 42) () =
           ("radical", run Runner.Radical);
           ("ideal", run Runner.Local);
         ] ))
-    Bundle.evaluated
+    Apps.Bundle.evaluated
 
 let fig4 data =
-  heading
+  Runner.heading
     "Figure 4 — end-to-end latency per application: primary-datacenter\n\
      baseline vs Radical (red line = inconsistent local ideal)";
   let rows, ms =
-    List.fold_left
-      (fun (rows, ms) ((app : Bundle.app), runs) ->
+    tabulate
+      (fun ((app : Apps.Bundle.app), runs) ->
         let get tag = List.assoc tag runs in
         let b = get "baseline" and r = get "radical" and i = get "ideal" in
         let bm = Runner.median_of b
@@ -229,30 +222,28 @@ let fig4 data =
         let improvement = (bm -. rm) /. bm in
         let of_max = (bm -. rm) /. (bm -. im) in
         let vrate = Option.value ~default:nan r.validation_rate in
-        ( rows
-          @ [
-              [
-                app.name;
-                Table.ms bm;
-                Table.ms (Runner.p99_of b);
-                Table.ms rm;
-                Table.ms (Runner.p99_of r);
-                Table.ms im;
-                Table.pct improvement;
-                Table.pct of_max;
-                Table.pct vrate;
-              ];
-            ],
-          ms
-          @ [
-              ("fig4." ^ app.name ^ ".baseline_median", bm);
-              ("fig4." ^ app.name ^ ".radical_median", rm);
-              ("fig4." ^ app.name ^ ".ideal_median", im);
-              ("fig4." ^ app.name ^ ".improvement", improvement);
-              ("fig4." ^ app.name ^ ".of_max", of_max);
-              ("fig4." ^ app.name ^ ".validation_rate", vrate);
-            ] ))
-      ([], []) data
+        ( [
+            [
+              app.name;
+              Table.ms bm;
+              Table.ms (Runner.p99_of b);
+              Table.ms rm;
+              Table.ms (Runner.p99_of r);
+              Table.ms im;
+              Table.pct improvement;
+              Table.pct of_max;
+              Table.pct vrate;
+            ];
+          ],
+          [
+            ("fig4." ^ app.name ^ ".baseline_median", bm);
+            ("fig4." ^ app.name ^ ".radical_median", rm);
+            ("fig4." ^ app.name ^ ".ideal_median", im);
+            ("fig4." ^ app.name ^ ".improvement", improvement);
+            ("fig4." ^ app.name ^ ".of_max", of_max);
+            ("fig4." ^ app.name ^ ".validation_rate", vrate);
+          ] ))
+      data
   in
   Table.print
     ~header:
@@ -264,7 +255,7 @@ let fig4 data =
   print_newline ();
   Table.print_bars
     (List.concat_map
-       (fun ((app : Bundle.app), runs) ->
+       (fun ((app : Apps.Bundle.app), runs) ->
          [
            (app.name ^ " baseline", Runner.median_of (List.assoc "baseline" runs));
            (app.name ^ " radical ", Runner.median_of (List.assoc "radical" runs));
@@ -277,43 +268,41 @@ let fig4 data =
   ms
 
 let fig5 data =
-  heading
+  Runner.heading
     "Figure 5 — end-to-end latency per deployment location (red line =\n\
      inconsistent local ideal)";
   List.concat_map
-    (fun ((app : Bundle.app), runs) ->
+    (fun ((app : Apps.Bundle.app), runs) ->
       Printf.printf "\n[%s]\n" app.name;
       let locs tag = Runner.by_loc (List.assoc tag runs) in
       let b = locs "baseline" and r = locs "radical" and i = locs "ideal" in
       let rows, ms =
-        List.fold_left
-          (fun (rows, ms) loc ->
+        tabulate
+          (fun loc ->
             match
               (List.assoc_opt loc b, List.assoc_opt loc r, List.assoc_opt loc i)
             with
             | Some sb, Some sr, Some si ->
-                ( rows
-                  @ [
-                      [
-                        loc;
-                        Table.ms (Stats.median sb);
-                        Table.ms (Stats.p99 sb);
-                        Table.ms (Stats.median sr);
-                        Table.ms (Stats.p99 sr);
-                        Table.ms (Stats.median si);
-                      ];
-                    ],
-                  ms
-                  @ [
-                      ( Printf.sprintf "fig5.%s.%s.baseline_median" app.name loc,
-                        Stats.median sb );
-                      ( Printf.sprintf "fig5.%s.%s.radical_median" app.name loc,
-                        Stats.median sr );
-                      ( Printf.sprintf "fig5.%s.%s.ideal_median" app.name loc,
-                        Stats.median si );
-                    ] )
-            | _ -> (rows, ms))
-          ([], []) Location.user_locations
+                ( [
+                    [
+                      loc;
+                      Table.ms (Stats.median sb);
+                      Table.ms (Stats.p99 sb);
+                      Table.ms (Stats.median sr);
+                      Table.ms (Stats.p99 sr);
+                      Table.ms (Stats.median si);
+                    ];
+                  ],
+                  [
+                    ( Printf.sprintf "fig5.%s.%s.baseline_median" app.name loc,
+                      Stats.median sb );
+                    ( Printf.sprintf "fig5.%s.%s.radical_median" app.name loc,
+                      Stats.median sr );
+                    ( Printf.sprintf "fig5.%s.%s.ideal_median" app.name loc,
+                      Stats.median si );
+                  ] )
+            | _ -> ([], []))
+          Location.user_locations
       in
       Table.print
         ~header:
@@ -323,37 +312,35 @@ let fig5 data =
     data
 
 let fig6 data =
-  heading "Figure 6 — per-function end-to-end latency, baseline vs Radical";
+  Runner.heading "Figure 6 — per-function end-to-end latency, baseline vs Radical";
   List.concat_map
-    (fun ((app : Bundle.app), runs) ->
+    (fun ((app : Apps.Bundle.app), runs) ->
       Printf.printf "\n[%s]\n" app.name;
       let b = Runner.by_fn (List.assoc "baseline" runs) in
       let r = Runner.by_fn (List.assoc "radical" runs) in
       let rows, ms =
-        List.fold_left
-          (fun (rows, ms) (fn, sb) ->
+        tabulate
+          (fun (fn, sb) ->
             match List.assoc_opt fn r with
             | Some sr ->
-                ( rows
-                  @ [
-                      [
-                        fn;
-                        Table.ms (Stats.median sb);
-                        Table.ms (Stats.p99 sb);
-                        Table.ms (Stats.median sr);
-                        Table.ms (Stats.p99 sr);
-                        (match Apps.Catalog.find fn with
-                        | Some i -> Table.ms i.exec_ms
-                        | None -> "-");
-                      ];
-                    ],
-                  ms
-                  @ [
-                      ("fig6." ^ fn ^ ".baseline_median", Stats.median sb);
-                      ("fig6." ^ fn ^ ".radical_median", Stats.median sr);
-                    ] )
-            | None -> (rows, ms))
-          ([], []) b
+                ( [
+                    [
+                      fn;
+                      Table.ms (Stats.median sb);
+                      Table.ms (Stats.p99 sb);
+                      Table.ms (Stats.median sr);
+                      Table.ms (Stats.p99 sr);
+                      (match Apps.Catalog.find fn with
+                      | Some i -> Table.ms i.exec_ms
+                      | None -> "-");
+                    ];
+                  ],
+                  [
+                    ("fig6." ^ fn ^ ".baseline_median", Stats.median sb);
+                    ("fig6." ^ fn ^ ".radical_median", Stats.median sr);
+                  ] )
+            | None -> ([], []))
+          b
       in
       Table.print
         ~header:
@@ -380,55 +367,49 @@ let write_heavy_fn n_keys =
   }
 
 let replication ?(seed = 42) () =
-  heading
+  Runner.heading
     "§5.6 — replicated LVI server: added request latency vs number of\n\
      locks (paper model: 3 + 2.3 * L ms)";
   let lock_counts = [ 1; 2; 4; 8 ] in
   let funcs = List.map write_heavy_fn lock_counts in
   let measure features l =
-    let engine = Engine.create ~seed () in
-    let out = ref nan in
-    Engine.run engine (fun () ->
-        let net = Transport.create ~jitter_sigma:0.0 ~rng:(Rng.split (Engine.rng ())) () in
-        let base =
-          { Radical.Framework.default_config with locations = [ Location.ca ] }
-        in
-        let config = Radical.Deployment.config ~base features in
-        let fw = Radical.Framework.create ~config ~net ~funcs ~data:[] () in
+    Runner.simulate ~seed ~jitter:0.0 ~tracer:Metrics.Tracer.noop
+      ~locations:[ Location.ca ]
+      (Runner.Radical_with (Radical.Deployment.config features))
+      ~funcs ~schema:[]
+      ~data:(fun _ -> [])
+      (fun d _ ->
         Engine.sleep 1000.0 (* raft warm-up *);
         let s = Stats.create () in
         for i = 1 to 9 do
-          let o =
-            Radical.Framework.invoke fw ~from:Location.ca
+          let latency, _ =
+            Runner.invoke d ~from:Location.ca
               (Printf.sprintf "write%d" l)
               [ Dval.Str (Printf.sprintf "t%d" i) ]
           in
-          Stats.add s o.latency;
+          Stats.add s latency;
           Engine.sleep 500.0
         done;
-        out := Stats.median s;
-        Radical.Framework.stop fw);
-    !out
+        Stats.median s)
   in
   let rows, ms =
-    List.fold_left
-      (fun (rows, ms) l ->
+    tabulate
+      (fun l ->
         let single = measure [] l in
         let repl = measure [ Replicated ] l in
         let added = repl -. single in
         let model = 3.0 +. (2.3 *. float_of_int l) in
-        ( rows
-          @ [
-              [
-                string_of_int l;
-                Table.ms single;
-                Table.ms repl;
-                Table.ms added;
-                Table.ms model;
-              ];
-            ],
-          ms @ [ (Printf.sprintf "repl.L%d.added_ms" l, added) ] ))
-      ([], []) lock_counts
+        ( [
+            [
+              string_of_int l;
+              Table.ms single;
+              Table.ms repl;
+              Table.ms added;
+              Table.ms model;
+            ];
+          ],
+          [ (Printf.sprintf "repl.L%d.added_ms" l, added) ] ))
+      lock_counts
   in
   Table.print
     ~header:[ "locks"; "singleton"; "replicated"; "added"; "paper model" ]
@@ -438,7 +419,7 @@ let replication ?(seed = 42) () =
 (* --- §5.7 cost ---------------------------------------------------------- *)
 
 let cost () =
-  heading "§5.7 — monthly cost, baseline vs Radical";
+  Runner.heading "§5.7 — monthly cost, baseline vs Radical";
   let p = Cost.defaults in
   Printf.printf "infrastructure: baseline $%.2f, Radical $%.2f (%.0f%% increase)\n\n"
     (Cost.infrastructure_baseline p)
@@ -447,24 +428,22 @@ let cost () =
     *. 100.0);
   let volumes = [ 1e6; 1e7; 1e8 ] in
   let rows, ms =
-    List.fold_left
-      (fun (rows, ms) v ->
+    tabulate
+      (fun v ->
         let b = Cost.at_scale p ~invocations_per_month:v in
-        ( rows
-          @ [
-              [
-                Printf.sprintf "%.0fM" (v /. 1e6);
-                Printf.sprintf "$%.2f" b.baseline_total;
-                Printf.sprintf "$%.2f" b.radical_total;
-                Printf.sprintf "%.2fx" b.overhead_ratio;
-              ];
-            ],
-          ms
-          @ [
-              (Printf.sprintf "cost.%.0fM.baseline" (v /. 1e6), b.baseline_total);
-              (Printf.sprintf "cost.%.0fM.radical" (v /. 1e6), b.radical_total);
-            ] ))
-      ([], []) volumes
+        ( [
+            [
+              Printf.sprintf "%.0fM" (v /. 1e6);
+              Printf.sprintf "$%.2f" b.baseline_total;
+              Printf.sprintf "$%.2f" b.radical_total;
+              Printf.sprintf "%.2fx" b.overhead_ratio;
+            ];
+          ],
+          [
+            (Printf.sprintf "cost.%.0fM.baseline" (v /. 1e6), b.baseline_total);
+            (Printf.sprintf "cost.%.0fM.radical" (v /. 1e6), b.radical_total);
+          ] ))
+      volumes
   in
   Table.print
     ~header:[ "invocations/month"; "baseline"; "radical"; "ratio" ]
@@ -474,7 +453,7 @@ let cost () =
 (* --- §5.5 sensitivity: execution time vs benefit ------------------------ *)
 
 let sensitivity ?(seed = 42) () =
-  heading
+  Runner.heading
     "§5.5 — sensitivity to function execution time: Radical vs baseline\n\
      for a synthetic handler (1 read + T ms compute), clients in CA";
   let open Fdsl.Ast in
@@ -486,7 +465,7 @@ let sensitivity ?(seed = 42) () =
       body = Compute (t, Read (Input "k"));
     }
   in
-  let app t : Bundle.app =
+  let app t : Apps.Bundle.app =
     {
       name = "sweep";
       funcs = [ fn_of t ];
@@ -497,8 +476,8 @@ let sensitivity ?(seed = 42) () =
     }
   in
   let rows, ms =
-    List.fold_left
-      (fun (rows, ms) t ->
+    tabulate
+      (fun t ->
         let run sys =
           Runner.run ~seed ~locations:[ Location.ca ] ~clients_per_loc:4
             ~requests_per_client:25 ~jitter:0.0 sys (app t)
@@ -506,17 +485,16 @@ let sensitivity ?(seed = 42) () =
         let radical = Runner.median_of (run Runner.Radical) in
         let central = Runner.median_of (run Runner.Central) in
         let benefit = central -. radical in
-        ( rows
-          @ [
-              [
-                Printf.sprintf "%.0f" t;
-                Table.ms central;
-                Table.ms radical;
-                Table.ms benefit;
-              ];
-            ],
-          ms @ [ (Printf.sprintf "sensitivity.T%.0f.benefit" t, benefit) ] ))
-      ([], []) exec_times
+        ( [
+            [
+              Printf.sprintf "%.0f" t;
+              Table.ms central;
+              Table.ms radical;
+              Table.ms benefit;
+            ];
+          ],
+          [ (Printf.sprintf "sensitivity.T%.0f.benefit" t, benefit) ] ))
+      exec_times
   in
   Table.print
     ~header:[ "exec (ms)"; "baseline"; "radical"; "benefit" ]
@@ -529,21 +507,21 @@ let sensitivity ?(seed = 42) () =
 (* --- §3.2 gradual cache bootstrap ----------------------------------------- *)
 
 let bootstrap ?(seed = 42) () =
-  heading
+  Runner.heading
     "§3.2 — gradual cache bootstrap: validation success over time when\n\
      every near-user cache starts empty (each miss repairs the cache)";
-  let app = Bundle.social in
-  let engine = Engine.create ~seed () in
+  let app = Apps.Bundle.social in
   let buckets = Hashtbl.create 16 in
   let bucket_size = 200 in
   let n_requests = 2400 in
   let done_count = ref 0 in
-  Engine.run engine (fun () ->
-      let rng = Engine.rng () in
-      let net = Transport.create ~jitter_sigma:0.05 ~rng:(Rng.split rng) () in
-      let data = app.seed (Rng.split rng) in
-      let config = { Radical.Framework.default_config with warm_caches = false } in
-      let fw = Radical.Framework.create ~config ~net ~funcs:app.funcs ~data () in
+  let config = { Radical.Framework.default_config with warm_caches = false } in
+  Runner.simulate ~seed ~jitter:0.05 ~tracer:Metrics.Tracer.noop
+    ~locations:Location.user_locations (Runner.Radical_with config)
+    ~funcs:app.funcs ~schema:app.schema
+    ~data:(fun rng -> app.seed (Rng.split rng))
+    (fun d rng ->
+      let fw = Runner.framework d in
       let gen = app.new_gen () in
       let rngs = Array.init 50 (fun _ -> Rng.split rng) in
       Workload.Driver.run_clients ~n:50 ~iterations:(n_requests / 50)
@@ -557,31 +535,18 @@ let bootstrap ?(seed = 42) () =
             Option.value ~default:(0, 0) (Hashtbl.find_opt buckets idx)
           in
           let ok = if o.path = Radical.Runtime.Speculative then ok + 1 else ok in
-          Hashtbl.replace buckets idx (ok, total + 1));
-      Radical.Framework.stop fw);
-  let indices =
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) buckets [])
-  in
-  let ms =
-    List.map
+          Hashtbl.replace buckets idx (ok, total + 1)));
+  let rows, ms =
+    tabulate
       (fun idx ->
         let ok, total = Hashtbl.find buckets idx in
         let rate = float_of_int ok /. float_of_int (max 1 total) in
-        (Printf.sprintf "bootstrap.bucket%d" idx, rate))
-      indices
+        let first = idx * bucket_size in
+        ( [ [ Printf.sprintf "%d-%d" first (first + total); Table.pct rate ] ],
+          [ (Printf.sprintf "bootstrap.bucket%d" idx, rate) ] ))
+      (List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) buckets []))
   in
-  Table.print
-    ~header:[ "requests"; "speculative-path rate" ]
-    ~rows:
-      (List.map
-         (fun idx ->
-           let ok, total = Hashtbl.find buckets idx in
-           [
-             Printf.sprintf "%d-%d" (idx * bucket_size)
-               ((idx * bucket_size) + total);
-             Table.pct (float_of_int ok /. float_of_int (max 1 total));
-           ])
-         indices);
+  Table.print ~header:[ "requests"; "speculative-path rate" ] ~rows;
   Printf.printf
     "\n(cold caches are repaired by mismatch responses: the speculative\n\
      path climbs from ~0%% toward the warm-cache rate — §3.2's gradual\n\
@@ -591,16 +556,16 @@ let bootstrap ?(seed = 42) () =
 (* --- Skew sweep (§5.3: high skew stresses the locking scheme) -------- *)
 
 let skew ?(seed = 42) () =
-  heading
+  Runner.heading
     "§5.3 — workload skew vs validation success: the social app with\n\
      the user-selection zipf parameter swept (paper runs at 0.99)";
   let thetas = [ 0.0; 0.5; 0.9; 0.99; 1.2 ] in
   let rows, ms =
-    List.fold_left
-      (fun (rows, ms) theta ->
-        let app : Bundle.app =
+    tabulate
+      (fun theta ->
+        let app : Apps.Bundle.app =
           {
-            Bundle.social with
+            Apps.Bundle.social with
             name = Printf.sprintf "social-z%.2f" theta;
             new_gen =
               (fun () ->
@@ -610,17 +575,16 @@ let skew ?(seed = 42) () =
         in
         let r = Runner.run ~seed ~requests_per_client:40 Runner.Radical app in
         let vrate = Option.value ~default:nan r.validation_rate in
-        ( rows
-          @ [
-              [
-                Printf.sprintf "%.2f" theta;
-                Table.ms (Runner.median_of r);
-                Table.ms (Runner.p99_of r);
-                Table.pct vrate;
-              ];
-            ],
-          ms @ [ (Printf.sprintf "skew.z%.2f.validation" theta, vrate) ] ))
-      ([], []) thetas
+        ( [
+            [
+              Printf.sprintf "%.2f" theta;
+              Table.ms (Runner.median_of r);
+              Table.ms (Runner.p99_of r);
+              Table.pct vrate;
+            ];
+          ],
+          [ (Printf.sprintf "skew.z%.2f.validation" theta, vrate) ] ))
+      thetas
   in
   Table.print
     ~header:[ "zipf theta"; "radical med"; "radical p99"; "val rate" ]
@@ -634,51 +598,31 @@ let skew ?(seed = 42) () =
 (* --- Throughput parity (§5.3's footnote) --------------------------------- *)
 
 let throughput ?(seed = 42) () =
-  heading
+  Runner.heading
     "§5.3 — throughput parity: completed requests in a fixed window,\n\
      Radical vs primary-datacenter baseline (paper: identical; the only\n\
      added component is the LVI server)";
-  let app = Bundle.social in
+  let app = Apps.Bundle.social in
   let window = 20_000.0 (* virtual ms *) in
   let completed sys =
-    let engine = Engine.create ~seed () in
     let count = ref 0 in
-    Engine.run engine (fun () ->
-        let rng = Engine.rng () in
-        let net =
-          Transport.create ~jitter_sigma:0.05 ~rng:(Rng.split rng) ()
-        in
-        let data = app.seed (Rng.split rng) in
+    Runner.simulate ~seed ~jitter:0.05 ~tracer:Metrics.Tracer.noop
+      ~locations:Location.user_locations sys ~funcs:app.funcs
+      ~schema:app.schema
+      ~data:(fun rng -> app.seed (Rng.split rng))
+      (fun d rng ->
         let gen = app.new_gen () in
-        let invoke, finish =
-          match sys with
-          | `Radical ->
-              let fw =
-                Radical.Framework.create ~net ~funcs:app.funcs ~data ()
-              in
-              ( (fun ~from fn args ->
-                  ignore (Radical.Framework.invoke fw ~from fn args)),
-                fun () -> Radical.Framework.stop fw )
-          | `Central ->
-              let b =
-                Radical.Baselines.centralized ~net ~funcs:app.funcs ~data ()
-              in
-              ( (fun ~from fn args ->
-                  ignore (Radical.Baselines.invoke b ~from fn args)),
-                fun () -> () )
-        in
         let rngs = Array.init 50 (fun _ -> Rng.split rng) in
         Workload.Driver.run_for ~n:50 ~duration:window ~think_time:50.0
           (fun ~client ~iter:_ ->
             let from = List.nth Location.user_locations (client mod 5) in
             let fn, args = gen rngs.(client) in
-            invoke ~from fn args;
-            incr count);
-        finish ());
+            ignore (Runner.invoke d ~from fn args);
+            incr count));
     !count
   in
-  let r = completed `Radical in
-  let c = completed `Central in
+  let r = completed Runner.Radical in
+  let c = completed Runner.Central in
   let ratio = float_of_int r /. float_of_int c in
   Table.print
     ~header:[ "system"; "requests / 20 s window"; "throughput ratio" ]
@@ -696,14 +640,14 @@ let throughput ?(seed = 42) () =
 (* --- Per-phase latency breakdown (tracing) ------------------------------- *)
 
 let phases ?(scale = 1.0) ?(seed = 42) () =
-  heading
+  Runner.heading
     "Per-phase latency breakdown — the social app under Radical with\n\
      request tracing enabled: where each request path spends its time";
   let tracer = Metrics.Tracer.create () in
-  let rpc = scaled scale 25 in
+  let rpc = Runner.scaled scale 25 in
   let r =
     Runner.run ~seed ~requests_per_client:rpc ~tracer Runner.Radical
-      Bundle.social
+      Apps.Bundle.social
   in
   let per_path =
     List.fold_left
@@ -720,39 +664,36 @@ let phases ?(scale = 1.0) ?(seed = 42) () =
   in
   let paths = [ "Speculative"; "Backup"; "Fallback" ] in
   let rows, ms =
-    List.fold_left
-      (fun (rows, ms) path ->
+    tabulate
+      (fun path ->
         let here =
           List.filter_map
             (fun ((p, phase), s) -> if p = path then Some (phase, s) else None)
             per_path
         in
         let total = List.assoc_opt "total" here in
-        List.fold_left
-          (fun (rows, ms) (phase, s) ->
-            ( rows
-              @ [
-                  [
-                    path;
-                    phase;
-                    string_of_int (Stats.count s);
-                    Table.ms (Stats.mean s);
-                    Table.ms (Stats.median s);
-                    Table.ms (Stats.p99 s);
-                    (match total with
-                    | Some t when phase <> "total" && Stats.mean t > 0.0 ->
-                        Table.pct (Stats.mean s /. Stats.mean t)
-                    | _ -> "-");
-                  ];
-                ],
-              ms
-              @ [
-                  ( Printf.sprintf "phases.%s.%s.mean_ms" path phase,
-                    Stats.mean s );
-                ] ))
-          (rows, ms)
+        tabulate
+          (fun (phase, s) ->
+            ( [
+                [
+                  path;
+                  phase;
+                  string_of_int (Stats.count s);
+                  Table.ms (Stats.mean s);
+                  Table.ms (Stats.median s);
+                  Table.ms (Stats.p99 s);
+                  (match total with
+                  | Some t when phase <> "total" && Stats.mean t > 0.0 ->
+                      Table.pct (Stats.mean s /. Stats.mean t)
+                  | _ -> "-");
+                ];
+              ],
+              [
+                ( Printf.sprintf "phases.%s.%s.mean_ms" path phase,
+                  Stats.mean s );
+              ] ))
           (List.sort (fun (a, _) (b, _) -> compare a b) here))
-      ([], []) paths
+      paths
   in
   Table.print
     ~header:[ "path"; "phase"; "count"; "mean"; "median"; "p99"; "of total" ]
@@ -769,11 +710,11 @@ let phases ?(scale = 1.0) ?(seed = 42) () =
 (* --- Ablations ----------------------------------------------------------- *)
 
 let ablation ?(scale = 1.0) ?(seed = 42) () =
-  heading
+  Runner.heading
     "Ablation — why a single overlapped LVI request: Radical vs\n\
      no-overlap vs per-access coordination (naive edge) vs baselines";
-  let app = Bundle.social in
-  let rpc = scaled scale 25 in
+  let app = Apps.Bundle.social in
+  let rpc = Runner.scaled scale 25 in
   let run sys = Runner.run ~seed ~requests_per_client:rpc sys app in
   let no_overlap =
     { Radical.Framework.default_config with overlap = false }
@@ -793,30 +734,13 @@ let ablation ?(scale = 1.0) ?(seed = 42) () =
     ]
   in
   let rows, ms =
-    List.fold_left
-      (fun (rows, ms) (name, sys) ->
+    tabulate
+      (fun (name, sys) ->
         let r = run sys in
         let med = Runner.median_of r in
-        ( rows @ [ [ name; Table.ms med; Table.ms (Runner.p99_of r) ] ],
-          ms @ [ ("ablation." ^ name, med) ] ))
-      ([], []) systems
+        ( [ [ name; Table.ms med; Table.ms (Runner.p99_of r) ] ],
+          [ ("ablation." ^ name, med) ] ))
+      systems
   in
   Table.print ~header:[ "system"; "median"; "p99" ] ~rows;
   ms
-
-let all ?(scale = 1.0) () =
-  ignore (fig1 ~scale ());
-  ignore (table1 ());
-  ignore (table2 ());
-  let data = collect_eval ~scale () in
-  ignore (fig4 data);
-  ignore (fig5 data);
-  ignore (fig6 data);
-  ignore (replication ());
-  ignore (cost ());
-  ignore (sensitivity ());
-  ignore (skew ());
-  ignore (throughput ());
-  ignore (bootstrap ());
-  ignore (ablation ~scale ());
-  ignore (phases ~scale ())

@@ -1,17 +1,10 @@
 open Sim
-module Transport = Net.Transport
 module Stats = Metrics.Stats
 module Table = Metrics.Table
 module Framework = Radical.Framework
 module Server = Radical.Server
 module Runtime = Radical.Runtime
 
-type measurement = string * float
-
-let heading title =
-  Printf.printf "\n================================================================\n";
-  Printf.printf "%s\n" title;
-  Printf.printf "================================================================\n"
 
 (* --- read-heavy zipf catalog ------------------------------------------
 
@@ -26,7 +19,7 @@ let heading title =
 
 let n_items = 16
 
-let key prefix input = Fdsl.Ast.(Concat [ Str prefix; Input input ])
+let key = Synthetic.key
 
 (* Statically read-only, single key: the lease-local candidate. *)
 let get_item_fn =
@@ -113,19 +106,19 @@ type cell = {
   c_blocked_writes : int;
 }
 
-let run_cell ?(seed = 42) ~variant ~clients_per_loc ~requests_per_client () =
-  let engine = Engine.create ~seed () in
-  let out = ref None in
-  Engine.run engine (fun () ->
-      let rng = Engine.rng () in
-      let net = Transport.create ~jitter_sigma:0.05 ~rng:(Rng.split rng) () in
-      let config =
-        {
-          Framework.default_config with
-          server = { Server.default_config with leases = variant.v_leases };
-        }
-      in
-      let fw = Framework.create ~config ~net ~funcs ~data:seed_data () in
+let run_cell ~seed ~variant ~clients_per_loc ~requests_per_client =
+  let config =
+    {
+      Framework.default_config with
+      server = { Server.default_config with leases = variant.v_leases };
+    }
+  in
+  Runner.simulate ~seed ~jitter:0.05 ~tracer:Metrics.Tracer.noop
+    ~locations:Net.Location.user_locations (Runner.Radical_with config) ~funcs
+    ~schema:[]
+    ~data:(fun _ -> seed_data)
+    (fun d rng ->
+      let fw = Runner.framework d in
       let sites = Framework.locations fw in
       let n_sites = List.length sites in
       let zipf = Workload.Zipf.create ~n:n_items ~theta:0.99 in
@@ -178,25 +171,21 @@ let run_cell ?(seed = 42) ~variant ~clients_per_loc ~requests_per_client () =
       (* Let straggler followups commit and their settles conclude. *)
       Engine.sleep 1000.0;
       let srv = Server.stats (Framework.server fw) in
-      Framework.stop fw;
-      out :=
-        Some
-          {
-            c_variant = variant.v_name;
-            c_ro_median = Stats.median ro_lat;
-            c_ro_p99 = Stats.p99 ro_lat;
-            c_w_median = Stats.median w_lat;
-            c_median = Stats.median all_lat;
-            c_local = !local;
-            c_ro_requests = !ro_requests;
-            c_requests = !requests;
-            c_errors = !errors;
-            c_grants = srv.lease_grants;
-            c_revokes = srv.lease_revokes;
-            c_expiry_waits = srv.lease_expiry_waits;
-            c_blocked_writes = srv.lease_blocked_writes;
-          });
-  match !out with Some c -> c | None -> assert false
+      {
+        c_variant = variant.v_name;
+        c_ro_median = Stats.median ro_lat;
+        c_ro_p99 = Stats.p99 ro_lat;
+        c_w_median = Stats.median w_lat;
+        c_median = Stats.median all_lat;
+        c_local = !local;
+        c_ro_requests = !ro_requests;
+        c_requests = !requests;
+        c_errors = !errors;
+        c_grants = srv.lease_grants;
+        c_revokes = srv.lease_revokes;
+        c_expiry_waits = srv.lease_expiry_waits;
+        c_blocked_writes = srv.lease_blocked_writes;
+      })
 
 (* --- the experiment --------------------------------------------------- *)
 
@@ -248,7 +237,7 @@ let measurements_of cells =
     cells
 
 let run ?(scale = 1.0) ?(seed = 42) () =
-  heading
+  Runner.heading
     "Read leases — read-heavy zipf mix, read-only median latency with\n\
      leases off / on (revocation) / on (expiry-wait only)";
   let clients_per_loc = 3 in
@@ -263,7 +252,7 @@ let run ?(scale = 1.0) ?(seed = 42) () =
   let cells =
     List.map
       (fun v ->
-        run_cell ~seed ~variant:v ~clients_per_loc ~requests_per_client ())
+        run_cell ~seed ~variant:v ~clients_per_loc ~requests_per_client)
       variants
   in
   print_cells cells;

@@ -1,5 +1,4 @@
 open Sim
-module Transport = Net.Transport
 module Stats = Metrics.Stats
 module Table = Metrics.Table
 module Tracer = Metrics.Tracer
@@ -7,12 +6,6 @@ module Framework = Radical.Framework
 module Server = Radical.Server
 module Runtime = Radical.Runtime
 
-type measurement = string * float
-
-let heading title =
-  Printf.printf "\n================================================================\n";
-  Printf.printf "%s\n" title;
-  Printf.printf "================================================================\n"
 
 (* --- multi-site shared-key workload ----------------------------------
 
@@ -26,36 +19,7 @@ let heading title =
 
 let n_walls = 12
 
-let key prefix input = Fdsl.Ast.(Concat [ Str prefix; Input input ])
-
-let post_fn =
-  let open Fdsl.Ast in
-  {
-    fn_name = "post";
-    params = [ "w"; "txt" ];
-    body =
-      Compute
-        ( 1.0,
-          Let
-            ( "cur",
-              Read (key "wall:" "w"),
-              Seq
-                [
-                  Write
-                    (key "wall:" "w", Concat [ Var "cur"; Str "|"; Input "txt" ]);
-                  Var "cur";
-                ] ) );
-  }
-
-let read_wall_fn =
-  let open Fdsl.Ast in
-  {
-    fn_name = "read_wall";
-    params = [ "w" ];
-    body = Compute (0.5, Read (key "wall:" "w"));
-  }
-
-let funcs = [ post_fn; read_wall_fn ]
+let funcs = [ Synthetic.post; Synthetic.read_wall ]
 
 let seed_data =
   List.init n_walls (fun i -> (Printf.sprintf "wall:w%d" i, Dval.Str ""))
@@ -102,20 +66,20 @@ type cell = {
   c_lag_p50 : float; (* commit-to-install freshness lag; nan when none *)
 }
 
-let run_cell ?(seed = 42) ~variant ~clients_per_loc ~requests_per_client () =
-  let engine = Engine.create ~seed () in
-  let out = ref None in
-  Engine.run engine (fun () ->
-      let rng = Engine.rng () in
-      let net = Transport.create ~jitter_sigma:0.05 ~rng:(Rng.split rng) () in
-      let tracer = Tracer.create () in
-      let config =
-        {
-          Framework.default_config with
-          server = { Server.default_config with propagation = variant.v_prop };
-        }
-      in
-      let fw = Framework.create ~config ~tracer ~net ~funcs ~data:seed_data () in
+let run_cell ~seed ~variant ~clients_per_loc ~requests_per_client =
+  let tracer = Tracer.create () in
+  let config =
+    {
+      Framework.default_config with
+      server = { Server.default_config with propagation = variant.v_prop };
+    }
+  in
+  Runner.simulate ~seed ~jitter:0.05 ~tracer
+    ~locations:Net.Location.user_locations (Runner.Radical_with config) ~funcs
+    ~schema:[]
+    ~data:(fun _ -> seed_data)
+    (fun d rng ->
+      let fw = Runner.framework d in
       let sites = Framework.locations fw in
       let n_sites = List.length sites in
       let wrng = Rng.split rng in
@@ -174,26 +138,22 @@ let run_cell ?(seed = 42) ~variant ~clients_per_loc ~requests_per_client () =
         | first :: rest ->
             Stats.median (List.fold_left Stats.merge first rest)
       in
-      Framework.stop fw;
-      out :=
-        Some
-          {
-            c_variant = variant.v_name;
-            c_spec_rate =
-              (if invocations = 0 then 0.0
-               else float_of_int spec /. float_of_int invocations);
-            c_median = Stats.median lat;
-            c_p99 = Stats.p99 lat;
-            c_backup = !backup;
-            c_requests = !requests;
-            c_errors = !errors;
-            c_prop_batches = srv.prop_batches;
-            c_prop_records = srv.prop_records;
-            c_installed = installed;
-            c_batch_mean = batch_mean;
-            c_lag_p50 = lag_p50;
-          });
-  match !out with Some c -> c | None -> assert false
+      {
+        c_variant = variant.v_name;
+        c_spec_rate =
+          (if invocations = 0 then 0.0
+           else float_of_int spec /. float_of_int invocations);
+        c_median = Stats.median lat;
+        c_p99 = Stats.p99 lat;
+        c_backup = !backup;
+        c_requests = !requests;
+        c_errors = !errors;
+        c_prop_batches = srv.prop_batches;
+        c_prop_records = srv.prop_records;
+        c_installed = installed;
+        c_batch_mean = batch_mean;
+        c_lag_p50 = lag_p50;
+      })
 
 (* --- the experiment --------------------------------------------------- *)
 
@@ -237,7 +197,7 @@ let measurements_of cells =
     cells
 
 let run ?(scale = 1.0) ?(seed = 42) () =
-  heading
+  Runner.heading
     "Cache-update propagation — multi-site shared keys, speculation\n\
      success and latency vs. propagation off / Nagle window sweep /\n\
      invalidate-only";
@@ -254,7 +214,7 @@ let run ?(scale = 1.0) ?(seed = 42) () =
   let cells =
     List.map
       (fun v ->
-        run_cell ~seed ~variant:v ~clients_per_loc ~requests_per_client ())
+        run_cell ~seed ~variant:v ~clients_per_loc ~requests_per_client)
       variants
   in
   print_cells cells;

@@ -19,9 +19,6 @@
     success must be strictly higher and median latency strictly lower
     than with propagation off. *)
 
-type measurement = string * float
-
-val run : ?scale:float -> ?seed:int -> unit -> measurement list
-(** [scale] multiplies the per-client request count ([make check]
-    smoke-runs at [--scale 1]; the acceptance run uses the default
-    bench scale 5). *)
+val run : ?scale:float -> ?seed:int -> unit -> Runner.measurement list
+(** [scale] multiplies the per-client request count (bench scale 5,
+    as [make check] runs it). *)

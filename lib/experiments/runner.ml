@@ -2,6 +2,17 @@ open Sim
 module Transport = Net.Transport
 module Location = Net.Location
 module Framework = Radical.Framework
+module Baselines = Radical.Baselines
+module Stats = Metrics.Stats
+
+type measurement = string * float
+
+let heading title =
+  Printf.printf "\n================================================================\n";
+  Printf.printf "%s\n" title;
+  Printf.printf "================================================================\n"
+
+let scaled scale n = max 1 (int_of_float (float_of_int n *. scale))
 
 type system =
   | Radical
@@ -12,13 +23,55 @@ type system =
   | Naive_edge
   | Validate_per_read
 
-let system_name = function
-  | Radical | Radical_with _ -> "radical"
-  | Central -> "central"
-  | Local -> "local"
-  | Geo _ -> "geo"
-  | Naive_edge -> "naive-edge"
-  | Validate_per_read -> "validate-per-read"
+(* --- the simulation skeleton ------------------------------------------ *)
+
+type deployment = Framework of Framework.t | Baseline of Baselines.t
+
+let deploy ~net ~tracer ~locations system ~funcs ~schema ~data =
+  let radical (config : Framework.config) =
+    Framework
+      (Framework.create ~config:{ config with locations } ~schema ~tracer ~net
+         ~funcs ~data ())
+  in
+  match system with
+  | Radical -> radical Framework.default_config
+  | Radical_with config -> radical config
+  | Central -> Baseline (Baselines.centralized ~net ~funcs ~data ())
+  | Local -> Baseline (Baselines.local ~locations ~funcs ~data ())
+  | Geo replicas ->
+      Baseline (Baselines.geo_replicated ~replicas ~locations ~funcs ~data ())
+  | Naive_edge -> Baseline (Baselines.naive_edge ~funcs ~data ())
+  | Validate_per_read -> Baseline (Baselines.validate_per_read ~funcs ~data ())
+
+let simulate ~seed ~jitter ~tracer ~locations system ~funcs ~schema ~data load
+    =
+  let engine = Engine.create ~seed () in
+  let out = ref None in
+  Engine.run engine (fun () ->
+      let rng = Engine.rng () in
+      let net =
+        Transport.create ~jitter_sigma:jitter ~tracer ~rng:(Rng.split rng) ()
+      in
+      let data = data rng in
+      let d = deploy ~net ~tracer ~locations system ~funcs ~schema ~data in
+      out := Some (load d rng);
+      match d with Framework fw -> Framework.stop fw | Baseline _ -> ());
+  Option.get !out
+
+let invoke d ~from fn args =
+  match d with
+  | Framework fw ->
+      let o = Framework.invoke fw ~from fn args in
+      (o.latency, Result.is_error o.value)
+  | Baseline b ->
+      let o = Baselines.invoke b ~from fn args in
+      (o.latency, Result.is_error o.value)
+
+let framework = function
+  | Framework fw -> fw
+  | Baseline _ -> invalid_arg "Runner.framework: a baseline deployment"
+
+(* --- closed-loop runs ------------------------------------------------- *)
 
 type sample = { s_loc : Net.Location.t; s_fn : string; s_latency : float }
 
@@ -29,74 +82,47 @@ type result = {
   errors : int;
 }
 
-let run ?(seed = 42) ?(locations = Location.user_locations)
-    ?(clients_per_loc = 10) ?(requests_per_client = 40) ?(jitter = 0.05)
-    ?(think_time = 500.0) ?(tracer = Metrics.Tracer.noop) system
-    (app : Bundle.app) =
-  let engine = Engine.create ~seed () in
+let rates = function
+  | Baseline _ -> (None, None)
+  | Framework fw ->
+      let ratio n d =
+        if d > 0 then Some (float_of_int n /. float_of_int d) else None
+      in
+      let st = Radical.Server.stats (Framework.server fw) in
+      let invocations, spec =
+        List.fold_left
+          (fun (inv, sp) loc ->
+            let s = Radical.Runtime.stats (Framework.runtime fw loc) in
+            (inv + s.invocations, sp + s.speculative))
+          (0, 0) (Framework.locations fw)
+      in
+      (ratio st.validated (st.validated + st.mismatched), ratio spec invocations)
+
+let collect ~seed ~jitter ~tracer ~locations system (app : Apps.Bundle.app)
+    load =
   let samples = ref [] in
   let errors = ref 0 in
-  let validation_rate = ref None in
-  let spec_rate = ref None in
-  Engine.run engine (fun () ->
-      let rng = Engine.rng () in
-      let net =
-        Transport.create ~jitter_sigma:jitter ~tracer ~rng:(Rng.split rng) ()
-      in
-      let data = app.seed (Rng.split rng) in
-      let invoke, finish =
-        match system with
-        | Radical | Radical_with _ ->
-            let config =
-              match system with
-              | Radical_with c -> Some { c with locations }
-              | _ -> Some { Framework.default_config with locations }
-            in
-            let fw =
-              Framework.create ?config ~schema:app.schema ~tracer ~net
-                ~funcs:app.funcs ~data ()
-            in
-            ( (fun ~from fn args ->
-                let o = Framework.invoke fw ~from fn args in
-                (o.latency, Result.is_error o.value)),
-              fun () ->
-                let st = Radical.Server.stats (Framework.server fw) in
-                let checked = st.validated + st.mismatched in
-                if checked > 0 then
-                  validation_rate :=
-                    Some (float_of_int st.validated /. float_of_int checked);
-                let invocations, spec =
-                  List.fold_left
-                    (fun (inv, sp) loc ->
-                      let s = Radical.Runtime.stats (Framework.runtime fw loc) in
-                      (inv + s.invocations, sp + s.speculative))
-                    (0, 0) locations
-                in
-                if invocations > 0 then
-                  spec_rate :=
-                    Some (float_of_int spec /. float_of_int invocations);
-                Framework.stop fw )
-        | Central | Local | Geo _ | Naive_edge | Validate_per_read ->
-            let b =
-              match system with
-              | Central ->
-                  Radical.Baselines.centralized ~net ~funcs:app.funcs ~data ()
-              | Local ->
-                  Radical.Baselines.local ~locations ~funcs:app.funcs ~data ()
-              | Geo replicas ->
-                  Radical.Baselines.geo_replicated ~replicas ~locations
-                    ~funcs:app.funcs ~data ()
-              | Naive_edge ->
-                  Radical.Baselines.naive_edge ~funcs:app.funcs ~data ()
-              | Validate_per_read ->
-                  Radical.Baselines.validate_per_read ~funcs:app.funcs ~data ()
-              | Radical | Radical_with _ -> assert false
-            in
-            ( (fun ~from fn args ->
-                let o = Radical.Baselines.invoke b ~from fn args in
-                (o.latency, Result.is_error o.value)),
-              fun () -> () )
-      in
+  let validation_rate, spec_rate =
+    simulate ~seed ~jitter ~tracer ~locations system ~funcs:app.funcs
+      ~schema:app.schema
+      ~data:(fun rng -> app.seed (Rng.split rng))
+      (fun d rng ->
+        load rng (fun ~from fn args ->
+            let latency, is_error = invoke d ~from fn args in
+            if is_error then incr errors;
+            samples :=
+              { s_loc = from; s_fn = fn; s_latency = latency } :: !samples);
+        rates d)
+  in
+  { samples = List.rev !samples; validation_rate; spec_rate; errors = !errors }
+
+(* Paced load: the paper measures latency, not saturated throughput. *)
+let think_time = 500.0
+
+let run ?(seed = 42) ?(locations = Location.user_locations)
+    ?(clients_per_loc = 10) ?(requests_per_client = 40) ?(jitter = 0.05)
+    ?(tracer = Metrics.Tracer.noop) system (app : Apps.Bundle.app) =
+  collect ~seed ~jitter ~tracer ~locations system app (fun rng invoke ->
       let gen = app.new_gen () in
       let n_locs = List.length locations in
       let client_rngs =
@@ -105,21 +131,11 @@ let run ?(seed = 42) ?(locations = Location.user_locations)
       Workload.Driver.run_clients ~n:(n_locs * clients_per_loc)
         ~iterations:requests_per_client ~think_time (fun ~client ~iter:_ ->
           let from = List.nth locations (client mod n_locs) in
-          let crng = client_rngs.(client) in
-          let fn, args = gen crng in
-          let latency, is_error = invoke ~from fn args in
-          if is_error then incr errors;
-          samples := { s_loc = from; s_fn = fn; s_latency = latency } :: !samples);
-      finish ());
-  {
-    samples = List.rev !samples;
-    validation_rate = !validation_rate;
-    spec_rate = !spec_rate;
-    errors = !errors;
-  }
+          let fn, args = gen client_rngs.(client) in
+          invoke ~from fn args))
 
 let stats_of_samples samples =
-  Metrics.Stats.of_list (List.map (fun s -> s.s_latency) samples)
+  Stats.of_list (List.map (fun s -> s.s_latency) samples)
 
 let overall r = stats_of_samples r.samples
 
@@ -142,9 +158,61 @@ let by_loc r =
       else None)
     Location.user_locations
 
-let median_of r = Metrics.Stats.median (overall r)
+let median_of r = Stats.median (overall r)
 
-let p99_of r = Metrics.Stats.p99 (overall r)
+let p99_of r = Stats.p99 (overall r)
+
+(* --- open-loop cells ---------------------------------------------------- *)
+
+type load = {
+  offered : float;
+  achieved : float;
+  median : float;
+  p99 : float;
+  requests : int;
+  errors : int;
+}
+
+(* Raft warm-up: a replicated server elects its leader before the first
+   arrival, so the sweep measures steady state, not the election. *)
+let raft_warm_up = 800.0
+
+let open_loop fw ~rate ~duration ~rng request =
+  if Option.is_some (Radical.Server.raft_cluster (Framework.server fw)) then
+    Engine.sleep raft_warm_up;
+  let lat = Stats.create () in
+  let errors = ref 0 in
+  let t0 = Engine.now () in
+  let t_last = ref t0 in
+  let n =
+    Workload.Driver.run_open ~rate ~duration ~rng (fun ~arrival ->
+        let o : Radical.Runtime.outcome = request ~arrival in
+        if Result.is_error o.value then incr errors;
+        Stats.add lat o.latency;
+        t_last := Float.max !t_last (Engine.now ()))
+  in
+  let elapsed_s = Float.max 1e-9 ((!t_last -. t0) /. 1000.0) in
+  {
+    offered = rate;
+    achieved = float_of_int n /. elapsed_s;
+    median = Stats.median lat;
+    p99 = Stats.p99 lat;
+    requests = n;
+    errors = !errors;
+  }
+
+let rate_label r = Printf.sprintf "%.0f/s" r
+
+(* The classic saturation criterion: queueing delay, not the raw latency
+   floor, is what blows up past the knee. *)
+let peak_sustainable = function
+  | [] -> 0.0
+  | first :: _ as cells ->
+      List.fold_left
+        (fun acc c ->
+          if c.median <= 2.0 *. first.median then Float.max acc c.offered
+          else acc)
+        0.0 cells
 
 (* --- machine-readable bench output (--json) --------------------------- *)
 
@@ -162,33 +230,30 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+let json_string s = "\"" ^ json_escape s ^ "\""
+
 let json_float f =
   if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
 
+(* One nested object: ["name": {"k": v, ...}], each field on its own
+   line; [{}] when empty. *)
+let json_object name fields =
+  Printf.sprintf "  %s: {%s}" (json_string name)
+    (if fields = [] then ""
+     else
+       String.concat ","
+         (List.map
+            (fun (k, v) -> Printf.sprintf "\n    %s: %s" (json_string k) v)
+            fields)
+       ^ "\n  ")
+
 let write_json ?(dir = ".") ~experiment ~config measurements =
   let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" experiment) in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"experiment\": \"%s\",\n" (json_escape experiment));
-  Buffer.add_string buf "  \"config\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    \"%s\": \"%s\"" (json_escape k) (json_escape v)))
-    config;
-  Buffer.add_string buf (if config = [] then "},\n" else "\n  },\n");
-  Buffer.add_string buf "  \"measurements\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    \"%s\": %s" (json_escape k) (json_float v)))
-    measurements;
-  Buffer.add_string buf (if measurements = [] then "}\n" else "\n  }\n");
-  Buffer.add_string buf "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "{\n  \"experiment\": %s,\n%s,\n%s\n}\n"
+        (json_string experiment)
+        (json_object "config"
+           (List.map (fun (k, v) -> (k, json_string v)) config))
+        (json_object "measurements"
+           (List.map (fun (k, v) -> (k, json_float v)) measurements)));
   path

@@ -1,6 +1,21 @@
-(** Generic experiment runner: deploy an application on a system,
-    drive it with closed-loop clients from every location (§5.2's 50
-    logical clients), and collect per-request samples. *)
+(** The experiment harness. Every simulated experiment runs through
+    {!simulate}: one engine, one transport, one deployment, the
+    caller's load, then the stop. On top of it sit the closed-loop
+    runner (§5.2's 50 logical clients, {!run}), the open-loop cell of
+    the load sweeps ({!open_loop}), and the output every experiment
+    shares: its banner ({!heading}) and its BENCH file
+    ({!write_json}). *)
+
+type measurement = string * float
+(** One named number an experiment reports. The list an experiment
+    returns is what [bench/main.exe --json] writes to its BENCH file. *)
+
+val heading : string -> unit
+(** Print an experiment's banner: its title between two rules. *)
+
+val scaled : float -> int -> int
+(** [scaled scale n] is [n * scale] rounded down, at least 1: a
+    request volume at bench scale [scale]. *)
 
 type system =
   | Radical (** The full framework. *)
@@ -13,7 +28,42 @@ type system =
       (** §1's late-reads strawman: near-user execution with a blocking
           per-read validation round trip. *)
 
-val system_name : system -> string
+(** {1 The simulation skeleton} *)
+
+type deployment =
+  | Framework of Radical.Framework.t
+  | Baseline of Radical.Baselines.t
+
+val simulate :
+  seed:int ->
+  jitter:float ->
+  tracer:Metrics.Tracer.t ->
+  locations:Net.Location.t list ->
+  system ->
+  funcs:Fdsl.Ast.func list ->
+  schema:Fdsl.Typecheck.schema ->
+  data:(Sim.Rng.t -> (string * Dval.t) list) ->
+  (deployment -> Sim.Rng.t -> 'a) ->
+  'a
+(** One simulated run in a fresh engine seeded [seed]: the engine's RNG
+    is split first for a transport with [jitter] and [tracer]; [data rng]
+    gives the seed data; [system] is deployed over [locations] (a
+    [Radical_with] config's own are replaced) with [funcs], typechecked
+    against [schema], its framework sharing [tracer]. Then [load d rng]
+    runs the caller's workload, its own RNG splits, any drain and the
+    reading of its counters; the framework stops and [load]'s result is
+    returned. *)
+
+val invoke :
+  deployment -> from:Net.Location.t -> string -> Dval.t list -> float * bool
+(** One invocation on either kind of deployment: its latency and
+    whether its result was an error. *)
+
+val framework : deployment -> Radical.Framework.t
+(** The framework of a Radical deployment.
+    @raise Invalid_argument on a baseline. *)
+
+(** {1 Closed-loop runs} *)
 
 type sample = { s_loc : Net.Location.t; s_fn : string; s_latency : float }
 
@@ -26,22 +76,33 @@ type result = {
   errors : int;
 }
 
+val collect :
+  seed:int ->
+  jitter:float ->
+  tracer:Metrics.Tracer.t ->
+  locations:Net.Location.t list ->
+  system ->
+  Apps.Bundle.app ->
+  (Sim.Rng.t -> (from:Net.Location.t -> string -> Dval.t list -> unit) -> unit) ->
+  result
+(** {!simulate} the app over its seed data (one RNG split), the load
+    getting the RNG and an invoke that records a sample per request. *)
+
 val run :
   ?seed:int ->
   ?locations:Net.Location.t list ->
   ?clients_per_loc:int ->
   ?requests_per_client:int ->
   ?jitter:float ->
-  ?think_time:float ->
   ?tracer:Metrics.Tracer.t ->
   system ->
-  Bundle.app ->
+  Apps.Bundle.app ->
   result
 (** Defaults: the five user locations, 10 clients each, 40 requests per
-    client (2,000 requests total), 5%% latency jitter, 500 ms client
-    think time (paced load — the paper measures latency, not saturated
-    throughput). Each sample is one invocation's end-to-end latency at
-    its client's location.
+    client (2,000 requests total), 5%% latency jitter. Clients think
+    500 ms between requests (paced load — the paper measures latency,
+    not saturated throughput). Each sample is one invocation's
+    end-to-end latency at its client's location.
 
     An enabled [tracer] (default noop) is threaded through the transport
     and — for the Radical systems — the framework, collecting one span
@@ -62,16 +123,45 @@ val median_of : result -> float
 
 val p99_of : result -> float
 
+(** {1 Open-loop cells} *)
+
+type load = {
+  offered : float; (** Requests per virtual second. *)
+  achieved : float; (** Completions / time to the last completion. *)
+  median : float;
+  p99 : float;
+  requests : int;
+  errors : int;
+}
+
+val open_loop :
+  Radical.Framework.t ->
+  rate:float ->
+  duration:float ->
+  rng:Sim.Rng.t ->
+  (arrival:int -> Radical.Runtime.outcome) ->
+  load
+(** Poisson arrivals at [rate] for [duration] ms
+    ({!Workload.Driver.run_open}), each issuing the callback's request.
+    A Raft-replicated server first gets 800 ms to elect its leader. *)
+
+val rate_label : float -> string
+(** An offered rate as printed in the sweep tables ("400/s"). *)
+
+val peak_sustainable : load list -> float
+(** Highest offered rate before the latency knee: a cell is sustainable
+    while its median stays within 2x the first (lowest-rate) cell's
+    median. 0 when even the lowest rate has collapsed. *)
+
+(** {1 BENCH files} *)
+
 val write_json :
   ?dir:string ->
   experiment:string ->
   config:(string * string) list ->
-  (string * float) list ->
+  measurement list ->
   string
-(** Write an experiment's measurement list as
-    [<dir>/BENCH_<experiment>.json] (default [dir] the working
-    directory) — the machine-readable output behind
-    [bench/main.exe --json], tracking medians/p99/throughput across
-    revisions. [config] records the run parameters (scale, seed, …) as
-    string pairs; non-finite measurement values serialize as [null].
-    Returns the written path. *)
+(** Write [<dir>/BENCH_<experiment>.json] (default [dir] the working
+    directory), the file behind [bench/main.exe --json]: [config]
+    records the run parameters as strings, non-finite measurements
+    serialize as [null]. Returns the written path. *)

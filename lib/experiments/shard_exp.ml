@@ -1,17 +1,8 @@
 open Sim
-module Transport = Net.Transport
-module Stats = Metrics.Stats
 module Table = Metrics.Table
 module Tracer = Metrics.Tracer
 module Framework = Radical.Framework
 module Server = Radical.Server
-
-type measurement = string * float
-
-let heading title =
-  Printf.printf "\n================================================================\n";
-  Printf.printf "%s\n" title;
-  Printf.printf "================================================================\n"
 
 (* --- synthetic shardable workload ------------------------------------
 
@@ -27,55 +18,14 @@ let heading title =
 let n_families = 8
 let n_accounts = 200 (* per family *)
 
-let key prefix input = Fdsl.Ast.(Concat [ Str prefix; Input input ])
-
 let fam i = Printf.sprintf "f%d:bal:" i
 
 let pay_fn i =
-  let open Fdsl.Ast in
-  let p = fam i in
-  {
-    fn_name = Printf.sprintf "pay%d" i;
-    params = [ "src"; "dst" ];
-    body =
-      Compute
-        ( 1.0,
-          Let
-            ( "s",
-              Read (key p "src"),
-              Let
-                ( "d",
-                  Read (key p "dst"),
-                  Seq
-                    [
-                      Write (key p "src", Binop (Sub, Var "s", Int 1L));
-                      Write (key p "dst", Binop (Add, Var "d", Int 1L));
-                      Var "d";
-                    ] ) ) );
-  }
+  Synthetic.transfer (Printf.sprintf "pay%d" i) ~src:(fam i) ~dst:(fam i)
 
 let xfer_fn i =
-  let open Fdsl.Ast in
-  let p_src = fam i and p_dst = fam ((i + 1) mod n_families) in
-  {
-    fn_name = Printf.sprintf "xfer%d" i;
-    params = [ "src"; "dst" ];
-    body =
-      Compute
-        ( 1.0,
-          Let
-            ( "s",
-              Read (key p_src "src"),
-              Let
-                ( "d",
-                  Read (key p_dst "dst"),
-                  Seq
-                    [
-                      Write (key p_src "src", Binop (Sub, Var "s", Int 1L));
-                      Write (key p_dst "dst", Binop (Add, Var "d", Int 1L));
-                      Var "d";
-                    ] ) ) );
-  }
+  Synthetic.transfer (Printf.sprintf "xfer%d" i) ~src:(fam i)
+    ~dst:(fam ((i + 1) mod n_families))
 
 let funcs =
   List.init n_families pay_fn @ List.init n_families xfer_fn
@@ -112,46 +62,34 @@ let append_cost = 1.0
 type cell = {
   c_shards : int;
   c_cross_frac : float;
-  c_offered : float;
-  c_achieved : float;
-  c_median : float;
-  c_p99 : float;
-  c_requests : int;
-  c_errors : int;
+  c_load : Runner.load;
   c_cross : int; (* coordinated cross-shard requests, summed *)
   c_cross_aborts : int;
   c_prepares : int; (* participant slices prepared, summed *)
 }
 
-let run_cell ?(seed = 42) ?(trace = false) ~shards ~cross_frac ~rate
-    ~duration () =
-  let engine = Engine.create ~seed () in
-  let out = ref None in
-  let traced = ref None in
-  Engine.run engine (fun () ->
-      let rng = Engine.rng () in
-      let net = Transport.create ~jitter_sigma:0.05 ~rng:(Rng.split rng) () in
-      let tracer = if trace then Tracer.create () else Tracer.noop in
-      let repl = Radical.Deployment.config [ Replicated ] in
-      let batching = { Server.no_batching with append_cost } in
-      let config =
-        {
-          repl with
-          server = { repl.server with batching };
-          sharding = Some (strategy shards);
-        }
-      in
-      let fw = Framework.create ~config ~tracer ~net ~funcs ~data:seed_data () in
-      Engine.sleep 800.0 (* raft warm-up, one cluster per shard *);
+let run_cell ~seed ~tracer ~shards ~cross_frac ~rate ~duration =
+  let repl = Radical.Deployment.config [ Replicated ] in
+  let batching = { Server.no_batching with append_cost } in
+  let config =
+    {
+      repl with
+      server = { repl.server with batching };
+      sharding = Some (strategy shards);
+    }
+  in
+  Runner.simulate ~seed ~jitter:0.05 ~tracer
+    ~locations:Net.Location.user_locations (Runner.Radical_with config) ~funcs
+    ~schema:[]
+    ~data:(fun _ -> seed_data)
+    (fun d rng ->
+      let fw = Runner.framework d in
       let sites = Framework.locations fw in
       let n_sites = List.length sites in
       let wrng = Rng.split rng in
-      let lat = Stats.create () in
-      let errors = ref 0 in
-      let t0 = Engine.now () in
-      let t_last = ref t0 in
-      let n =
-        Workload.Driver.run_open ~rate ~duration ~rng:(Rng.split rng)
+      (* One Raft cluster per shard, each warmed up by [open_loop]. *)
+      let load =
+        Runner.open_loop fw ~rate ~duration ~rng:(Rng.split rng)
           (fun ~arrival ->
             let from = List.nth sites (arrival mod n_sites) in
             let family = Rng.int wrng n_families in
@@ -167,10 +105,7 @@ let run_cell ?(seed = 42) ?(trace = false) ~shards ~cross_frac ~rate
                 Dval.Str (Printf.sprintf "a%d" dst);
               ]
             in
-            let o = Framework.invoke fw ~from fn args in
-            if Result.is_error o.Radical.Runtime.value then incr errors;
-            Stats.add lat o.latency;
-            t_last := Float.max !t_last (Engine.now ()))
+            Framework.invoke fw ~from fn args)
       in
       let cross, aborts, prepares =
         List.fold_left
@@ -181,42 +116,16 @@ let run_cell ?(seed = 42) ?(trace = false) ~shards ~cross_frac ~rate
               p + st.shard_prepares ))
           (0, 0, 0) (Framework.servers fw)
       in
-      Framework.stop fw;
-      if trace then traced := Some tracer;
-      let elapsed_s = Float.max 1e-9 ((!t_last -. t0) /. 1000.0) in
-      out :=
-        Some
-          {
-            c_shards = shards;
-            c_cross_frac = cross_frac;
-            c_offered = rate;
-            c_achieved = float_of_int n /. elapsed_s;
-            c_median = Stats.median lat;
-            c_p99 = Stats.p99 lat;
-            c_requests = n;
-            c_errors = !errors;
-            c_cross = cross;
-            c_cross_aborts = aborts;
-            c_prepares = prepares;
-          });
-  match !out with Some c -> (c, !traced) | None -> assert false
+      {
+        c_shards = shards;
+        c_cross_frac = cross_frac;
+        c_load = load;
+        c_cross = cross;
+        c_cross_aborts = aborts;
+        c_prepares = prepares;
+      })
 
 (* --- the sweep -------------------------------------------------------- *)
-
-let rate_label r = Printf.sprintf "%.0f/s" r
-
-(* Highest offered rate before the latency knee (median within 2x the
-   shard count's own lowest-rate median) — same saturation criterion as
-   the batching sweep. *)
-let peak_sustainable cells =
-  match cells with
-  | [] -> 0.0
-  | first :: _ ->
-      let base = first.c_median in
-      List.fold_left
-        (fun acc c ->
-          if c.c_median <= 2.0 *. base then Float.max acc c.c_offered else acc)
-        0.0 cells
 
 let print_cells cells =
   Table.print
@@ -228,15 +137,16 @@ let print_cells cells =
     ~rows:
       (List.map
          (fun c ->
+           let l = c.c_load in
            [
              string_of_int c.c_shards;
              Printf.sprintf "%.0f%%" (100.0 *. c.c_cross_frac);
-             rate_label c.c_offered;
-             Printf.sprintf "%.0f/s" c.c_achieved;
-             Table.ms c.c_median;
-             Table.ms c.c_p99;
-             string_of_int c.c_requests;
-             string_of_int c.c_errors;
+             Runner.rate_label l.offered;
+             Printf.sprintf "%.0f/s" l.achieved;
+             Table.ms l.median;
+             Table.ms l.p99;
+             string_of_int l.requests;
+             string_of_int l.errors;
              string_of_int c.c_cross;
              string_of_int c.c_cross_aborts;
              string_of_int c.c_prepares;
@@ -244,7 +154,7 @@ let print_cells cells =
          cells)
 
 let run ?(scale = 1.0) ?(seed = 42) () =
-  heading
+  Runner.heading
     (Printf.sprintf
        "Shard scaling sweep — prefix-sharded LVI service, analyzer-routed\n\
         single-shard payments vs. cross-shard transfers, open-loop Poisson\n\
@@ -262,8 +172,8 @@ let run ?(scale = 1.0) ?(seed = 42) () =
         ( shards,
           List.map
             (fun rate ->
-              fst
-                (run_cell ~seed ~shards ~cross_frac:0.0 ~rate ~duration ()))
+              run_cell ~seed ~tracer:Tracer.noop ~shards ~cross_frac:0.0 ~rate
+                ~duration)
             rates ))
       shard_counts
   in
@@ -271,19 +181,22 @@ let run ?(scale = 1.0) ?(seed = 42) () =
   Printf.printf
     "\npeak sustainable throughput (highest offered rate with median\n\
      within 2x the shard count's lowest-rate median):\n";
-  let peak shards = peak_sustainable (List.assoc shards disjoint) in
+  let peak shards =
+    Runner.peak_sustainable
+      (List.map (fun c -> c.c_load) (List.assoc shards disjoint))
+  in
   List.iter
     (fun s -> Printf.printf "  %d shard%s  %.0f req/s\n" s
         (if s = 1 then " " else "s") (peak s))
     shard_counts;
 
   Printf.printf "\n-- cross-shard mix at 4 shards, %s offered --\n"
-    (rate_label 400.0);
+    (Runner.rate_label 400.0);
   let mixed =
     List.map
       (fun cross_frac ->
-        fst
-          (run_cell ~seed ~shards:4 ~cross_frac ~rate:400.0 ~duration ()))
+        run_cell ~seed ~tracer:Tracer.noop ~shards:4 ~cross_frac ~rate:400.0
+          ~duration)
       [ 0.0; 0.1; 0.5 ]
   in
   print_cells mixed;
@@ -291,12 +204,9 @@ let run ?(scale = 1.0) ?(seed = 42) () =
   (* Traced disjoint cell: a statically single-shard function must keep
      the unchanged one-round-trip protocol — no shard_prepare phase may
      appear anywhere in its traces. *)
-  let cell, tracer =
-    run_cell ~seed ~trace:true ~shards:4 ~cross_frac:0.0 ~rate:200.0
-      ~duration ()
-  in
-  ignore cell;
-  let tracer = Option.get tracer in
+  let tracer = Tracer.create () in
+  ignore
+    (run_cell ~seed ~tracer ~shards:4 ~cross_frac:0.0 ~rate:200.0 ~duration);
   let prepare_phases =
     List.filter
       (fun ((_, phase, _), _) -> phase = "shard_prepare")
@@ -324,18 +234,19 @@ let run ?(scale = 1.0) ?(seed = 42) () =
     (fun (shards, cells) ->
       List.concat_map
         (fun c ->
-          let p = Printf.sprintf "shard.s%d.r%.0f" shards c.c_offered in
+          let l = c.c_load in
+          let p = Printf.sprintf "shard.s%d.r%.0f" shards l.offered in
           [
-            (p ^ ".median_ms", c.c_median);
-            (p ^ ".p99_ms", c.c_p99);
-            (p ^ ".achieved_rps", c.c_achieved);
+            (p ^ ".median_ms", l.median);
+            (p ^ ".p99_ms", l.p99);
+            (p ^ ".achieved_rps", l.achieved);
           ])
         cells)
     disjoint
   @ List.map
       (fun c ->
         ( Printf.sprintf "shard.mix.x%.0f.median_ms" (100.0 *. c.c_cross_frac),
-          c.c_median ))
+          c.c_load.median ))
       mixed
   @ List.map (fun s -> (Printf.sprintf "shard.peak.s%d_rps" s, peak s))
       shard_counts

@@ -25,9 +25,6 @@
     1-shard peak, and zero [shard_prepare] phases on the disjoint
     workload. *)
 
-type measurement = string * float
-
-val run : ?scale:float -> ?seed:int -> unit -> measurement list
-(** [scale] multiplies the 250 ms per-cell load window ([make check]
-    smoke-runs at [--scale 1]; the acceptance run uses the default
-    bench scale 5). *)
+val run : ?scale:float -> ?seed:int -> unit -> Runner.measurement list
+(** [scale] multiplies the 250 ms per-cell load window (bench scale 5,
+    as [make check] runs it). *)

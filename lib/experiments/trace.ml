@@ -11,7 +11,7 @@ type event = {
 type t = event list
 
 let generate ?(seed = 42) ?(rate = 100.0) ?(duration = 10_000.0)
-    ?(locations = Location.user_locations) (app : Bundle.app) =
+    ?(locations = Location.user_locations) (app : Apps.Bundle.app) =
   let rng = Rng.create seed in
   let gen = app.new_gen () in
   let n_locs = List.length locations in
@@ -87,63 +87,9 @@ let load path =
 
 (* --- Replay ------------------------------------------------------------ *)
 
-let replay ?(seed = 42) system (app : Bundle.app) trace =
-  let engine = Engine.create ~seed () in
-  let samples = ref [] in
-  let errors = ref 0 in
-  let validation_rate = ref None in
-  let spec_rate = ref None in
-  Engine.run engine (fun () ->
-      let rng = Engine.rng () in
-      let net =
-        Net.Transport.create ~jitter_sigma:0.05 ~rng:(Rng.split rng) ()
-      in
-      let data = app.seed (Rng.split rng) in
-      let invoke, finish =
-        match system with
-        | Runner.Radical | Runner.Radical_with _ ->
-            let config =
-              match system with
-              | Runner.Radical_with c -> c
-              | _ -> Radical.Framework.default_config
-            in
-            let fw =
-              Radical.Framework.create ~config ~schema:app.schema ~net
-                ~funcs:app.funcs ~data ()
-            in
-            ( (fun ~from fn args ->
-                let o = Radical.Framework.invoke fw ~from fn args in
-                (o.latency, Result.is_error o.value)),
-              fun () ->
-                let st = Radical.Server.stats (Radical.Framework.server fw) in
-                let checked = st.validated + st.mismatched in
-                if checked > 0 then
-                  validation_rate :=
-                    Some (float_of_int st.validated /. float_of_int checked);
-                Radical.Framework.stop fw )
-        | Runner.Central | Runner.Local | Runner.Geo _ | Runner.Naive_edge
-        | Runner.Validate_per_read ->
-            let b =
-              match system with
-              | Runner.Central ->
-                  Radical.Baselines.centralized ~net ~funcs:app.funcs ~data ()
-              | Runner.Local ->
-                  Radical.Baselines.local ~locations:Location.user_locations
-                    ~funcs:app.funcs ~data ()
-              | Runner.Geo replicas ->
-                  Radical.Baselines.geo_replicated ~replicas
-                    ~locations:Location.user_locations ~funcs:app.funcs ~data ()
-              | Runner.Naive_edge ->
-                  Radical.Baselines.naive_edge ~funcs:app.funcs ~data ()
-              | Runner.Validate_per_read ->
-                  Radical.Baselines.validate_per_read ~funcs:app.funcs ~data ()
-              | Runner.Radical | Runner.Radical_with _ -> assert false
-            in
-            ( (fun ~from fn args ->
-                let o = Radical.Baselines.invoke b ~from fn args in
-                (o.latency, Result.is_error o.value)),
-              fun () -> () )
-      in
+let replay ?(seed = 42) system app trace =
+  Runner.collect ~seed ~jitter:0.05 ~tracer:Metrics.Tracer.noop
+    ~locations:Location.user_locations system app (fun _ invoke ->
       let outstanding = ref 0 in
       let all_done = Ivar.create () in
       List.iter
@@ -151,19 +97,8 @@ let replay ?(seed = 42) system (app : Bundle.app) trace =
           incr outstanding;
           Engine.schedule ~at:e.at (fun () ->
               Engine.spawn ~name:"replay" (fun () ->
-                  let latency, is_error = invoke ~from:e.from e.fn e.args in
-                  if is_error then incr errors;
-                  samples :=
-                    { Runner.s_loc = e.from; s_fn = e.fn; s_latency = latency }
-                    :: !samples;
+                  invoke ~from:e.from e.fn e.args;
                   decr outstanding;
                   if !outstanding = 0 then Ivar.try_fill all_done () |> ignore)))
         trace;
-      if !outstanding > 0 then Ivar.read all_done;
-      finish ());
-  {
-    Runner.samples = List.rev !samples;
-    validation_rate = !validation_rate;
-    spec_rate = !spec_rate;
-    errors = !errors;
-  }
+      if !outstanding > 0 then Ivar.read all_done)

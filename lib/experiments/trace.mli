@@ -21,7 +21,7 @@ val generate :
   ?rate:float ->
   ?duration:float ->
   ?locations:Net.Location.t list ->
-  Bundle.app ->
+  Apps.Bundle.app ->
   t
 (** Poisson arrivals (default 100 req/s for 10 s of virtual time) with
     requests drawn from the app's Table 1 mix and origins round-robin
@@ -33,7 +33,8 @@ val save : t -> string -> unit
 
 val load : string -> (t, string) result
 
-val replay : ?seed:int -> Runner.system -> Bundle.app -> t -> Runner.result
+val replay : ?seed:int -> Runner.system -> Apps.Bundle.app -> t -> Runner.result
 (** Open-loop replay: each event fires at its recorded time regardless
     of earlier requests' completion. The app supplies functions and seed
-    data; the trace supplies the load. *)
+    data; the trace supplies the load. The result reports the same
+    rates as {!Runner.run}. *)

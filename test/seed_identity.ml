@@ -18,7 +18,7 @@
 
 module Figures = Experiments.Figures
 module Runner = Experiments.Runner
-module Bundle = Experiments.Bundle
+module Bundle = Apps.Bundle
 module Campaign = Chaos.Campaign
 module Plan = Chaos.Plan
 
@@ -66,14 +66,7 @@ let replicated =
    campaign runner's) and print the history fingerprint of every run. *)
 let chaos_block label ~seeds ~config templates =
   pr "== chaos %s ==\n" label;
-  let app =
-    {
-      Campaign.ca_name = Bundle.social.name;
-      ca_funcs = Bundle.social.funcs;
-      ca_seed = Bundle.social.seed;
-      ca_gen = Bundle.social.new_gen;
-    }
-  in
+  let app = Bundle.social in
   for seed = 1 to seeds do
     List.iteri
       (fun i (t : Plan.template) ->

@@ -58,11 +58,12 @@ let version_of fw k =
 (* A tiny key-value campaign app over a handful of contended keys. *)
 let kv_app =
   {
-    Campaign.ca_name = "kv";
-    ca_funcs = funcs;
-    ca_seed =
+    Apps.Bundle.name = "kv";
+    funcs;
+    schema = [];
+    seed =
       (fun _ -> List.init 10 (fun i -> (Printf.sprintf "k%d" i, Dval.int 0)));
-    ca_gen =
+    new_gen =
       (fun () rng ->
         let k = Printf.sprintf "k%d" (Rng.int rng 10) in
         if Rng.bool rng then
@@ -331,14 +332,7 @@ let test_oracle_flags_effect_miscounts () =
 
 let test_small_sweep_no_violations () =
   let summary =
-    Campaign.sweep ~replay_every:5 ~seeds:2
-      (let open Campaign in
-       {
-         ca_name = "kv";
-         ca_funcs = kv_app.ca_funcs;
-         ca_seed = kv_app.ca_seed;
-         ca_gen = kv_app.ca_gen;
-       })
+    Campaign.sweep ~replay_every:5 ~seeds:2 kv_app
   in
   Alcotest.(check bool) "ran the full grid" true (summary.Campaign.runs >= 12);
   Alcotest.(check int) "zero violations" 0

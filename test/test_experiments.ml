@@ -4,7 +4,7 @@
    the results fails CI, not just the benchmark report. *)
 
 module Runner = Experiments.Runner
-module Bundle = Experiments.Bundle
+module Bundle = Apps.Bundle
 module Location = Net.Location
 
 let small sys app = Runner.run ~requests_per_client:10 sys app
@@ -227,6 +227,75 @@ let test_trace_replay () =
   Alcotest.(check bool) "radical beats baseline on the same trace" true
     (Runner.median_of r < Runner.median_of b)
 
+(* Replay reads its rates through the same harness as closed-loop runs,
+   so a Radical replay reports how many requests speculated. *)
+let test_trace_replay_spec_rate () =
+  let trace = Trace.generate ~seed:3 ~rate:30.0 ~duration:3000.0 Bundle.social in
+  match (Trace.replay Runner.Radical Bundle.social trace).spec_rate with
+  | None -> Alcotest.fail "spec_rate not reported"
+  | Some r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "spec_rate %g in (0, 1]" r)
+        true
+        (r > 0.0 && r <= 1.0)
+
+(* --- BENCH files ------------------------------------------------------ *)
+
+let json_of ~config measurements =
+  let dir = Filename.temp_file "radical-bench" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let path = Runner.write_json ~dir ~experiment:"t" ~config measurements in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove path;
+      Sys.rmdir dir)
+    (fun () ->
+      Alcotest.(check string) "path" (Filename.concat dir "BENCH_t.json") path;
+      In_channel.with_open_text path In_channel.input_all)
+
+let test_json_non_finite () =
+  Alcotest.(check string) "nan and infinities are null"
+    {|{
+  "experiment": "t",
+  "config": {
+    "scale": "5"
+  },
+  "measurements": {
+    "a": null,
+    "b": null,
+    "c": null,
+    "d": 1.5
+  }
+}
+|}
+    (json_of ~config:[ ("scale", "5") ]
+       [ ("a", nan); ("b", infinity); ("c", neg_infinity); ("d", 1.5) ])
+
+let test_json_escaping () =
+  Alcotest.(check string) "quotes, backslashes and control characters"
+    {|{
+  "experiment": "t",
+  "config": {
+    "k\"q": "v\\b"
+  },
+  "measurements": {
+    "x\\y\nz\u0001": 2
+  }
+}
+|}
+    (json_of ~config:[ ("k\"q", "v\\b") ] [ ("x\\y\nz\001", 2.0) ])
+
+let test_json_empty () =
+  Alcotest.(check string) "empty blocks are still objects"
+    {|{
+  "experiment": "t",
+  "config": {},
+  "measurements": {}
+}
+|}
+    (json_of ~config:[] [])
+
 (* --- Semantic equivalence of the speculative path ---------------------- *)
 
 (* Whatever the protocol machinery does — f^rw prediction, cache reads,
@@ -294,6 +363,14 @@ let () =
           Alcotest.test_case "load rejects garbage" `Quick
             test_trace_load_rejects_garbage;
           Alcotest.test_case "replay" `Slow test_trace_replay;
+          Alcotest.test_case "replay reports spec_rate" `Slow
+            test_trace_replay_spec_rate;
+        ] );
+      ( "bench json",
+        [
+          Alcotest.test_case "non-finite values" `Quick test_json_non_finite;
+          Alcotest.test_case "key escaping" `Quick test_json_escaping;
+          Alcotest.test_case "empty blocks" `Quick test_json_empty;
         ] );
       ( "equivalence",
         [ QCheck_alcotest.to_alcotest prop_speculation_preserves_semantics ] );

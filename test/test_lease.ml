@@ -351,7 +351,7 @@ let test_lease_chaos_smoke () =
           ~base:Chaos.Campaign.default_config.deployment [ Leased ];
     }
   in
-  let app = Experiments.Chaos_exp.of_bundle Experiments.Bundle.social in
+  let app = Apps.Bundle.social in
   let summary =
     Chaos.Campaign.sweep ~config ~templates:[ template ] ~replay_every:10
       ~seeds:20 app

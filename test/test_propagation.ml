@@ -374,7 +374,7 @@ let test_propagation_chaos_smoke () =
           ~base:Chaos.Campaign.default_config.deployment [ Propagating ];
     }
   in
-  let app = Experiments.Chaos_exp.of_bundle Experiments.Bundle.social in
+  let app = Apps.Bundle.social in
   let summary =
     Chaos.Campaign.sweep ~config ~templates:[ template ] ~replay_every:10
       ~seeds:20 app

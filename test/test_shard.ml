@@ -383,7 +383,7 @@ let test_workload_stream_determinism () =
     Engine.run e (fun () ->
         let rng = Engine.rng () in
         let net = Transport.create ~jitter_sigma:0.0 ~rng:(Rng.split rng) () in
-        let bundle = Experiments.Bundle.social in
+        let bundle = Apps.Bundle.social in
         let config = { Framework.default_config with sharding } in
         let fw =
           Framework.create ~config ~net ~funcs:bundle.funcs
