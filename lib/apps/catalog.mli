@@ -1,5 +1,5 @@
 (** Function catalog: the ground truth of Table 1, plus the full
-    27-function inventory across the five ported applications (§3.4,
+    29-function inventory across the five ported applications (§3.4,
     §5.1). The benchmark harness checks its measurements against these
     figures and reprints the table. *)
 

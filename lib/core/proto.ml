@@ -60,6 +60,8 @@ type exec_result = {
   written : (string * Dval.t) list;
 }
 
+let failed msg = { value = Error msg; observed = []; written = [] }
+
 type lvi_response =
   | Validated of {
       write_versions : (string * int) list;

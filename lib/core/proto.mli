@@ -105,6 +105,10 @@ type exec_result = {
   written : (string * Dval.t) list;
 }
 
+val failed : string -> exec_result
+(** An execution that did not run: the error [msg], nothing observed,
+    nothing written. *)
+
 type lvi_response =
   | Validated of {
       write_versions : (string * int) list;

@@ -257,54 +257,30 @@ let record t ~exec_id ~start ~finish (res : Proto.exec_result) =
         }
 
 (* Speculative execution against the near-user cache (Figure 3, 2a).
-   Writes are buffered — Radical delays cache updates until the LVI
-   response arrives (§3.2) — and reads see the buffer first so the
-   execution observes its own writes. *)
+   Writes stay in the execution's own buffer — Radical delays cache
+   updates until the LVI response arrives (§3.2). Each read pays the
+   cache access, but predicted reads are served from the snapshot the
+   LVI request validates: the live cache can change mid-speculation
+   (concurrent followups, a fault-injected wipe) and those values were
+   never validated. *)
 let speculate t ~exec_id ?(span = Tracer.none) ?(snapshot = [])
     (entry : Registry.entry) args : Proto.exec_result Ivar.t =
   let iv = Ivar.create () in
   Engine.spawn ~name:"speculate" (fun () ->
-      let observed = ref [] in
-      let buffer = ref [] in
-      let host =
-        {
-          Wasm.Host.external_call = Extsvc.dispatcher t.extsvc ~exec_id;
-          read =
-            (fun k ->
-              match List.assoc_opt k !buffer with
-              | Some v -> v
-              | None ->
-                  (* Pay the cache access, but serve predicted reads
-                     from the snapshot the LVI request validates: the
-                     live cache can change mid-speculation (concurrent
-                     followups, a fault-injected wipe) and those values
-                     were never validated. *)
-                  let live = Cache.get t.cache k in
-                  let v =
-                    match List.assoc_opt k snapshot with
-                    | Some v -> v
-                    | None -> (
-                        match live with
-                        | Some { Cache.value; _ } -> value
-                        | None -> Dval.Unit)
-                  in
-                  if not (List.mem_assoc k !observed) then
-                    observed := (k, v) :: !observed;
-                  v);
-          write = (fun k v -> buffer := (k, v) :: List.remove_assoc k !buffer);
-          compute = Engine.sleep;
-        }
-      in
-      let value =
-        Wasm.Interp.run entry.modul ~host ~entry:entry.func.fn_name args
+      let result =
+        Execute.run
+          ~external_call:(Extsvc.dispatcher t.extsvc ~exec_id)
+          entry
+          ~read:(fun k ->
+            let live = Cache.get t.cache k in
+            match List.assoc_opt k snapshot with
+            | Some v -> Some v
+            | None -> Option.map (fun { Cache.value; _ } -> value) live)
+          ~write:(fun _ _ -> ())
+          args
       in
       Tracer.stop span;
-      Ivar.fill iv
-        {
-          Proto.value;
-          observed = List.rev !observed;
-          written = List.rev !buffer;
-        });
+      Ivar.fill iv result);
   iv
 
 (* --- Shard endpoint selection ---------------------------------------- *)

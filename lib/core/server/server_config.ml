@@ -7,7 +7,6 @@ type protocol_mutation = Skip_reexecution
 
 type batching = {
   group_commit : bool;
-  request_flush : bool;
   persist_window : float;
   admission : bool;
   append_cost : float;
@@ -16,7 +15,6 @@ type batching = {
 let no_batching =
   {
     group_commit = false;
-    request_flush = false;
     persist_window = 0.0;
     admission = false;
     append_cost = 0.0;
@@ -25,7 +23,6 @@ let no_batching =
 let full_batching =
   {
     group_commit = true;
-    request_flush = true;
     persist_window = 2.0;
     admission = true;
     append_cost = 0.0;

@@ -17,13 +17,10 @@ type batching = {
   group_commit : bool;
       (** Replicated mode: the Raft leader folds proposals queued while
           an append is in flight into one log entry. *)
-  request_flush : bool;
-      (** Persist all lock records of one request as a single
-          [submit_batch] proposal instead of one submit per record. *)
   persist_window : float;
-      (** > 0: a Nagle flusher additionally coalesces the lock records
-          of *concurrent* requests arriving within this many virtual ms
-          into one proposal. 0 disables the flusher. *)
+      (** > 0: a Nagle flusher coalesces the lock records of concurrent
+          requests arriving within this many virtual ms into one
+          proposal. 0 disables the flusher: one proposal per record. *)
   admission : bool;
       (** Conflict-aware admission before the lock-and-persist section:
           statically non-conflicting requests ([Analyzer.Conflict]

@@ -29,7 +29,6 @@
 open Sim
 open Server_state
 module Transport = Net.Transport
-module Kv = Store.Kv
 module Locks = Store.Locks
 module Intents = Store.Intents
 module Tracer = Metrics.Tracer
@@ -41,44 +40,37 @@ let decide_timeout = 200.0
 let decide_retry_backoff = 100.0
 let decide_retries = 50
 
+(* Partition a key set into per-shard slices, ascending by shard id. *)
+let slices_of sh ~reads ~writes =
+  let slices = Hashtbl.create 4 in
+  let add k f =
+    let s = Shard.Directory.shard_of_key sh.sh_dir k in
+    let sl =
+      Option.value ~default:{ sl_reads = []; sl_writes = [] }
+        (Hashtbl.find_opt slices s)
+    in
+    Hashtbl.replace slices s (f sl)
+  in
+  List.iter
+    (fun k -> add k (fun sl -> { sl with sl_writes = k :: sl.sl_writes }))
+    writes;
+  List.iter
+    (fun (k, v) ->
+      add k (fun sl -> { sl with sl_reads = (k, v) :: sl.sl_reads }))
+    reads;
+  List.sort
+    (fun (a, _) (b, _) -> compare a b)
+    (Hashtbl.fold (fun s sl acc -> (s, sl) :: acc) slices [])
+
 let cross_parts (t : t) (req : Proto.lvi_request) =
   match t.sharding with
   | None -> None
-  | Some sh ->
-      if Shard.Directory.shards sh.sh_dir = 1 then None
-      else begin
-        let slices = Hashtbl.create 4 in
-        let slice s =
-          match Hashtbl.find_opt slices s with
-          | Some sl -> sl
-          | None ->
-              let sl = ref { sl_reads = []; sl_writes = [] } in
-              Hashtbl.add slices s sl;
-              sl
-        in
-        List.iter
-          (fun k ->
-            let sl = slice (Shard.Directory.shard_of_key sh.sh_dir k) in
-            sl := { !sl with sl_writes = k :: !sl.sl_writes })
-          req.writes;
-        List.iter
-          (fun (k, v) ->
-            let sl = slice (Shard.Directory.shard_of_key sh.sh_dir k) in
-            sl := { !sl with sl_reads = (k, v) :: !sl.sl_reads })
-          req.reads;
-        let parts =
-          List.sort
-            (fun (a, _) (b, _) -> compare a b)
-            (Hashtbl.fold (fun s sl acc -> (s, !sl) :: acc) slices [])
-        in
-        match parts with
-        | [] -> None
-        | [ (s, _) ] when s = sh.sh_id -> None
-        | parts -> Some parts
-      end
-
-let lock_list_of_slice sl =
-  Locks.lock_list ~reads:(List.map fst sl.sl_reads) ~writes:sl.sl_writes
+  | Some sh when Shard.Directory.shards sh.sh_dir = 1 -> None
+  | Some sh -> (
+      match slices_of sh ~reads:req.reads ~writes:req.writes with
+      | [] -> None
+      | [ (s, _) ] when s = sh.sh_id -> None
+      | parts -> Some parts)
 
 (* Participant side of one prepare round — also runs the coordinator's
    own slice. On [Shard_prepared] and [Shard_stale] the slice's locks
@@ -118,7 +110,9 @@ let prepare_slice (t : t) sh (sp : Proto.shard_prepare) : Proto.shard_vote =
         Server_persist.release t ~owner:owner' keys'
     | _ -> ());
     let sl = { sl_reads = sp.sp_reads; sl_writes = sp.sp_writes } in
-    let lock_list = lock_list_of_slice sl in
+    let lock_list =
+      Locks.lock_list ~reads:(List.map fst sl.sl_reads) ~writes:sl.sl_writes
+    in
     let keys = List.map fst lock_list in
     Hashtbl.replace sh.sh_preparing owner ();
     let granted =
@@ -157,16 +151,7 @@ let prepare_slice (t : t) sh (sp : Proto.shard_prepare) : Proto.shard_vote =
         Proto.Shard_prepared { sv_write_versions = [] }
       else begin
         Hashtbl.replace sh.sh_cross exec_id Cross_prepared;
-        let versions = Kv.versions_of t.kv keys in
-        let version_of k =
-          Option.value ~default:0 (List.assoc_opt k versions)
-        in
-        let stale =
-          List.filter_map
-            (fun (k, cached) ->
-              if version_of k <> cached then Some k else None)
-            sl.sl_reads
-        in
+        let version_of, stale = Server_exec.stale_reads t ~keys sl.sl_reads in
         if stale <> [] then Proto.Shard_stale { sv_stale = stale }
         else begin
           if sl.sl_writes <> [] then
@@ -286,6 +271,23 @@ let conclude_local (t : t) sh ~exec_id ~round ~commit ~from updates =
       sd_updates = own;
     }
 
+(* Conclude a cross-shard commit at the coordinator. [Some records]:
+   this call concluded the intent, so count the commit and send each
+   touched peer its slice of [records]; [None]: another party did. The
+   coordinator's own slice retires either way. *)
+let conclude_commit (t : t) sh ~exec_id ~from ~parts records =
+  let round =
+    Option.value ~default:1 (Hashtbl.find_opt sh.sh_coord_round exec_id)
+  in
+  (match records with
+  | Some records ->
+      t.s_cross_commits <- t.s_cross_commits + 1;
+      broadcast_decisions t sh ~exec_id ~round ~commit:true ~from
+        ~targets:(List.map fst parts) records
+  | None -> ());
+  conclude_local t sh ~exec_id ~round ~commit:true ~from
+    (Option.value ~default:[] records)
+
 let prepare_at (t : t) sh ~exec_id ~round ~blocking ~intent (target, sl) =
   let sp =
     {
@@ -316,29 +318,6 @@ let prepare_at (t : t) sh ~exec_id ~round ~blocking ~intent (target, sl) =
                decision still goes to this shard, so a late prepare that
                did acquire is released (or refused on arrival). *)
             Proto.Shard_busy)
-
-(* Partition a backup re-lock set by owning shard (reads carry no
-   version: lock-only rounds skip validation). *)
-let parts_of_locks sh lock_list =
-  let slices = Hashtbl.create 4 in
-  List.iter
-    (fun (k, mode) ->
-      let s = Shard.Directory.shard_of_key sh.sh_dir k in
-      let sl =
-        match Hashtbl.find_opt slices s with
-        | Some sl -> sl
-        | None ->
-            let sl = ref { sl_reads = []; sl_writes = [] } in
-            Hashtbl.add slices s sl;
-            sl
-      in
-      match mode with
-      | Locks.Write -> sl := { !sl with sl_writes = k :: !sl.sl_writes }
-      | Locks.Read -> sl := { !sl with sl_reads = (k, 0) :: !sl.sl_reads })
-    lock_list;
-  List.sort
-    (fun (a, _) (b, _) -> compare a b)
-    (Hashtbl.fold (fun s sl acc -> (s, !sl) :: acc) slices [])
 
 (* Coordinator side of a cross-shard LVI request (the router anchored it
    here — normally the minimum touched shard id). Runs the prepare
@@ -400,69 +379,26 @@ let handle_lvi_cross (t : t) sh (req : Proto.lvi_request) ~root ~arm_intent
   let any_busy votes =
     List.exists (fun (_, v) -> v = Proto.Shard_busy) votes
   in
-  (* Backup execution once validation failed somewhere. Static-class
-     functions run under the slices every shard still holds; dependent
-     functions may have mispredicted their set from a stale cache, so
-     drop everything, re-predict on primary and re-lock the corrected
-     set with ordered lock-only rounds until the prediction is stable.
-     Returns the result plus the round/parts still held (None when all
-     slices were already released). *)
-  let cross_backup (entry : Registry.entry) ~r ~votes:_ =
-    match entry.derived with
-    | Some d
-      when (match d.classification with
-           | Analyzer.Derive.Dependent _ | Analyzer.Derive.Manual -> true
-           | Analyzer.Derive.Static | Analyzer.Derive.Expensive -> false) ->
-        abort ~r ~parts [];
-        let predict_with reader =
-          Analyzer.Derive.predict d ~read:reader ~compute:ignore req.args
+  (* Backup execution once validation failed somewhere, entered holding
+     every shard's slice of round [r]. A dependent function's re-lock
+     takes its corrected set with an ordered lock-only round (its reads
+     carry no version: such rounds skip validation); a busy shard
+     aborts that round and counts as a failed attempt. *)
+  let cross_backup (entry : Registry.entry) ~r =
+    Server_exec.backup_execute t entry req ~held:(r, parts)
+      ~unlock:(fun (r, parts) -> abort ~r ~parts [])
+      ~lock:(fun _ (rwset : Analyzer.Rwset.t) ->
+        let lparts =
+          slices_of sh
+            ~reads:(List.map (fun k -> (k, 0)) rwset.reads)
+            ~writes:rwset.writes
         in
-        let charged_read k =
-          match Kv.get t.kv k with
-          | Some { value; _ } -> value
-          | None -> Dval.Unit
-        in
-        let free_read k =
-          match Kv.peek t.kv k with
-          | Some { value; _ } -> value
-          | None -> Dval.Unit
-        in
-        let rec settle attempt =
-          match predict_with charged_read with
-          | exception Fdsl.Eval.Error _ ->
-              (* Shape drift faulted the residual program: execute
-                 unlocked rather than strand the client. *)
-              (Server_exec.execute_on_primary t ~exec_id entry req.args, None)
-          | rwset -> (
-              let lparts =
-                parts_of_locks sh (Server_persist.lock_list_of rwset)
-              in
-              let rl, votes = run_round ~blocking:true ~intent:false lparts in
-              if any_busy votes then begin
-                abort ~r:rl ~parts:lparts [];
-                if attempt >= 3 then
-                  (Server_exec.execute_on_primary t ~exec_id entry req.args,
-                   None)
-                else settle (attempt + 1)
-              end
-              else
-                let stable =
-                  match predict_with free_read with
-                  | rwset' -> Analyzer.Rwset.equal rwset rwset'
-                  | exception Fdsl.Eval.Error _ -> false
-                in
-                if stable || attempt >= 3 then
-                  ( Server_exec.execute_on_primary t ~exec_id entry req.args,
-                    Some (rl, lparts) )
-                else begin
-                  abort ~r:rl ~parts:lparts [];
-                  settle (attempt + 1)
-                end)
-        in
-        settle 1
-    | Some _ | None ->
-        (Server_exec.execute_on_primary t ~exec_id entry req.args,
-         Some (r, parts))
+        let rl, votes = run_round ~blocking:true ~intent:false lparts in
+        if any_busy votes then begin
+          abort ~r:rl ~parts:lparts [];
+          None
+        end
+        else Some (rl, lparts))
   in
   let rec prepare_phase attempt =
     let r, votes = run_round ~blocking:(attempt > 0) ~intent:true parts in
@@ -481,12 +417,7 @@ let handle_lvi_cross (t : t) sh (req : Proto.lvi_request) ~root ~arm_intent
       t.s_cross_aborts <- t.s_cross_aborts + 1;
       Proto.Mismatch
         {
-          backup =
-            {
-              value = Error ("cross-shard prepare failed: " ^ exec_id);
-              observed = [];
-              written = [];
-            };
+          backup = Proto.failed ("cross-shard prepare failed: " ^ exec_id);
           updates = [];
         }
   | Some (r, votes) -> (
@@ -536,17 +467,12 @@ let handle_lvi_cross (t : t) sh (req : Proto.lvi_request) ~root ~arm_intent
             abort ~r ~parts [];
             Proto.Mismatch
               {
-                backup =
-                  {
-                    value = Error ("unknown function " ^ req.fn_name);
-                    observed = [];
-                    written = [];
-                  };
+                backup = Proto.failed ("unknown function " ^ req.fn_name);
                 updates = [];
               }
         | Some entry ->
             let sp_backup = Tracer.child t.tracer ~parent:root "backup_exec" in
-            let backup, held = cross_backup entry ~r ~votes in
+            let backup, held = cross_backup entry ~r in
             Tracer.stop sp_backup;
             let refresh_keys =
               List.sort_uniq String.compare

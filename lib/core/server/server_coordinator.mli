@@ -14,9 +14,6 @@ val cross_parts :
 (** The request's key set partitioned by owning shard, ascending; [None]
     when the request stays on this (or a single) shard. *)
 
-val lock_list_of_slice :
-  Server_state.slice -> (string * Store.Locks.mode) list
-
 val handle_shard_prepare :
   Server_state.t -> Proto.shard_prepare -> Proto.shard_vote
 (** Participant side of one prepare round. On [Shard_prepared] and
@@ -28,28 +25,21 @@ val handle_shard_decide : Server_state.t -> Proto.shard_decision -> unit
     its intent, record the outcome, publish its own records.
     Idempotent. *)
 
-val broadcast_decisions :
+val conclude_commit :
   Server_state.t ->
   Server_state.sharding ->
   exec_id:string ->
-  round:int ->
-  commit:bool ->
   from:Net.Location.t option ->
-  targets:int list ->
-  Proto.update list ->
+  parts:(int * Server_state.slice) list ->
+  Proto.update list option ->
   unit
-(** Conclude a round at every peer in [targets] (self is skipped), from
-    spawned fibers, retrying each decision until acknowledged. *)
-
-val conclude_local :
-  Server_state.t ->
-  Server_state.sharding ->
-  exec_id:string ->
-  round:int ->
-  commit:bool ->
-  from:Net.Location.t option ->
-  Proto.update list ->
-  unit
+(** Conclude a cross-shard commit at the coordinator, for the followup
+    and for deterministic re-execution alike. [Some records]: this
+    caller concluded the intent — count the commit and send every
+    touched peer a retried-until-acked decision carrying its own slice
+    of [records]. [None]: another party did. Either way the
+    coordinator's own slice retires. [from] is the site excluded from
+    cache-update propagation. *)
 
 val handle_lvi_cross :
   Server_state.t ->

@@ -1,11 +1,11 @@
-(* Execution layer of the LVI server engine: running a function against
-   primary storage — backup execution, deterministic re-execution,
-   direct execution — with every write settling the key's leases
-   first. *)
+(* Execution layer of the LVI server engine: the validation check and
+   running a function against primary storage — backup execution,
+   deterministic re-execution, direct execution — with every write
+   settling the key's leases first. The single-server and cross-shard
+   paths share each of these steps. *)
 
 open Server_state
 module Kv = Store.Kv
-module Tracer = Metrics.Tracer
 
 (* Every write an execution makes — backup execution, deterministic
    re-execution, direct execution — settles the key's leases first.
@@ -28,21 +28,37 @@ let execute_on_primary (t : t) ~exec_id (entry : Registry.entry) args :
       ignore (Kv.put t.kv k v))
     args
 
-(* Backup execution for a function whose validation failed. Static
-   functions have an exact predicted set, so they run under the locks
-   already held. Dependent functions may have mispredicted from a stale
-   cache: re-predict against the primary (now coherent), re-lock the
-   corrected set, and confirm the prediction is stable under those locks
-   before executing. *)
-let backup_execute ?(span = Tracer.none) (t : t) (entry : Registry.entry)
-    (req : Proto.lvi_request) ~held_keys =
+(* Validation (§3.3): sample primary's current versions of [keys] —
+   one charged storage access, read at its return instant — and list
+   the keys of [reads] whose cached version differs. Also returns the
+   sampled versions. *)
+let stale_reads (t : t) ~keys reads =
+  let versions = Kv.versions_of t.kv keys in
+  let version_of k = Option.value ~default:0 (List.assoc_opt k versions) in
+  ( version_of,
+    List.filter_map
+      (fun (k, cached) -> if version_of k <> cached then Some k else None)
+      reads )
+
+(* Backup execution for a function whose validation failed, entered
+   holding [held]. Static functions have an exact predicted set, so they
+   run under [held]. Dependent functions may have mispredicted from a
+   stale cache: drop [held], re-predict against the primary (now
+   coherent), [lock] the corrected set, and confirm the prediction is
+   stable under those locks before executing; at most three attempts.
+   [lock] returns [None] when it could not take the set (and holds
+   nothing then). Returns the result and whatever is still held, which
+   the caller releases. *)
+let backup_execute (t : t) (entry : Registry.entry) (req : Proto.lvi_request)
+    ~held ~lock ~unlock =
   let exec_id = req.exec_id in
+  let execute () = execute_on_primary t ~exec_id entry req.args in
   match entry.derived with
   | Some d
     when (match d.classification with
          | Analyzer.Derive.Dependent _ | Analyzer.Derive.Manual -> true
          | Analyzer.Derive.Static | Analyzer.Derive.Expensive -> false) ->
-      Server_persist.release t ~owner:exec_id held_keys;
+      unlock held;
       let predict_with reader =
         Analyzer.Derive.predict d ~read:reader ~compute:ignore req.args
       in
@@ -58,28 +74,23 @@ let backup_execute ?(span = Tracer.none) (t : t) (entry : Registry.entry)
             (* The residual program faulted on current primary data
                (shape drift); fall back to an unlocked execution rather
                than stranding the client. *)
-            execute_on_primary t ~exec_id entry req.args
-        | rwset ->
-            let owner = Printf.sprintf "%s#%d" exec_id attempt in
-            Server_persist.acquire ~span t ~owner
-              (Server_persist.lock_list_of rwset);
-            let stable =
-              match predict_with free_read with
-              | rwset' -> Analyzer.Rwset.equal rwset rwset'
-              | exception Fdsl.Eval.Error _ -> false
-            in
-            if stable || attempt >= 3 then begin
-              let result = execute_on_primary t ~exec_id entry req.args in
-              Server_persist.release t ~owner (Analyzer.Rwset.all_keys rwset);
-              result
-            end
-            else begin
-              Server_persist.release t ~owner (Analyzer.Rwset.all_keys rwset);
-              settle (attempt + 1)
-            end
+            (execute (), None)
+        | rwset -> (
+            match lock attempt rwset with
+            | None ->
+                if attempt >= 3 then (execute (), None)
+                else settle (attempt + 1)
+            | Some h ->
+                let stable =
+                  match predict_with free_read with
+                  | rwset' -> Analyzer.Rwset.equal rwset rwset'
+                  | exception Fdsl.Eval.Error _ -> false
+                in
+                if stable || attempt >= 3 then (execute (), Some h)
+                else begin
+                  unlock h;
+                  settle (attempt + 1)
+                end)
       in
       settle 1
-  | Some _ | None ->
-      let result = execute_on_primary t ~exec_id entry req.args in
-      Server_persist.release t ~owner:exec_id held_keys;
-      result
+  | Some _ | None -> (execute (), Some held)

@@ -7,7 +7,6 @@
 open Sim
 open Server_state
 module Pipeline = Server_pipeline
-module Kv = Store.Kv
 module Locks = Store.Locks
 module Intents = Store.Intents
 module Tracer = Metrics.Tracer
@@ -100,16 +99,11 @@ let settle_stage t =
 let validate_stage t =
   Pipeline.stage "validate" (fun c ->
       let sp_validate = Tracer.child t.tracer ~parent:c.sc_root "validate" in
-      let versions = Kv.versions_of t.kv c.sc_all_keys in
-      let version_of k =
-        Option.value ~default:0 (List.assoc_opt k versions)
+      let version_of, stale =
+        Server_exec.stale_reads t ~keys:c.sc_all_keys c.sc_req.reads
       in
       c.sc_version_of <- version_of;
-      c.sc_stale <-
-        List.filter_map
-          (fun (k, cached) ->
-            if version_of k <> cached then Some k else None)
-          c.sc_req.reads;
+      c.sc_stale <- stale;
       Tracer.stop sp_validate;
       Pipeline.Continue)
 
@@ -153,21 +147,22 @@ let reply_finish t c : Proto.lvi_response =
         Server_persist.release t ~owner:exec_id c.sc_all_keys;
         Proto.Mismatch
           {
-            backup =
-              {
-                value = Error ("unknown function " ^ req.fn_name);
-                observed = [];
-                written = [];
-              };
+            backup = Proto.failed ("unknown function " ^ req.fn_name);
             updates = [];
           }
     | Some entry ->
         (* The backup's own re-lock attempts nest under this span. *)
         let sp_backup = Tracer.child t.tracer ~parent:c.sc_root "backup_exec" in
-        let backup =
-          Server_exec.backup_execute ~span:sp_backup t entry req
-            ~held_keys:c.sc_all_keys
+        let unlock (owner, keys) = Server_persist.release t ~owner keys in
+        let backup, held =
+          Server_exec.backup_execute t entry req ~held:(exec_id, c.sc_all_keys)
+            ~unlock ~lock:(fun attempt rwset ->
+              let owner = Printf.sprintf "%s#%d" exec_id attempt in
+              Server_persist.acquire ~span:sp_backup t ~owner
+                (Server_persist.lock_list_of rwset);
+              Some (owner, Analyzer.Rwset.all_keys rwset))
         in
+        Option.iter unlock held;
         Tracer.stop sp_backup;
         let refresh_keys =
           List.sort_uniq String.compare
@@ -213,13 +208,8 @@ let ro_stage t ~root =
   Pipeline.stage "ro_validate" (fun (req : Proto.lvi_request) ->
       let sp = Tracer.child t.tracer ~parent:root "ro_validate" in
       let keys = List.map fst req.reads in
-      let versions = Kv.versions_of t.kv keys in
-      let fresh =
-        List.for_all
-          (fun (k, cached) ->
-            Option.value ~default:0 (List.assoc_opt k versions) = cached)
-          req.reads
-      in
+      let _, stale = Server_exec.stale_reads t ~keys req.reads in
+      let fresh = stale = [] in
       let unlocked = not (List.exists (Locks.write_locked t.locks) keys) in
       Tracer.stop sp;
       if fresh && unlocked then begin
@@ -305,12 +295,7 @@ let handle_exec (t : t) (req : Proto.exec_request) : Proto.exec_result =
       t.s_direct <- t.s_direct + 1;
       let result =
         match Registry.find t.registry req.dx_fn_name with
-        | None ->
-            {
-              Proto.value = Error ("unknown function " ^ req.dx_fn_name);
-              observed = [];
-              written = [];
-            }
+        | None -> Proto.failed ("unknown function " ^ req.dx_fn_name)
         | Some entry ->
             Server_exec.execute_on_primary t ~exec_id:req.dx_exec_id entry
               req.dx_args

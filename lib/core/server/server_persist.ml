@@ -9,28 +9,18 @@ module Locks = Store.Locks
 module RaftLocks = Raft_locks
 module Tracer = Metrics.Tracer
 
-(* How a request's lock records reach the replicated log, most to least
-   batched: through the cross-request Nagle flusher (persist_window);
-   as one submit_batch proposal per request (request_flush); or one
-   submit per record — the seed behaviour, "our implementation of the
-   replicated server acquires all locks in series". *)
+(* How a request's lock records reach the replicated log: through the
+   cross-request Nagle flusher (persist_window), or one submit per
+   record — the seed behaviour, "our implementation of the replicated
+   server acquires all locks in series". *)
 let persist_records (t : t) cmds =
   match t.repl with
   | None -> ()
-  | Some { cluster; flusher; _ } -> (
-      match flusher with
-      | Some b -> Batcher.submit_all b cmds
-      | None ->
-          if t.config.batching.request_flush then begin
-            Tracer.record_batch t.tracer ~label:"lock_persist"
-              (List.length cmds);
-            ignore (RaftLocks.submit_batch ~tracer:t.tracer cluster cmds)
-          end
-          else
-            List.iter
-              (fun cmd ->
-                ignore (RaftLocks.submit ~tracer:t.tracer cluster cmd))
-              cmds)
+  | Some { flusher = Some b; _ } -> Batcher.submit_all b cmds
+  | Some { cluster; flusher = None; _ } ->
+      List.iter
+        (fun cmd -> ignore (RaftLocks.submit ~tracer:t.tracer cluster cmd))
+        cmds
 
 let persist_locks t ~exec_id keys =
   persist_records t

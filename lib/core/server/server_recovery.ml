@@ -7,10 +7,26 @@ open Server_state
 module Intents = Store.Intents
 module Kv = Store.Kv
 
-(* Resolve an intent whose followup never arrived: deterministic
-   re-execution (§3.4). Read locks kept the read set frozen, so the
-   replay sees exactly the state the speculation saw and reproduces its
-   writes. Shared by the intent timer and by post-restart recovery. *)
+(* Deterministic re-execution of an orphaned intent, at most once near
+   storage (the "ns:" claim). Read locks kept the read set frozen, so
+   the replay sees exactly the state the speculation saw and reproduces
+   its writes. Returns the committed records; [] when the claim was
+   already taken. *)
+let replay (t : t) (req : Proto.lvi_request) =
+  if Server_persist.claim_execution t ~exec_id:("ns:" ^ req.exec_id) then begin
+    t.s_reexec <- t.s_reexec + 1;
+    match Registry.find t.registry req.fn_name with
+    | Some entry ->
+        let result =
+          Server_exec.execute_on_primary t ~exec_id:req.exec_id entry req.args
+        in
+        Server_propagator.committed_records t result.written
+    | None -> []
+  end
+  else []
+
+(* Resolve an intent whose followup never arrived by replaying it
+   (§3.4). Shared by the intent timer and by post-restart recovery. *)
 let resolve_orphaned_intent (t : t) (req : Proto.lvi_request) =
   let exec_id = req.exec_id in
   match t.mutation with
@@ -24,21 +40,11 @@ let resolve_orphaned_intent (t : t) (req : Proto.lvi_request) =
   match Server_coordinator.cross_parts t req with
   | None ->
       if Intents.try_complete t.intents ~exec_id then begin
-        (if Server_persist.claim_execution t ~exec_id:("ns:" ^ exec_id) then begin
-           t.s_reexec <- t.s_reexec + 1;
-           match Registry.find t.registry req.fn_name with
-           | Some entry ->
-               let result =
-                 Server_exec.execute_on_primary t ~exec_id entry req.args
-               in
-               (* No exclusion: the origin installed these writes at
-                  [Validated] time with the very versions the replay
-                  reproduces, so the version guard turns its redundant
-                  install into a no-op. *)
-               Server_propagator.publish t
-                 (Server_propagator.committed_records t result.written)
-           | None -> ()
-         end);
+        (* No exclusion: the origin installed these writes at
+           [Validated] time with the very versions the replay
+           reproduces, so the version guard turns its redundant install
+           into a no-op. *)
+        Server_propagator.publish t (replay t req);
         Intents.remove t.intents ~exec_id;
         Hashtbl.remove t.durable_reqs exec_id;
         Server_persist.release t ~owner:exec_id
@@ -56,40 +62,16 @@ let resolve_orphaned_intent (t : t) (req : Proto.lvi_request) =
          slice (locks froze the whole read set), so the replay observes
          exactly the speculated state. The coordinator applies all
          writes, then concludes each peer with a commit decision
-         carrying that peer's own records. *)
+         carrying that peer's own records. A lost [try_complete] means
+         a racing conclusion handled the decisions; only our own slice
+         is retired. *)
       let sh = Option.get t.sharding in
-      let round =
-        Option.value ~default:1 (Hashtbl.find_opt sh.sh_coord_round exec_id)
-      in
       let records =
-        if Intents.try_complete t.intents ~exec_id then begin
-          if Server_persist.claim_execution t ~exec_id:("ns:" ^ exec_id)
-          then begin
-            t.s_reexec <- t.s_reexec + 1;
-            match Registry.find t.registry req.fn_name with
-            | Some entry ->
-                let result =
-                  Server_exec.execute_on_primary t ~exec_id entry req.args
-                in
-                Some (Server_propagator.committed_records t result.written)
-            | None -> Some []
-          end
-          else Some []
-        end
+        if Intents.try_complete t.intents ~exec_id then Some (replay t req)
         else None
       in
-      (match records with
-      | Some records ->
-          t.s_cross_commits <- t.s_cross_commits + 1;
-          Server_coordinator.broadcast_decisions t sh ~exec_id ~round
-            ~commit:true ~from:None ~targets:(List.map fst parts) records;
-          Server_coordinator.conclude_local t sh ~exec_id ~round ~commit:true
-            ~from:None records
-      | None ->
-          (* Intent already completed (a racing conclusion handled the
-             decisions); just make sure our own slice is retired. *)
-          Server_coordinator.conclude_local t sh ~exec_id ~round ~commit:true
-            ~from:None []);
+      Server_coordinator.conclude_commit t sh ~exec_id ~from:None ~parts
+        records;
       Intents.remove t.intents ~exec_id;
       Hashtbl.remove t.durable_reqs exec_id;
       Hashtbl.remove sh.sh_coord_round exec_id)
@@ -166,18 +148,9 @@ let handle_followup (t : t) (fu : Proto.followup) =
              its own slice of the committed records. The coordinator's
              slice releases through the same path. *)
           let sh = Option.get t.sharding in
-          let round =
-            Option.value ~default:1
-              (Hashtbl.find_opt sh.sh_coord_round exec_id)
-          in
-          if applied then begin
-            t.s_cross_commits <- t.s_cross_commits + 1;
-            Server_coordinator.broadcast_decisions t sh ~exec_id ~round
-              ~commit:true ~from:(Some fu.fu_from)
-              ~targets:(List.map fst parts) committed
-          end;
-          Server_coordinator.conclude_local t sh ~exec_id ~round ~commit:true
-            ~from:(Some fu.fu_from) committed;
+          Server_coordinator.conclude_commit t sh ~exec_id
+            ~from:(Some fu.fu_from) ~parts
+            (if applied then Some committed else None);
           Hashtbl.remove sh.sh_coord_round exec_id)
 
 (* Followups travel as a list: a coalescing runtime flushes one message

@@ -61,7 +61,6 @@ let replicated_variants =
           {
             Server.no_batching with
             group_commit = true;
-            request_flush = true;
             persist_window = 2.0;
             append_cost;
           };

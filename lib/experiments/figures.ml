@@ -185,8 +185,9 @@ let table1 ?(seed = 42) () =
     ~header:[ "function"; "writes"; "analyzable"; "exec (ms)"; "paper"; "workload%" ]
     ~rows;
   Printf.printf
-    "\n(27 functions across 5 apps registered; %d analyzable. * = needed\n\
+    "\n(%d functions across 5 apps registered; %d analyzable. * = needed\n\
      the dependent-read optimization.)\n"
+    (List.length (Radical.Registry.names reg))
     (Radical.Registry.analyzable_count reg);
   ms
 

@@ -216,21 +216,7 @@ let peak_sustainable = function
 
 (* --- machine-readable bench output (--json) --------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
+let json_string s = "\"" ^ Metrics.Tracer.json_escape s ^ "\""
 
 let json_float f =
   if Float.is_finite f then Printf.sprintf "%.6g" f else "null"

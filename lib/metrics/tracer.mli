@@ -122,6 +122,10 @@ val shard_stats : t -> (int * (int * int)) list
 val slowest : ?k:int -> t -> Span.t list
 (** The [k] slowest finalized request trees, slowest first. *)
 
+val json_escape : string -> string
+(** The body of a JSON string literal holding the given text: quotes,
+    backslashes and control characters escaped. *)
+
 val phases_json : t -> string
 (** The per-phase breakdown as a JSON document: per-path phase
     histograms (aggregated over functions), the full

@@ -2,7 +2,7 @@
 
     The engine multiplexes lightweight cooperative fibers over a virtual
     clock using OCaml effect handlers. A fiber runs until it blocks —
-    [sleep]ing, or [suspend]ing on an external wakeup (ivars, mailboxes,
+    [sleep]ing, or [suspend]ing on an external wakeup (ivars,
     RPC replies) — at which point the engine pops the next pending event
     in (time, sequence) order. Same-time events run in FIFO spawn/wakeup
     order, so runs are fully deterministic given the seed.

@@ -10,7 +10,6 @@ module Server = Radical.Server
 let no_batching =
   {
     Server.group_commit = false;
-    request_flush = false;
     persist_window = 0.0;
     admission = false;
     append_cost = 0.0;
@@ -53,7 +52,6 @@ let replicated_server = { paper.server with mode = Replicated { az_rtt = 1.5 } }
 let full_batching =
   {
     Server.group_commit = true;
-    request_flush = true;
     persist_window = 2.0;
     admission = true;
     append_cost = 0.0;

@@ -1,6 +1,7 @@
 (* Sharded LVI service: directory/router units, the single-shard fast
    path (unchanged one-round-trip protocol), cross-shard atomic commit
-   (commit, stale-abort-backup, concurrent opposite-order transfers),
+   (commit, stale-abort-backup, dependent re-lock backup, concurrent
+   opposite-order transfers),
    N=1 bit-identity with the unsharded seed deployment, workload-stream
    determinism across shard counts, and the restart reply-cache
    regression. *)
@@ -80,7 +81,25 @@ let refund =
                 ] ) );
   }
 
-let funcs = [ incr_a; get_a; xfer; refund ]
+(* Follows the pointer stored at a:k into family "b:" and records what
+   it found under "a:". The second read's key depends on the first
+   read's value, so the function is dependent: a stale cached pointer
+   mispredicts its key set. *)
+let deref =
+  {
+    fn_name = "deref";
+    params = [ "k" ];
+    body =
+      Let
+        ( "ptr",
+          Read (key "a:" "k"),
+          Let
+            ( "v",
+              Read (Concat [ Str "b:"; Var "ptr" ]),
+              Seq [ Write (key "a:seen:" "k", Var "v"); Var "v" ] ) );
+  }
+
+let funcs = [ incr_a; get_a; xfer; refund; deref ]
 
 let data =
   [
@@ -88,6 +107,9 @@ let data =
     ("a:y", Dval.int 5);
     ("b:x", Dval.int 100);
     ("b:y", Dval.int 50);
+    ("a:p", Dval.Str "t1");
+    ("b:t1", Dval.int 100);
+    ("b:t2", Dval.int 200);
   ]
 
 let two_shards =
@@ -304,6 +326,26 @@ let test_cross_shard_stale_backup () =
         (primary_int fw "b:y");
       check_clean fw)
 
+let test_cross_shard_dependent_backup () =
+  with_sharded (fun _ fw ->
+      (* Repoint a:p from b:t1 to b:t2 behind every cache's back: the
+         speculation predicts {a:p, b:t1}, shard 0 votes Stale on a:p,
+         and the backup must re-predict on primary and re-lock
+         {a:p, b:t2, a:seen:p} across both shards with lock-only rounds
+         before it executes. *)
+      ignore (Kv.put (Framework.primary fw) "a:p" (Dval.Str "t2") : int);
+      let o = Framework.invoke fw ~from:Location.de "deref" [ Dval.Str "p" ] in
+      Alcotest.(check int) "backup followed the fresh pointer" 200
+        (int_value o);
+      Engine.sleep 2000.0;
+      Alcotest.(check int) "recorded the fresh target" 200
+        (primary_int fw "a:seen:p");
+      (match Kv.peek (Framework.primary fw) "a:seen:p" with
+      | Some { Kv.version; _ } ->
+          Alcotest.(check int) "written once" 1 version
+      | None -> Alcotest.fail "missing key a:seen:p");
+      check_clean fw)
+
 let test_concurrent_opposite_transfers () =
   with_sharded (fun _ fw ->
       (* xfer locks (a:x then b:x) at shards (0,1); refund locks (b:x
@@ -498,6 +540,8 @@ let () =
             test_cross_shard_commit;
           Alcotest.test_case "cross-shard stale backup" `Quick
             test_cross_shard_stale_backup;
+          Alcotest.test_case "cross-shard dependent backup" `Quick
+            test_cross_shard_dependent_backup;
           Alcotest.test_case "concurrent opposite transfers" `Quick
             test_concurrent_opposite_transfers;
         ] );

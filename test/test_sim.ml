@@ -358,77 +358,6 @@ let test_ivar_double_fill () =
       Alcotest.(check (option int)) "value unchanged" (Some 1) (Ivar.peek iv))
 
 (* ------------------------------------------------------------------ *)
-(* Mailbox                                                             *)
-
-let test_mailbox_fifo () =
-  run_sim (fun () ->
-      let mb = Mailbox.create () in
-      Mailbox.send mb 1;
-      Mailbox.send mb 2;
-      Mailbox.send mb 3;
-      Alcotest.(check int) "queued" 3 (Mailbox.length mb);
-      let a = Mailbox.recv mb in
-      let b = Mailbox.recv mb in
-      let c = Mailbox.recv mb in
-      Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] [ a; b; c ])
-
-let test_mailbox_blocking_recv () =
-  let got = ref 0 in
-  run_sim (fun () ->
-      let mb = Mailbox.create () in
-      Engine.spawn (fun () -> got := Mailbox.recv mb);
-      Engine.sleep 4.0;
-      Mailbox.send mb 11;
-      Engine.sleep 1.0;
-      Alcotest.(check int) "delivered" 11 !got)
-
-let test_mailbox_waiters_fifo () =
-  let got = ref [] in
-  run_sim (fun () ->
-      let mb = Mailbox.create () in
-      for i = 1 to 3 do
-        Engine.spawn (fun () ->
-            let v = Mailbox.recv mb in
-            got := (i, v) :: !got)
-      done;
-      Engine.sleep 1.0;
-      List.iter (Mailbox.send mb) [ 10; 20; 30 ];
-      Engine.sleep 1.0;
-      Alcotest.(check (list (pair int int))) "waiters FIFO"
-        [ (1, 10); (2, 20); (3, 30) ]
-        (List.rev !got))
-
-let test_mailbox_timeout_expires () =
-  run_sim (fun () ->
-      let mb : int Mailbox.t = Mailbox.create () in
-      let t0 = Engine.now () in
-      let r = Mailbox.recv_timeout mb 5.0 in
-      Alcotest.(check (option int)) "timed out" None r;
-      check_float "waited the timeout" 5.0 (Engine.now () -. t0))
-
-let test_mailbox_timeout_delivery () =
-  run_sim (fun () ->
-      let mb = Mailbox.create () in
-      Engine.spawn (fun () ->
-          Engine.sleep 2.0;
-          Mailbox.send mb 5);
-      let r = Mailbox.recv_timeout mb 10.0 in
-      Alcotest.(check (option int)) "delivered before timeout" (Some 5) r;
-      check_float "at delivery time" 2.0 (Engine.now ());
-      (* The timed-out waiter must not consume a later message. *)
-      Engine.sleep 20.0;
-      Mailbox.send mb 6;
-      Alcotest.(check (option int)) "queued normally" (Some 6)
-        (Mailbox.recv_opt mb))
-
-let test_mailbox_recv_opt () =
-  run_sim (fun () ->
-      let mb = Mailbox.create () in
-      Alcotest.(check (option int)) "empty" None (Mailbox.recv_opt mb);
-      Mailbox.send mb 1;
-      Alcotest.(check (option int)) "ready" (Some 1) (Mailbox.recv_opt mb))
-
-(* ------------------------------------------------------------------ *)
 (* Timer                                                               *)
 
 let test_timer_fires () =
@@ -548,16 +477,6 @@ let () =
             test_ivar_read_blocks_until_fill;
           Alcotest.test_case "multiple readers" `Quick test_ivar_multiple_readers;
           Alcotest.test_case "double fill" `Quick test_ivar_double_fill;
-        ] );
-      ( "mailbox",
-        [
-          Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
-          Alcotest.test_case "blocking recv" `Quick test_mailbox_blocking_recv;
-          Alcotest.test_case "waiters FIFO" `Quick test_mailbox_waiters_fifo;
-          Alcotest.test_case "timeout expires" `Quick test_mailbox_timeout_expires;
-          Alcotest.test_case "timeout delivery" `Quick
-            test_mailbox_timeout_delivery;
-          Alcotest.test_case "recv_opt" `Quick test_mailbox_recv_opt;
         ] );
       ( "timer",
         [
