@@ -91,7 +91,10 @@ let test_read_heavy_proportions =
       let writes = List.init n_writes (fun i -> `Write i) in
       let mix = Workload.Mix.read_heavy ~read_share:share ~reads ~writes () in
       let rng = Rng.create (seed + 1) in
-      let draws = 4_000 in
+      (* Enough draws that a 5%-read mix over 5 read items still puts
+         ~400 draws on each, so the tolerances below sit several standard
+         deviations out and the property does not fail on sampling noise. *)
+      let draws = 40_000 in
       let read_counts = Array.make n_reads 0 in
       let read_total = ref 0 in
       for _ = 1 to draws do
