@@ -8,6 +8,9 @@
    - the fig1 / table1 measurement lists at full float precision,
    - per-sample digests of three full-stack Radical runs (seed
      singleton; every feature on over 2 shards; Raft-replicated), and
+   - an open-loop burst on a Raft-replicated, batched server hot
+     enough that conflict-aware admission queues requests (the waited
+     count plus a digest of every latency, in completion order), and
    - the history fingerprints of a 5-seed x all-templates chaos replay
      plus a 20-seed "everything"-template campaign replay.
    Any change to protocol timing, message contents, lock or Raft
@@ -61,6 +64,56 @@ let replicated =
       };
   }
 
+(* Admission wait path: payments between 32 accounts and posts to 8
+   walls at 400 req/s leave several same-key requests in flight at
+   once, so admission has to queue some of them; the order it admits
+   them in shows up in the latency digest. *)
+let admission_burst () =
+  let accounts = 32 and walls = 8 in
+  let funcs =
+    [ Experiments.Synthetic.transfer "pay" ~src:"bal:" ~dst:"bal:";
+      Experiments.Synthetic.post ]
+  in
+  let data =
+    List.init accounts (fun i -> (Printf.sprintf "bal:a%d" i, Dval.int 100))
+    @ List.init walls (fun i -> (Printf.sprintf "wall:w%d" i, Dval.Str ""))
+  in
+  let buf = Buffer.create 4096 in
+  let load, waited =
+    Runner.simulate ~seed:42 ~jitter:0.05 ~tracer:Metrics.Tracer.noop
+      ~locations:Net.Location.user_locations
+      (Runner.Radical_with (Radical.Deployment.config [ Replicated; Batched ]))
+      ~funcs ~schema:[] ~data:(fun _ -> data)
+      (fun d rng ->
+        let fw = Runner.framework d in
+        let sites = Radical.Framework.locations fw in
+        let wrng = Sim.Rng.split rng in
+        let load =
+          Runner.open_loop fw ~rate:400.0 ~duration:500.0
+            ~rng:(Sim.Rng.split rng) (fun ~arrival ->
+              let from = List.nth sites (arrival mod List.length sites) in
+              let pick n = Sim.Rng.int wrng n in
+              let o =
+                if Sim.Rng.int wrng 3 = 0 then
+                  Radical.Framework.invoke fw ~from "post"
+                    [ Dval.Str (Printf.sprintf "w%d" (pick walls));
+                      Dval.Str "x" ]
+                else
+                  Radical.Framework.invoke fw ~from "pay"
+                    [ Dval.Str (Printf.sprintf "a%d" (pick accounts));
+                      Dval.Str (Printf.sprintf "a%d" (pick accounts)) ]
+              in
+              Buffer.add_string buf
+                (Printf.sprintf "%d|%.17g;" arrival o.latency);
+              o)
+        in
+        let st = Radical.Server.stats (Radical.Framework.server fw) in
+        (load, st.admission_waits))
+  in
+  pr "admission.burst requests=%d errors=%d waited=%d digest=%s\n"
+    load.requests load.errors waited
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* Chaos replays: instantiate each template deterministically (the rng
    seed is a function of the sweep seed and the template index, like the
    campaign runner's) and print the history fingerprint of every run. *)
@@ -104,6 +157,7 @@ let () =
   radical_run "seed" Runner.Radical;
   radical_run "featureful" (Runner.Radical_with featureful);
   radical_run "replicated" (Runner.Radical_with replicated);
+  admission_burst ();
   chaos_block "all-templates"
     ~seeds:5
     ~config:(campaign [ Batched; Propagating; Leased; Sharded 4 ])
