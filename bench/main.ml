@@ -96,15 +96,20 @@ let micro () =
           (Staged.stage (fun () -> ignore (Sim.Rng.bits64 rng)));
         Test.make ~name:"lincheck-8ops"
           (Staged.stage (fun () -> ignore (Lincheck.check lin_history)));
-        Test.make ~name:"pqueue-push-pop-64"
+        (* 64 timers over 64 distinct deadlines, every other one
+           cancelled before the engine reaches it: the cost of arming,
+           removing and popping events on the engine's heap. *)
+        Test.make ~name:"engine-schedule-cancel-64"
           (Staged.stage (fun () ->
-               let q = Sim.Pqueue.create ~cmp:Int.compare in
-               for i = 0 to 63 do
-                 Sim.Pqueue.push q (i * 7919 mod 64)
-               done;
-               while not (Sim.Pqueue.is_empty q) do
-                 ignore (Sim.Pqueue.pop q)
-               done));
+               Sim.Engine.run (Sim.Engine.create ()) (fun () ->
+                   for i = 0 to 63 do
+                     let ev =
+                       Sim.Engine.arm
+                         ~at:(float_of_int (i * 7919 mod 64))
+                         ignore
+                     in
+                     if i land 1 = 1 then Sim.Engine.cancel ev
+                   done)));
       ]
   in
   let ols =

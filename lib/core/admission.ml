@@ -13,6 +13,11 @@
    interleaving half-acquired lock sets with the requests ahead of
    them.
 
+   In-flight requests are filed under every key they touch. Two
+   requests can only collide on a key they share, so a newcomer checks
+   just the requests filed under its own keys, and its cost does not
+   grow with everything else in flight.
+
    Waiters are admitted FIFO: a newcomer that conflicts with a *queued*
    request waits behind it even if the in-flight set alone would admit
    it — otherwise a stream of mutually-compatible newcomers could
@@ -33,7 +38,8 @@ type ticket = {
 type t = {
   may_conflict : string -> string -> bool;
   on_admit : waited:float -> unit;
-  mutable inflight : ticket list;
+  by_key : (string, ticket list) Hashtbl.t; (* in-flight, per key *)
+  mutable inflight : int;
   mutable queue : ticket list; (* oldest first *)
   mutable admitted_immediately : int;
   mutable waited : int;
@@ -43,7 +49,8 @@ let create ~may_conflict ?(on_admit = fun ~waited:_ -> ()) () =
   {
     may_conflict;
     on_admit;
-    inflight = [];
+    by_key = Hashtbl.create 64;
+    inflight = 0;
     queue = [];
     admitted_immediately = 0;
     waited = 0;
@@ -57,9 +64,29 @@ let conflicts t a b =
      || overlap a.t_writes b.t_reads
      || overlap a.t_reads b.t_writes)
 
+let conflicts_inflight t tk =
+  let on_key k =
+    match Hashtbl.find_opt t.by_key k with
+    | Some filed -> List.exists (conflicts t tk) filed
+    | None -> false
+  in
+  List.exists on_key tk.t_writes || List.exists on_key tk.t_reads
+
 let blocked t tk ~ahead =
-  List.exists (conflicts t tk) t.inflight
-  || List.exists (conflicts t tk) ahead
+  conflicts_inflight t tk || List.exists (conflicts t tk) ahead
+
+(* A key both read and written is filed once: the ticket is then
+   already at the head of that key's list. *)
+let admit t tk =
+  t.inflight <- t.inflight + 1;
+  let file k =
+    match Hashtbl.find_opt t.by_key k with
+    | Some (x :: _) when x == tk -> ()
+    | Some filed -> Hashtbl.replace t.by_key k (tk :: filed)
+    | None -> Hashtbl.replace t.by_key k [ tk ]
+  in
+  List.iter file tk.t_writes;
+  List.iter file tk.t_reads
 
 (* After an in-flight request leaves, admit every waiter (in order) that
    no longer conflicts with the in-flight set or with waiters still
@@ -70,7 +97,7 @@ let drain t =
     | tk :: rest ->
         if blocked t tk ~ahead:still_queued then go (tk :: still_queued) rest
         else begin
-          t.inflight <- tk :: t.inflight;
+          admit t tk;
           (match tk.t_resume with
           | Some resume ->
               tk.t_resume <- None;
@@ -99,16 +126,26 @@ let enter t ~fn ~reads ~writes =
   end
   else begin
     t.admitted_immediately <- t.admitted_immediately + 1;
-    t.inflight <- tk :: t.inflight;
+    admit t tk;
     t.on_admit ~waited:0.0
   end;
   tk
 
 let leave t tk =
-  t.inflight <- List.filter (fun x -> x != tk) t.inflight;
+  t.inflight <- t.inflight - 1;
+  let unfile k =
+    match Hashtbl.find_opt t.by_key k with
+    | None -> ()
+    | Some filed -> (
+        match List.filter (fun x -> x != tk) filed with
+        | [] -> Hashtbl.remove t.by_key k
+        | rest -> Hashtbl.replace t.by_key k rest)
+  in
+  List.iter unfile tk.t_writes;
+  List.iter unfile tk.t_reads;
   drain t
 
-let inflight t = List.length t.inflight
+let inflight t = t.inflight
 
 let waiting t = List.length t.queue
 

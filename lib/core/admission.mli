@@ -8,7 +8,11 @@
     a newcomer also waits behind any conflicting queued request, so
     waiters cannot starve); everything else proceeds concurrently, which
     is what allows the server to fold the lock records of concurrent
-    requests into one batched Raft proposal. *)
+    requests into one batched Raft proposal.
+
+    In-flight requests are indexed by key: a newcomer is checked only
+    against the requests that share one of its keys, so its cost does
+    not grow with the number in flight. *)
 
 type t
 
@@ -34,6 +38,7 @@ val leave : t -> ticket -> unit
     arrival order. *)
 
 val inflight : t -> int
+(** Requests admitted and not yet left. *)
 
 val waiting : t -> int
 

@@ -16,10 +16,18 @@ type t = {
   degrees : (string, int) Hashtbl.t;
       (* Per-function conflict degree, memoized alongside [conflicts]
          because the runtime asks on every invocation. *)
+  verdicts : (string * string, Analyzer.Conflict.verdict option) Hashtbl.t;
+      (* Per-pair static verdict, memoized for the same reason:
+         admission asks for every pair of requests sharing a key. *)
 }
 
 let create () =
-  { entries = Hashtbl.create 32; conflicts = None; degrees = Hashtbl.create 32 }
+  {
+    entries = Hashtbl.create 32;
+    conflicts = None;
+    degrees = Hashtbl.create 32;
+    verdicts = Hashtbl.create 64;
+  }
 
 (* A function is statically read-only when the abstract interpretation
    of its *source* proves it writes no key and calls no external
@@ -87,6 +95,7 @@ let validate_and_store t (f : Fdsl.Ast.func) ~derive =
                     Hashtbl.replace t.entries f.fn_name entry;
                     t.conflicts <- None;
                     Hashtbl.reset t.degrees;
+                    Hashtbl.reset t.verdicts;
                     Ok entry)))
 
 let register t (f : Fdsl.Ast.func) =
@@ -135,3 +144,11 @@ let conflict_degree t name =
       let d = Analyzer.Conflict.degree (conflicts t) name in
       Hashtbl.replace t.degrees name d;
       d
+
+let find_pair t a b =
+  match Hashtbl.find_opt t.verdicts (a, b) with
+  | Some v -> v
+  | None ->
+      let v = Analyzer.Conflict.find_pair (conflicts t) a b in
+      Hashtbl.replace t.verdicts (a, b) v;
+      v

@@ -69,6 +69,11 @@ val conflicts : t -> Analyzer.Conflict.report
     function's key-shape summary (Table-1-style matrix). Memoized;
     recomputed after the next registration. *)
 
+val find_pair : t -> string -> string -> Analyzer.Conflict.verdict option
+(** {!Analyzer.Conflict.find_pair} on {!conflicts}: the static verdict
+    for a pair of functions, [None] when either is unregistered.
+    Memoized per pair; forgotten at the next registration. *)
+
 val conflict_degree : t -> string -> int
 (** Number of {e other} registered functions this one may conflict with
     (shared shape with a write involved). Exported to metrics/traces so

@@ -128,7 +128,7 @@ let create ?extsvc ?(tracer = Tracer.noop) ~net ~registry ~kv config =
   let admission =
     if config.batching.admission then
       let may_conflict a b =
-        match Analyzer.Conflict.find_pair (Registry.conflicts registry) a b with
+        match Registry.find_pair registry a b with
         | Some Analyzer.Conflict.Disjoint | Some Analyzer.Conflict.Read_share ->
             false
         | Some Analyzer.Conflict.May_conflict | None -> true

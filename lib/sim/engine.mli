@@ -7,6 +7,11 @@
     in (time, sequence) order. Same-time events run in FIFO spawn/wakeup
     order, so runs are fully deterministic given the seed.
 
+    Pending events sit in a binary min-heap ordered on (time, sequence)
+    in which every event knows its slot, so {!cancel} takes an event out
+    in O(log n): a cancelled event is gone at once and is never popped
+    or counted.
+
     All operations other than [create] and [run] must be called from
     within a running engine (inside a fiber, or from a callback invoked by
     the event loop); they raise [Not_running] otherwise. *)
@@ -30,7 +35,8 @@ val now : unit -> float
 (** Current virtual time (milliseconds by convention). *)
 
 val sleep : float -> unit
-(** Block the calling fiber for a virtual duration (clamped at 0). *)
+(** Block the calling fiber for a virtual duration (clamped at 0).
+    @raise Invalid_argument on NaN. *)
 
 val yield : unit -> unit
 (** Reschedule the calling fiber behind already-pending same-time events. *)
@@ -44,12 +50,26 @@ val suspend : (('a -> unit) -> unit) -> 'a
     [v] at the then-current virtual time. *)
 
 val schedule : at:float -> (unit -> unit) -> unit
-(** Run a callback (not a fiber: it must not block) at an absolute time. *)
+(** Run a callback (not a fiber: it must not block) at an absolute time
+    (a past time means now).
+    @raise Invalid_argument when [at] is NaN. *)
+
+type event
+(** A pending callback that can still be cancelled. *)
+
+val arm : at:float -> (unit -> unit) -> event
+(** {!schedule}, returning the event for {!cancel}. *)
+
+val cancel : event -> unit
+(** Remove the event from the running engine's queue, so it never runs.
+    A no-op once it has run or been cancelled, and for an event of an
+    engine that is not running. *)
 
 val rng : unit -> Rng.t
 (** The engine's root generator. Subsystems should [Rng.split] it. *)
 
 val events_processed : t -> int
+(** Events that ran; a cancelled event never counts. *)
 
 val live_fibers : t -> int
 (** Fibers spawned but not yet finished (includes blocked fibers). *)

@@ -1,22 +1,31 @@
-(* The callback lives in the [Armed] state only: cancelling or firing
-   drops it, so the event still queued for the deadline pins the small
-   timer record and nothing the callback captured. *)
-type state = Armed of (unit -> unit) | Fired | Cancelled
+(* The callback lives in the armed timer's event only: cancelling
+   removes that event from the engine's queue and firing pops it, so
+   afterwards nothing the callback captured is pinned. The event still
+   checks the state, for a timer cancelled while its engine was not the
+   one running. *)
+type state = Armed of Engine.event | Fired | Cancelled
 
 type t = { mutable state : state }
 
 let after d f =
-  let t = { state = Armed f } in
-  Engine.schedule ~at:(Engine.now () +. d) (fun () ->
-      match t.state with
-      | Armed f ->
-          t.state <- Fired;
-          Engine.spawn ~name:"timer" f
-      | Fired | Cancelled -> ());
+  (* [Fired] only until the event exists: nothing can observe it. *)
+  let t = { state = Fired } in
+  t.state <-
+    Armed
+      (Engine.arm ~at:(Engine.now () +. d) (fun () ->
+           match t.state with
+           | Armed _ ->
+               t.state <- Fired;
+               Engine.spawn ~name:"timer" f
+           | Fired | Cancelled -> ()));
   t
 
 let cancel t =
-  match t.state with Armed _ -> t.state <- Cancelled | Fired | Cancelled -> ()
+  match t.state with
+  | Armed ev ->
+      t.state <- Cancelled;
+      Engine.cancel ev
+  | Fired | Cancelled -> ()
 
 let fired t = match t.state with Fired -> true | Armed _ | Cancelled -> false
 

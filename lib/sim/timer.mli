@@ -4,10 +4,9 @@
     clock reaches the deadline, unless the timer was cancelled first. Used
     for write-intent expiry and RPC timeouts.
 
-    A cancelled timer's event stays in the engine's queue until its
-    deadline, but it no longer holds the callback: {!cancel} (and
-    firing) release it, so whatever the callback captured — an RPC's
-    reply, say — can be collected at once. *)
+    {!cancel} takes the timer's event out of the engine's queue
+    ({!Engine.cancel}), so a cancelled timer costs no event and holds
+    nothing its callback captured — an RPC's reply, say. *)
 
 type t
 

@@ -261,6 +261,156 @@ let test_pipeline_done_short_circuits () =
   Alcotest.(check (list string))
     "hook stopped with the pipeline" [ "admit"; "reply_now" ] (List.rev !hooks)
 
+(* ------------------------------------------------------------------ *)
+(* Admission                                                           *)
+
+(* The list-scan admission the key index replaced, kept as the model:
+   a newcomer waits while it conflicts with any in-flight request or
+   any request queued ahead of it, and a leave admits waiters FIFO. *)
+module Scan_admission = struct
+  type ticket = {
+    fn : string;
+    reads : string list;
+    writes : string list;
+    mutable resume : (unit -> unit) option;
+  }
+
+  type t = {
+    may_conflict : string -> string -> bool;
+    mutable inflight : ticket list;
+    mutable queue : ticket list;
+    mutable waited : int;
+  }
+
+  let create ~may_conflict = { may_conflict; inflight = []; queue = []; waited = 0 }
+
+  let overlap xs ys = List.exists (fun x -> List.mem x ys) xs
+
+  let conflicts t a b =
+    t.may_conflict a.fn b.fn
+    && (overlap a.writes b.writes || overlap a.writes b.reads
+       || overlap a.reads b.writes)
+
+  let blocked t tk ~ahead =
+    List.exists (conflicts t tk) t.inflight
+    || List.exists (conflicts t tk) ahead
+
+  let drain t =
+    let rec go still = function
+      | [] -> List.rev still
+      | tk :: rest ->
+          if blocked t tk ~ahead:still then go (tk :: still) rest
+          else begin
+            t.inflight <- tk :: t.inflight;
+            Option.iter (fun r -> tk.resume <- None; r ()) tk.resume;
+            go still rest
+          end
+    in
+    t.queue <- go [] t.queue
+
+  let enter t ~fn ~reads ~writes =
+    let tk = { fn; reads; writes; resume = None } in
+    if blocked t tk ~ahead:t.queue then begin
+      t.waited <- t.waited + 1;
+      t.queue <- t.queue @ [ tk ];
+      Engine.suspend (fun resume -> tk.resume <- Some (fun () -> resume ()))
+    end
+    else t.inflight <- tk :: t.inflight;
+    tk
+
+  let leave t tk =
+    t.inflight <- List.filter (fun x -> x != tk) t.inflight;
+    drain t
+end
+
+type adm_op = Enter of int * int list * int list | Leave of int
+
+(* Run [ops] against one admission: each [Enter] is a fiber that joins
+   the in-flight list once admitted; a [Leave i] takes the i-th of them
+   (mod their number) out. After every op, let woken fibers run and take
+   the counts. Returns the admission order and the counts. *)
+let drive ~enter ~leave ~counts ops =
+  let admitted = ref [] and held = ref [] and snaps = ref [] in
+  run_sim (fun () ->
+      List.iteri
+        (fun id op ->
+          (match op with
+          | Enter (fn, reads, writes) ->
+              let key k = Printf.sprintf "k%d" k in
+              Engine.spawn (fun () ->
+                  let tk =
+                    enter ~fn:(Printf.sprintf "f%d" fn)
+                      ~reads:(List.map key reads) ~writes:(List.map key writes)
+                  in
+                  admitted := id :: !admitted;
+                  held := !held @ [ (id, tk) ])
+          | Leave i -> (
+              match !held with
+              | [] -> ()
+              | l ->
+                  let id', tk = List.nth l (i mod List.length l) in
+                  held := List.filter (fun (x, _) -> x <> id') l;
+                  leave tk));
+          Engine.yield ();
+          snaps := counts () :: !snaps)
+        ops);
+  (List.rev !admitted, List.rev !snaps)
+
+let adm_case_gen =
+  QCheck.Gen.(
+    let keys n = list_size (int_range 0 n) (int_range 0 4) in
+    let op =
+      frequency
+        [
+          (3, map3 (fun f r w -> Enter (f, r, w)) (int_range 0 3) (keys 3) (keys 2));
+          (2, map (fun i -> Leave i) (int_range 0 10));
+        ]
+    in
+    pair (array_size (return 16) bool) (list_size (int_range 0 40) op))
+
+let show_adm_case (m, ops) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf "matrix=%s ops=%s"
+    (String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") m)))
+    (String.concat "; "
+       (List.map
+          (function
+            | Enter (f, r, w) -> Printf.sprintf "Enter f%d r[%s] w[%s]" f (ints r) (ints w)
+            | Leave i -> Printf.sprintf "Leave %d" i)
+          ops))
+
+let prop_admission_matches_scan =
+  QCheck.Test.make ~name:"key-indexed admission matches the list scan"
+    ~count:300
+    (QCheck.make ~print:show_adm_case adm_case_gen)
+    (fun (m, ops) ->
+      (* A symmetric static verdict over f0..f3. *)
+      let may_conflict a b =
+        let i = Char.code a.[1] - 48 and j = Char.code b.[1] - 48 in
+        m.((4 * min i j) + max i j)
+      in
+      let adm = Radical.Admission.create ~may_conflict () in
+      let indexed =
+        drive ops
+          ~enter:(fun ~fn ~reads ~writes ->
+            Radical.Admission.enter adm ~fn ~reads ~writes)
+          ~leave:(Radical.Admission.leave adm)
+          ~counts:(fun () ->
+            Radical.Admission.
+              (inflight adm, waiting adm, waited adm))
+      in
+      let scan = Scan_admission.create ~may_conflict in
+      let model =
+        drive ops
+          ~enter:(fun ~fn ~reads ~writes ->
+            Scan_admission.enter scan ~fn ~reads ~writes)
+          ~leave:(Scan_admission.leave scan)
+          ~counts:(fun () ->
+            Scan_admission.
+              (List.length scan.inflight, List.length scan.queue, scan.waited))
+      in
+      indexed = model)
+
 let () =
   Alcotest.run "server_units"
     [
@@ -288,4 +438,6 @@ let () =
           Alcotest.test_case "Done short-circuits" `Quick
             test_pipeline_done_short_circuits;
         ] );
+      ( "admission",
+        [ QCheck_alcotest.to_alcotest prop_admission_matches_scan ] );
     ]
