@@ -92,19 +92,28 @@ radbench-compare:
 # lease-chaos template attacks the revocation channel). Every cell of
 # each grid also runs on a Raft-replicated server; `bench/main.exe
 # --help` lists the flags.
+# The BENCH step and each chaos cell run under $(TIMED), which prints
+# their wall time to stderr and leaves their stdout untouched.
 check:
 	dune build @all
 	$(MAKE) fmt-check
 	dune runtest --force
 	$(MAKE) analyze
 	$(MAKE) certify
-	dune exec bench/main.exe -- --json fig1 table1 table2 fig4 fig5 fig6 \
+	$(TIMED) dune exec bench/main.exe -- --json fig1 table1 table2 fig4 fig5 fig6 \
 	  repl cost sensitivity skew throughput bootstrap ablation phases \
 	  batch propagate lease shard
 	git diff --exit-code -- 'BENCH_*.json'
-	dune exec bench/main.exe -- chaos --seeds 20 --deployment batched,propagating
-	dune exec bench/main.exe -- chaos --seeds 20 --deployment sharded=4
-	dune exec bench/main.exe -- chaos --seeds 20 --deployment leased
+	$(TIMED) dune exec bench/main.exe -- chaos --seeds 20 --deployment batched,propagating
+	$(TIMED) dune exec bench/main.exe -- chaos --seeds 20 --deployment sharded=4
+	$(TIMED) dune exec bench/main.exe -- chaos --seeds 20 --deployment leased
+
+# Run a command, then print "wall <seconds> s: <command>" to stderr and
+# exit with the command's status.
+TIMED = sh -c 's=$$(date +%s%N); "$$@"; r=$$?; \
+  ms=$$(( ($$(date +%s%N) - s) / 1000000 )); \
+  printf "wall %d.%03d s: %s\n" $$((ms / 1000)) $$((ms % 1000)) "$$*" >&2; \
+  exit $$r' timed
 
 # Full 50-seeds-per-cell chaos campaign (~200 sweep runs) plus the
 # protocol-mutation demo; the acceptance run behind EXPERIMENTS.md.

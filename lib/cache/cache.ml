@@ -2,56 +2,46 @@ type entry = { value : Dval.t; version : int }
 
 type t = {
   items : (string, entry) Hashtbl.t;
-  stamps : (string, int) Hashtbl.t; (* LRU recency, keyed like items *)
   latency : float;
-  capacity : int option;
-  mutable clock : int;
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
 }
 
-let create ?(access_latency = 0.5) ?capacity () =
-  (match capacity with
-  | Some c when c <= 0 -> invalid_arg "Cache.create: capacity must be positive"
-  | _ -> ());
-  {
-    items = Hashtbl.create 1024;
-    stamps = Hashtbl.create 1024;
-    latency = access_latency;
-    capacity;
-    clock = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-  }
+(* A new table never has fewer buckets than this: room for the keys a
+   run adds on misses without growing the table. Below it, the caches'
+   share of the heap, and with it the major GC's timing, does not
+   depend on the seed's size; radbench's leased-catalog peak-heap
+   reading is sensitive to that timing (EXPERIMENTS.md, "Small seeds
+   keep 1,024-bucket tables"). *)
+let min_buckets = 1024
 
-let touch t key =
-  t.clock <- t.clock + 1;
-  Hashtbl.replace t.stamps key t.clock
+(* Entries are immutable, so a copy shares them. [Hashtbl.copy]
+   duplicates the buckets and re-hashes nothing, but it visits every
+   bucket: a table holding fewer entries than a new one has buckets is
+   cheaper to rebuild. *)
+let copy t =
+  let items =
+    if Hashtbl.length t.items >= min_buckets then Hashtbl.copy t.items
+    else begin
+      let items = Hashtbl.create min_buckets in
+      Hashtbl.iter (Hashtbl.add items) t.items;
+      items
+    end
+  in
+  { t with items }
 
 let find t key =
-  match Hashtbl.find_opt t.items key with
-  | Some e ->
-      touch t key;
-      Some e
-  | None -> None
-
-let record t = function
-  | Some _ as r ->
-      t.hits <- t.hits + 1;
-      r
-  | None ->
-      t.misses <- t.misses + 1;
-      None
+  let r = Hashtbl.find_opt t.items key in
+  if Option.is_some r then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+  r
 
 let get t key =
   Sim.Engine.sleep t.latency;
-  record t (find t key)
+  find t key
 
 let get_many t keys =
   Sim.Engine.sleep t.latency;
-  List.map (fun k -> (k, record t (find t k))) keys
+  List.map (fun k -> (k, find t k)) keys
 
 let version_of t key =
   match Hashtbl.find_opt t.items key with
@@ -60,39 +50,10 @@ let version_of t key =
 
 let peek t key = Hashtbl.find_opt t.items key
 
-(* Evict the least recently used entry. O(n); fine at cache sizes the
-   simulation uses, and only runs when a capacity is configured. *)
-let evict_one t =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun k stamp ->
-      match !victim with
-      | Some (_, best) when best <= stamp -> ()
-      | _ -> victim := Some (k, stamp))
-    t.stamps;
-  match !victim with
-  | Some (k, _) ->
-      Hashtbl.remove t.items k;
-      Hashtbl.remove t.stamps k;
-      t.evictions <- t.evictions + 1
-  | None -> ()
-
 let update t key value ~version =
   match Hashtbl.find_opt t.items key with
-  | Some existing when existing.version >= version ->
-      (* Rejected (stale or duplicate) deliveries must not touch the
-         LRU stamp: promoting a stale duplicate to MRU would get
-         genuinely fresh keys evicted first under capacity. *)
-      ()
-  | Some _ | None ->
-      (match t.capacity with
-      | Some cap
-        when (not (Hashtbl.mem t.items key)) && Hashtbl.length t.items >= cap
-        ->
-          evict_one t
-      | _ -> ());
-      Hashtbl.replace t.items key { value; version };
-      touch t key
+  | Some existing when existing.version >= version -> ()
+  | Some _ | None -> Hashtbl.replace t.items key { value; version }
 
 (* Version-guarded eviction for invalidation-mode propagation: only an
    entry strictly older than the invalidating write is dropped, so a
@@ -102,13 +63,10 @@ let invalidate t key ~version =
   match Hashtbl.find_opt t.items key with
   | Some existing when existing.version < version ->
       Hashtbl.remove t.items key;
-      Hashtbl.remove t.stamps key;
       true
   | Some _ | None -> false
 
-let wipe t =
-  Hashtbl.reset t.items;
-  Hashtbl.reset t.stamps
+let wipe t = Hashtbl.reset t.items
 
 let size t = Hashtbl.length t.items
 
@@ -116,12 +74,26 @@ let hits t = t.hits
 
 let misses t = t.misses
 
-let evictions t = t.evictions
-
 let snapshot t =
   Hashtbl.fold (fun k { value; version } acc -> (k, value, version) :: acc) t.items []
 
 let restore t entries =
   List.iter (fun (k, value, version) -> update t k value ~version) entries
+
+(* Sized for [entries] up front: growing a table re-links every entry
+   already in it. *)
+let of_list ?(access_latency = 0.5) entries =
+  let t =
+    {
+      items = Hashtbl.create (max min_buckets (List.length entries));
+      latency = access_latency;
+      hits = 0;
+      misses = 0;
+    }
+  in
+  restore t entries;
+  t
+
+let create ?access_latency () = of_list ?access_latency []
 
 module Leases = Leases

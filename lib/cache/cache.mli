@@ -11,13 +11,25 @@ type entry = { value : Dval.t; version : int }
 
 type t
 
-val create : ?access_latency:float -> ?capacity:int -> unit -> t
-(** Default access latency 0.5 ms — an in-memory store colocated with
-    the runtime (the paper uses DynamoDB here only to isolate protocol
-    effects; §5.7 notes ScyllaDB/`in-memory` caches are the intended
-    deployment). [capacity] bounds the entry count with LRU eviction;
-    evicted keys simply become misses and are repaired by the next LVI
-    response, like any other cold entry. Unbounded by default. *)
+val create : ?access_latency:float -> unit -> t
+(** An empty, unbounded cache. Default access latency 0.5 ms — an
+    in-memory store colocated with the runtime (the paper uses DynamoDB
+    here only to isolate protocol effects; §5.7 notes
+    ScyllaDB/`in-memory` caches are the intended deployment). *)
+
+val of_list : ?access_latency:float -> (string * Dval.t * int) list -> t
+(** A cache holding (key, value, version) triples, sized for them up
+    front and never smaller than an empty cache; per key, the newest
+    version wins. [of_list []] is [create ()]. *)
+
+val copy : t -> t
+(** An independent cache with the same entries, access latency and
+    counters: later updates, invalidations or wipes of either leave the
+    other untouched. A table with at least as many entries as an empty
+    cache has buckets is copied in one pass over its buckets, re-hashing
+    no key; a smaller one is rebuilt from its entries. Every site's warm
+    cache is a copy of one table built from the seed (see
+    [Framework.create]). *)
 
 val get : t -> string -> entry option
 (** Blocking read; [None] on miss. *)
@@ -30,15 +42,14 @@ val version_of : t -> string -> int
     miss marker. *)
 
 val peek : t -> string -> entry option
-(** Latency-free read that touches no hit/miss counter or LRU stamp.
+(** Latency-free read that touches no hit/miss counter.
     Used to capture the (value, version) snapshot that a speculation
     executes against — see [Runtime.invoke]. *)
 
 val update : t -> string -> Dval.t -> version:int -> unit
-(** Install a (value, version) pair if newer than what is cached.
-    Latency-free: updates ride on protocol responses. A rejected
-    (stale or duplicate) install leaves the LRU stamp untouched, so
-    replayed deliveries cannot promote cold entries over fresh ones. *)
+(** Install a (value, version) pair if newer than what is cached;
+    a stale or duplicate install is ignored. Latency-free: updates ride
+    on protocol responses. *)
 
 val invalidate : t -> string -> version:int -> bool
 (** [invalidate t key ~version] evicts [key] if the cached entry is
@@ -56,8 +67,6 @@ val size : t -> int
 val hits : t -> int
 
 val misses : t -> int
-
-val evictions : t -> int
 
 val snapshot : t -> (string * Dval.t * int) list
 (** Dump (key, value, version) triples — the persistent-cache extension

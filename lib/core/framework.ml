@@ -99,23 +99,26 @@ let create ?(config = default_config) ?schema ?(manual = [])
   let sharding =
     Option.map (fun dir -> (Shard.Router.create dir, srvs)) dir
   in
+  (* One warm table, built from the primary's final record of each seed
+     key (so a duplicated key warms to the value the primary kept);
+     every site starts from its own copy of it. *)
+  let warm =
+    Cache.of_list ~access_latency:config.cache_latency
+      (if config.warm_caches then
+         List.filter_map
+           (fun (k, _) ->
+             Option.map
+               (fun { Store.Kv.value; version } -> (k, value, version))
+               (Store.Kv.peek kv k))
+           data
+       else [])
+  in
   let sites =
     List.map
       (fun loc ->
-        let cache = Cache.create ~access_latency:config.cache_latency () in
-        if config.warm_caches then
-          List.iter
-            (fun (k, v) ->
-              let version =
-                match Store.Kv.peek kv k with
-                | Some { version; _ } -> version
-                | None -> 0
-              in
-              Cache.update cache k v ~version)
-            data;
         let rt =
-          Runtime.create ~extsvc ~tracer ?sharding ~net ~registry:reg ~cache
-            ~server:srv
+          Runtime.create ~extsvc ~tracer ?sharding ~net ~registry:reg
+            ~cache:(Cache.copy warm) ~server:srv
             (Runtime.config ~overlap:config.overlap ~ro_fast:config.ro_fast
                ~fu_window:config.fu_window ~fu_piggyback:config.fu_piggyback
                loc)

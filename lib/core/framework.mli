@@ -29,8 +29,11 @@ type config = {
       (** Piggyback buffered followups on the next outgoing LVI request
           ({!Runtime.config.fu_piggyback}); off by default. *)
   warm_caches : bool;
-      (** Pre-populate near-user caches with the seed data (the paper's
-          persistent caches); [false] exercises gradual bootstrap. *)
+      (** Start every near-user cache warm (the paper's persistent
+          caches): each site gets its own {!Cache.copy} of one table
+          holding the primary's (value, version) record of every seed
+          key. [false] starts every cache empty and exercises gradual
+          bootstrap. *)
   cache_latency : float;
       (** Per-access latency of the near-user cache. The default 6.0 ms
           models the paper's DynamoDB-as-cache evaluation setup (§5.2);

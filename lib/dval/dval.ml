@@ -6,7 +6,11 @@ type t =
   | List of t list
   | Record of (string * t) list
 
+(* No floats, so physical equality implies structural equality: values
+   shared between the primary and the warm caches compare in O(1). *)
 let rec equal a b =
+  a == b
+  ||
   match (a, b) with
   | Unit, Unit -> true
   | Bool x, Bool y -> Bool.equal x y

@@ -41,47 +41,6 @@ let test_get_latency () =
       ignore (Cache.get_many c [ "a"; "b"; "c" ]);
       Alcotest.(check (float 1e-9)) "batch pays once" 0.5 (Engine.now () -. t1))
 
-let test_lru_eviction () =
-  run_sim (fun () ->
-      let c = Cache.create ~capacity:3 () in
-      Cache.update c "a" Dval.Unit ~version:1;
-      Cache.update c "b" Dval.Unit ~version:1;
-      Cache.update c "c" Dval.Unit ~version:1;
-      (* Touch a and c so b is the least recently used. *)
-      ignore (Cache.get c "a");
-      ignore (Cache.get c "c");
-      Cache.update c "d" Dval.Unit ~version:1;
-      Alcotest.(check int) "capacity respected" 3 (Cache.size c);
-      Alcotest.(check int) "one eviction" 1 (Cache.evictions c);
-      Alcotest.(check int) "b evicted" (-1) (Cache.version_of c "b");
-      Alcotest.(check bool) "a survived" true (Cache.version_of c "a" = 1);
-      Alcotest.(check bool) "d present" true (Cache.version_of c "d" = 1))
-
-let test_lru_update_existing_never_evicts () =
-  run_sim (fun () ->
-      let c = Cache.create ~capacity:2 () in
-      Cache.update c "a" Dval.Unit ~version:1;
-      Cache.update c "b" Dval.Unit ~version:1;
-      Cache.update c "a" Dval.Unit ~version:2;
-      Alcotest.(check int) "no eviction on in-place update" 0 (Cache.evictions c);
-      Alcotest.(check int) "both present" 2 (Cache.size c))
-
-(* Regression: a rejected stale update used to refresh the key's LRU
-   stamp anyway, so a replayed (old) delivery could promote a cold
-   entry over fresh ones and get the wrong key evicted. Here "a" is
-   the LRU victim; the stale update on it must not save it. *)
-let test_stale_update_does_not_touch_lru () =
-  run_sim (fun () ->
-      let c = Cache.create ~capacity:2 () in
-      Cache.update c "a" Dval.Unit ~version:5;
-      Cache.update c "b" Dval.Unit ~version:1;
-      (* Stale replay of "a": rejected, and must leave "a" least
-         recently used. *)
-      Cache.update c "a" Dval.Unit ~version:2;
-      Cache.update c "cnew" Dval.Unit ~version:1;
-      Alcotest.(check int) "a evicted, not b" (-1) (Cache.version_of c "a");
-      Alcotest.(check bool) "b survived" true (Cache.version_of c "b" = 1))
-
 let test_invalidate () =
   run_sim (fun () ->
       let c = Cache.create () in
@@ -99,10 +58,43 @@ let test_invalidate () =
       Alcotest.(check bool) "miss is a no-op" false
         (Cache.invalidate c "x" ~version:9))
 
-let test_capacity_validation () =
-  Alcotest.check_raises "zero capacity"
-    (Invalid_argument "Cache.create: capacity must be positive") (fun () ->
-      ignore (Cache.create ~capacity:0 ()))
+(* A copy is independent both ways: an update, invalidate or wipe on
+   one side never reaches the other. *)
+let test_copy_independent () =
+  run_sim (fun () ->
+      let a =
+        Cache.of_list
+          [ ("x", Dval.Str "a", 1); ("y", Dval.Unit, 1); ("x", Dval.Str "old", 0) ]
+      in
+      Alcotest.(check int) "of_list keeps the newest" 1 (Cache.version_of a "x");
+      let b = Cache.copy a in
+      Alcotest.(check int) "same entries" 2 (Cache.size b);
+      Cache.update b "x" (Dval.Str "b") ~version:2;
+      Cache.update a "z" Dval.Unit ~version:1;
+      Alcotest.(check int) "update stays in the copy" 1 (Cache.version_of a "x");
+      Alcotest.(check int) "update stays in the source" (-1)
+        (Cache.version_of b "z");
+      ignore (Cache.invalidate a "y" ~version:2);
+      Alcotest.(check int) "invalidate stays in the source" 1
+        (Cache.version_of b "y");
+      Cache.wipe b;
+      Alcotest.(check int) "wipe stays in the copy" 2 (Cache.size a))
+
+(* Past 1,024 entries a copy duplicates the buckets instead of
+   rebuilding the table; it must be just as independent. *)
+let test_large_copy_independent () =
+  run_sim (fun () ->
+      let entries =
+        List.init 2000 (fun i -> (Printf.sprintf "k%d" i, Dval.int i, 1))
+      in
+      let a = Cache.of_list entries in
+      let b = Cache.copy a in
+      let sorted c = List.sort compare (Cache.snapshot c) in
+      Alcotest.(check bool) "same entries" true (sorted a = sorted b);
+      Cache.update b "k7" Dval.Unit ~version:2;
+      Alcotest.(check int) "update stays in the copy" 1 (Cache.version_of a "k7");
+      Cache.wipe a;
+      Alcotest.(check int) "wipe stays in the source" 2000 (Cache.size b))
 
 let test_wipe () =
   run_sim (fun () ->
@@ -125,12 +117,9 @@ let () =
             test_stale_update_ignored;
           Alcotest.test_case "get latency" `Quick test_get_latency;
           Alcotest.test_case "wipe" `Quick test_wipe;
-          Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
-          Alcotest.test_case "update never evicts in place" `Quick
-            test_lru_update_existing_never_evicts;
-          Alcotest.test_case "stale update leaves lru stamp" `Quick
-            test_stale_update_does_not_touch_lru;
           Alcotest.test_case "invalidate version guard" `Quick test_invalidate;
-          Alcotest.test_case "capacity validated" `Quick test_capacity_validation;
+          Alcotest.test_case "copy is independent" `Quick test_copy_independent;
+          Alcotest.test_case "large copy is independent" `Quick
+            test_large_copy_independent;
         ] );
     ]

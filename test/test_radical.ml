@@ -232,6 +232,67 @@ let test_cold_cache_bootstrap () =
       let o2 = Framework.invoke fw ~from:Location.jp "get" [ Dval.Str "x" ] in
       check_path "bootstrapped" Runtime.Speculative o2)
 
+(* Regression: the caches were warmed from the seed list in order, with
+   the version read from the primary, so a duplicated key cached the
+   first value at the primary's version of the last one and a read
+   validated the value the primary never held. *)
+let test_duplicate_seed_key_warms_primary_value () =
+  let data = [ ("k:a", Dval.Str "first"); ("k:a", Dval.Str "second") ] in
+  with_radical ~data (fun _ fw ->
+      let o = Framework.invoke fw ~from:Location.ca "get" [ Dval.Str "k:a" ] in
+      check_path "warm cache validates" Runtime.Speculative o;
+      check_dval "the primary's value" (Dval.Str "second") (ok_value o))
+
+let cache_contents fw loc =
+  Cache.snapshot (Runtime.cache (Framework.runtime fw loc))
+  |> List.map (fun (k, v, ver) -> (k, Dval.to_string v, ver))
+  |> List.sort compare
+
+let primary_contents fw =
+  List.sort_uniq compare (List.map fst data)
+  |> List.filter_map (fun k ->
+         Option.map
+           (fun { Kv.value; version } -> (k, Dval.to_string value, version))
+           (Kv.peek (Framework.primary fw) k))
+
+let contents = Alcotest.(list (triple string string int))
+
+(* Every site starts with its own copy of the primary's seed records: a
+   change to one site's cache reaches neither another site nor the
+   primary. *)
+let test_warm_caches_are_independent_copies () =
+  with_radical (fun _ fw ->
+      let primary = primary_contents fw in
+      Alcotest.(check int) "primary holds the seed" 2 (List.length primary);
+      List.iter
+        (fun loc -> Alcotest.check contents loc primary (cache_contents fw loc))
+        (Framework.locations fw);
+      let ca = Runtime.cache (Framework.runtime fw Location.ca) in
+      let others_unchanged what =
+        Alcotest.check contents (what ^ ": primary") primary (primary_contents fw);
+        List.iter
+          (fun loc ->
+            if loc <> Location.ca then
+              Alcotest.check contents (what ^ ": " ^ loc) primary
+                (cache_contents fw loc))
+          (Framework.locations fw)
+      in
+      Cache.update ca "x" (Dval.Str "local") ~version:9;
+      others_unchanged "update";
+      Alcotest.(check bool) "invalidated" true (Cache.invalidate ca "ctr" ~version:9);
+      others_unchanged "invalidate";
+      Cache.wipe ca;
+      others_unchanged "wipe")
+
+let test_cold_caches_start_empty () =
+  let config = { Framework.default_config with warm_caches = false } in
+  with_radical ~config (fun _ fw ->
+      List.iter
+        (fun loc ->
+          Alcotest.(check int) loc 0
+            (Cache.size (Runtime.cache (Framework.runtime fw loc))))
+        (Framework.locations fw))
+
 let test_cache_wipe_recovers () =
   with_radical (fun _ fw ->
       let rt = Framework.runtime fw Location.ca in
@@ -841,6 +902,12 @@ let () =
           Alcotest.test_case "cold cache bootstrap" `Quick
             test_cold_cache_bootstrap;
           Alcotest.test_case "cache wipe recovers" `Quick test_cache_wipe_recovers;
+          Alcotest.test_case "duplicate seed key: primary wins" `Quick
+            test_duplicate_seed_key_warms_primary_value;
+          Alcotest.test_case "warm caches copy the primary" `Quick
+            test_warm_caches_are_independent_copies;
+          Alcotest.test_case "cold caches start empty" `Quick
+            test_cold_caches_start_empty;
           Alcotest.test_case "unanalyzable fallback" `Quick
             test_fallback_for_unanalyzable;
           Alcotest.test_case "prediction failure falls back" `Quick

@@ -510,6 +510,78 @@ let test_idempotency_ttl () =
       Alcotest.(check int) "only the keys without ttl remain" 2
         (Store.Idempotency.count t))
 
+(* --- Dval.equal ------------------------------------------------------ *)
+
+(* Structural reference with no physical-equality shortcut. *)
+let rec ref_equal a b =
+  match (a, b) with
+  | Dval.Unit, Dval.Unit -> true
+  | Bool x, Bool y -> x = y
+  | Int x, Int y -> Int64.equal x y
+  | Str x, Str y -> String.equal x y
+  | List xs, List ys ->
+      List.length xs = List.length ys && List.for_all2 ref_equal xs ys
+  | Record xs, Record ys ->
+      List.length xs = List.length ys
+      && List.for_all2
+           (fun (ka, va) (kb, vb) -> String.equal ka kb && ref_equal va vb)
+           xs ys
+  | _ -> false
+
+let dval_gen =
+  QCheck.Gen.(
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Dval.Unit;
+                 map (fun b -> Dval.Bool b) bool;
+                 map Dval.int (int_range 0 2);
+                 map (fun s -> Dval.Str s) (oneofl [ "a"; "b" ]);
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun xs -> Dval.List xs) (list_size (0 -- 3) (self (n - 1))));
+                 ( 1,
+                   map
+                     (fun fs -> Dval.Record fs)
+                     (list_size (0 -- 3) (pair (oneofl [ "f"; "g" ]) (self (n - 1))))
+                 );
+               ]))
+
+(* A second value built from [a]: each subterm is physically shared,
+   rebuilt as a fresh structural copy, or replaced by a random value. *)
+let rec derive a =
+  let open QCheck.Gen in
+  let rebuilt =
+    match a with
+    | Dval.List xs -> map (fun xs -> Dval.List xs) (flatten_l (List.map derive xs))
+    | Record fs ->
+        map
+          (fun fs -> Dval.Record fs)
+          (flatten_l (List.map (fun (k, v) -> map (fun v -> (k, v)) (derive v)) fs))
+    | Str s -> return (Dval.Str (String.init (String.length s) (String.get s)))
+    | Int i -> return (Dval.Int (Int64.add i 0L))
+    | Unit | Bool _ -> return a
+  in
+  frequency [ (3, return a); (3, rebuilt); (1, dval_gen) ]
+
+let prop_dval_equal_structural =
+  QCheck.Test.make ~name:"equal = structural equality"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (a, b) -> Dval.to_string a ^ " vs " ^ Dval.to_string b)
+       QCheck.Gen.(dval_gen >>= fun a -> map (fun b -> (a, b)) (derive a)))
+    (fun (a, b) ->
+      Dval.equal a a
+      && Dval.equal a b = ref_equal a b
+      && Dval.equal b a = ref_equal b a)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -526,6 +598,7 @@ let () =
           Alcotest.test_case "versions_of" `Quick test_kv_versions_of;
         ]
         @ qsuite [ prop_kv_versions_monotonic ] );
+      ("dval", qsuite [ prop_dval_equal_structural ]);
       ( "locks",
         [
           Alcotest.test_case "read shared" `Quick test_locks_read_shared;
