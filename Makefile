@@ -90,7 +90,7 @@ radbench-compare:
 # the shard-chaos template attacks the cross-shard commit under the
 # cross-atomicity oracle) and `leased` (read leases on, so the
 # lease-chaos template attacks the revocation channel). Every cell of
-# each grid also runs on a Raft-replicated server; `bench/main.exe
+# each grid also runs on a Raft-replicated server; `radical_cli chaos
 # --help` lists the flags.
 # The BENCH step and each chaos cell run under $(TIMED), which prints
 # their wall time to stderr and leaves their stdout untouched.
@@ -104,9 +104,9 @@ check:
 	  repl cost sensitivity skew throughput bootstrap ablation phases \
 	  batch propagate lease shard
 	git diff --exit-code -- 'BENCH_*.json'
-	$(TIMED) dune exec bench/main.exe -- chaos --seeds 20 --deployment batched,propagating
-	$(TIMED) dune exec bench/main.exe -- chaos --seeds 20 --deployment sharded=4
-	$(TIMED) dune exec bench/main.exe -- chaos --seeds 20 --deployment leased
+	$(TIMED) dune exec bin/radical_cli.exe -- chaos --seeds 20 --deployment batched,propagating
+	$(TIMED) dune exec bin/radical_cli.exe -- chaos --seeds 20 --deployment sharded=4
+	$(TIMED) dune exec bin/radical_cli.exe -- chaos --seeds 20 --deployment leased
 
 # Run a command, then print "wall <seconds> s: <command>" to stderr and
 # exit with the command's status.
@@ -118,7 +118,7 @@ TIMED = sh -c 's=$$(date +%s%N); "$$@"; r=$$?; \
 # Full 50-seeds-per-cell chaos campaign (~200 sweep runs) plus the
 # protocol-mutation demo; the acceptance run behind EXPERIMENTS.md.
 chaos:
-	dune exec bench/main.exe -- chaos
+	dune exec bin/radical_cli.exe -- chaos --seeds 50
 
 # Reformat the tree in place per .ocamlformat. Gated on the tool being
 # installed: the pinned container image ships the compiler toolchain

@@ -33,7 +33,6 @@ let () =
       let fw =
         Framework.create ~config ~net ~funcs:Apps.Forum.functions ~data ()
       in
-      let env = { Nemesis.net; fw } in
       let version_of k =
         match Store.Kv.peek (Framework.primary fw) k with
         | Some { version; _ } -> version
@@ -55,7 +54,7 @@ let () =
                });
         ]
       in
-      ignore (Nemesis.launch env blackout);
+      ignore (Nemesis.launch fw blackout);
       print_endline (Plan.to_string blackout);
       let o =
         Framework.invoke fw ~from:Location.de "forum-interact"
@@ -85,7 +84,7 @@ let () =
                });
         ]
       in
-      ignore (Nemesis.launch env crawl);
+      ignore (Nemesis.launch fw crawl);
       print_endline (Plan.to_string crawl);
       let _ =
         Framework.invoke fw ~from:Location.de "forum-interact"
@@ -103,7 +102,7 @@ let () =
       let o1 = Framework.invoke fw ~from:Location.jp "forum-view" [ Dval.Str "f1"; Dval.Str "p9" ] in
       Printf.printf "warm read from JP: %.1f ms (%s)\n" o1.latency
         (match o1.path with Radical.Runtime.Speculative -> "speculative" | _ -> "backup");
-      ignore (Nemesis.launch env [ Plan.event ~at:0.0 (Plan.Wipe_cache Location.jp) ]);
+      ignore (Nemesis.launch fw [ Plan.event ~at:0.0 (Plan.Wipe_cache Location.jp) ]);
       Engine.sleep 1.0;
       print_endline "JP cache wiped!";
       let o2 = Framework.invoke fw ~from:Location.jp "forum-view" [ Dval.Str "f1"; Dval.Str "p9" ] in
@@ -128,7 +127,7 @@ let () =
       let crash =
         [ Plan.event ~at:0.0 (Plan.Crash_raft_node { victim = `Leader; downtime = 1500.0 }) ]
       in
-      let nem = Nemesis.launch { Nemesis.net; fw = fw2 } crash in
+      let nem = Nemesis.launch fw2 crash in
       print_endline (Plan.to_string crash);
       Engine.sleep 100.0;
       let o =

@@ -31,13 +31,6 @@ let table1 =
     mk "forum" "forum-login" "Performs pbkdf2-based password check" false false 212.0 2.0;
   ]
 
-let evaluated_apps =
-  [
-    ("social", Social.functions);
-    ("hotel", Hotel.functions);
-    ("forum", Forum.functions);
-  ]
-
 let all_functions =
   Social.functions @ Hotel.functions @ Forum.functions @ Imageboard.functions
   @ Projectmgmt.functions

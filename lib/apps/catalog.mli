@@ -18,9 +18,6 @@ val table1 : info list
 (** The 16 functions of the three evaluated applications, in Table 1
     order. *)
 
-val evaluated_apps : (string * Fdsl.Ast.func list) list
-(** [("social", ...); ("hotel", ...); ("forum", ...)]. *)
-
 val all_functions : Fdsl.Ast.func list
 (** All 29 handlers across the five applications. *)
 

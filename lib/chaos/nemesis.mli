@@ -8,8 +8,6 @@
     draw per-message randomness from an RNG seeded by the event itself,
     never from the transport's jitter stream. *)
 
-type env = { net : Net.Transport.t; fw : Radical.Framework.t }
-
 type stats = {
   applied : int;  (** Events whose fault took effect. *)
   skipped : int;
@@ -19,6 +17,6 @@ type stats = {
 
 type t
 
-val launch : env -> Plan.t -> t
+val launch : Radical.Framework.t -> Plan.t -> t
 
 val stats : t -> stats

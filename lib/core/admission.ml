@@ -41,7 +41,6 @@ type t = {
   by_key : (string, ticket list) Hashtbl.t; (* in-flight, per key *)
   mutable inflight : int;
   mutable queue : ticket list; (* oldest first *)
-  mutable admitted_immediately : int;
   mutable waited : int;
 }
 
@@ -52,7 +51,6 @@ let create ~may_conflict ?(on_admit = fun ~waited:_ -> ()) () =
     by_key = Hashtbl.create 64;
     inflight = 0;
     queue = [];
-    admitted_immediately = 0;
     waited = 0;
   }
 
@@ -125,7 +123,6 @@ let enter t ~fn ~reads ~writes =
     t.on_admit ~waited:(Engine.now () -. tk.t_enqueued)
   end
   else begin
-    t.admitted_immediately <- t.admitted_immediately + 1;
     admit t tk;
     t.on_admit ~waited:0.0
   end;
@@ -148,7 +145,5 @@ let leave t tk =
 let inflight t = t.inflight
 
 let waiting t = List.length t.queue
-
-let admitted_immediately t = t.admitted_immediately
 
 let waited t = t.waited

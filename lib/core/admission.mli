@@ -42,7 +42,5 @@ val inflight : t -> int
 
 val waiting : t -> int
 
-val admitted_immediately : t -> int
-
 val waited : t -> int
 (** Requests that had to queue before admission. *)

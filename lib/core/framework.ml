@@ -144,6 +144,8 @@ let create ?(config = default_config) ?schema ?(manual = [])
 
 let locations t = List.map fst t.sites
 
+let net t = t.net
+
 let runtime t loc =
   match List.assoc_opt loc t.sites with
   | Some rt -> rt

@@ -79,6 +79,9 @@ val runtime : t -> Net.Location.t -> Runtime.t
 val locations : t -> Net.Location.t list
 (** The near-user sites of this deployment, in configuration order. *)
 
+val net : t -> Net.Transport.t
+(** The transport the deployment was created on. *)
+
 val server : t -> Server.t
 (** Shard 0 — the sole server when unsharded. *)
 

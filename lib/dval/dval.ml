@@ -44,17 +44,6 @@ let rec pp fmt = function
 
 let to_string v = Format.asprintf "%a" pp v
 
-let rec size_bytes = function
-  | Unit -> 1
-  | Bool _ -> 1
-  | Int _ -> 8
-  | Str s -> String.length s
-  | List xs -> List.fold_left (fun acc v -> acc + size_bytes v + 2) 2 xs
-  | Record fs ->
-      List.fold_left
-        (fun acc (k, v) -> acc + String.length k + size_bytes v + 4)
-        2 fs
-
 let field_opt v name =
   match v with Record fs -> List.assoc_opt name fs | _ -> None
 
@@ -84,10 +73,6 @@ let to_int_exn v = Int64.to_int (to_int v)
 let to_str = function
   | Str s -> s
   | v -> invalid_arg ("Dval.to_str: " ^ to_string v)
-
-let to_bool = function
-  | Bool b -> b
-  | v -> invalid_arg ("Dval.to_bool: " ^ to_string v)
 
 let to_list = function
   | List xs -> xs

@@ -22,9 +22,6 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val size_bytes : t -> int
-(** Rough serialized size, used by the cost model. *)
-
 val field : t -> string -> t
 (** Record field access. Raises [Invalid_argument] on missing field or
     non-record. *)
@@ -44,7 +41,5 @@ val to_int : t -> int64
 val to_int_exn : t -> int
 
 val to_str : t -> string
-
-val to_bool : t -> bool
 
 val to_list : t -> t list

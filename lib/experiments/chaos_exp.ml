@@ -1,4 +1,3 @@
-module Campaign = Chaos.Campaign
 module Plan = Chaos.Plan
 
 type report = { r_label : string; r_summary : Campaign.summary }

@@ -1,5 +1,5 @@
-(** Chaos campaign bundle: the experiment-suite entry point for
-    [lib/chaos] ([bench/main.exe chaos]).
+(** Chaos campaign bundle: what [radical_cli chaos] runs when no
+    [--app] is given.
 
     Sweeps the default fault-plan templates over the social and forum
     applications, each in singleton and Raft-replicated deployments,
@@ -8,7 +8,7 @@
     (skipped intent re-execution), catching it, and shrinking the
     failing plan to a minimal reproduction. *)
 
-type report = { r_label : string; r_summary : Chaos.Campaign.summary }
+type report = { r_label : string; r_summary : Campaign.summary }
 
 val campaign :
   ?seeds:int -> ?progress:bool -> ?deployment:Radical.Deployment.feature list ->

@@ -43,20 +43,23 @@ let deploy ~net ~tracer ~locations system ~funcs ~schema ~data =
   | Naive_edge -> Baseline (Baselines.naive_edge ~funcs ~data ())
   | Validate_per_read -> Baseline (Baselines.validate_per_read ~funcs ~data ())
 
-let simulate ~seed ~jitter ~tracer ~locations system ~funcs ~schema ~data load
-    =
+exception Unfinished
+
+let simulate ?until ~seed ~jitter ~tracer ~locations system ~funcs ~schema
+    ~data load =
   let engine = Engine.create ~seed () in
   let out = ref None in
-  Engine.run engine (fun () ->
+  Engine.run ?until engine (fun () ->
       let rng = Engine.rng () in
       let net =
         Transport.create ~jitter_sigma:jitter ~tracer ~rng:(Rng.split rng) ()
       in
       let data = data rng in
       let d = deploy ~net ~tracer ~locations system ~funcs ~schema ~data in
-      out := Some (load d rng);
-      match d with Framework fw -> Framework.stop fw | Baseline _ -> ());
-  Option.get !out
+      let r = load d rng in
+      (match d with Framework fw -> Framework.stop fw | Baseline _ -> ());
+      out := Some r);
+  match !out with Some r -> r | None -> raise Unfinished
 
 let invoke d ~from fn args =
   match d with

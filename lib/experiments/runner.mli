@@ -34,7 +34,10 @@ type deployment =
   | Framework of Radical.Framework.t
   | Baseline of Radical.Baselines.t
 
+exception Unfinished
+
 val simulate :
+  ?until:float ->
   seed:int ->
   jitter:float ->
   tracer:Metrics.Tracer.t ->
@@ -52,7 +55,9 @@ val simulate :
     against [schema], its framework sharing [tracer]. Then [load d rng]
     runs the caller's workload, its own RNG splits, any drain and the
     reading of its counters; the framework stops and [load]'s result is
-    returned. *)
+    returned. A fiber's exception propagates as {!Sim.Engine.Fiber_error}.
+    @raise Unfinished if the engine quiesced, or its clock reached
+    [until], before [load] and the stop returned. *)
 
 val invoke :
   deployment -> from:Net.Location.t -> string -> Dval.t list -> float * bool

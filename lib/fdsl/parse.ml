@@ -706,8 +706,3 @@ and block_source e =
     | other -> to_source other
   in
   Printf.sprintf "{ %s }" (stmts e)
-
-let func_to_source (f : Ast.func) =
-  Printf.sprintf "fn %s(%s) %s" f.fn_name
-    (String.concat ", " f.params)
-    (block_source f.body)

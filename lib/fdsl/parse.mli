@@ -49,5 +49,3 @@ val to_source : Ast.expr -> string
     [e]. [Input] prints like [Var] (the two are semantically
     identical); [Declare] and empty record literals have no surface
     syntax and raise [Invalid_argument]. *)
-
-val func_to_source : Ast.func -> string

@@ -22,7 +22,7 @@
 module Figures = Experiments.Figures
 module Runner = Experiments.Runner
 module Bundle = Apps.Bundle
-module Campaign = Chaos.Campaign
+module Campaign = Experiments.Campaign
 module Plan = Chaos.Plan
 
 let pr fmt = Printf.printf fmt

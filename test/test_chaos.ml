@@ -14,7 +14,7 @@ module Kv = Store.Kv
 module Plan = Chaos.Plan
 module Nemesis = Chaos.Nemesis
 module Oracle = Chaos.Oracle
-module Campaign = Chaos.Campaign
+module Campaign = Experiments.Campaign
 
 (* --- Test functions and harness -------------------------------------- *)
 
@@ -39,7 +39,7 @@ let with_radical ?(seed = 11) ?config ?(funcs = funcs) ?(data = data) f =
         Transport.create ~jitter_sigma:0.0 ~rng:(Rng.split (Engine.rng ())) ()
       in
       let fw = Framework.create ?config ~net ~funcs ~data () in
-      f net fw;
+      f fw;
       Framework.stop fw)
 
 (* The paper deployment with an 800 ms intent-timeout ceiling. *)
@@ -120,10 +120,9 @@ let test_find_template () =
 (* --- Drill scenarios as plans (promoted from examples/failure_drill) --- *)
 
 let test_lost_followup_reexecutes () =
-  with_radical ~config:short_timer_config (fun net fw ->
-      let env = { Nemesis.net; fw } in
+  with_radical ~config:short_timer_config (fun fw ->
       ignore
-        (Nemesis.launch env
+        (Nemesis.launch fw
            [
              Plan.event ~at:0.0
                (Plan.Drop_messages
@@ -148,10 +147,9 @@ let test_lost_followup_reexecutes () =
            (Oracle.drained fw)))
 
 let test_late_followup_discarded () =
-  with_radical ~config:short_timer_config (fun net fw ->
-      let env = { Nemesis.net; fw } in
+  with_radical ~config:short_timer_config (fun fw ->
       ignore
-        (Nemesis.launch env
+        (Nemesis.launch fw
            [
              Plan.event ~at:0.0
                (Plan.Delay_messages
@@ -174,13 +172,12 @@ let test_late_followup_discarded () =
       Alcotest.(check int) "no double apply" 2 (version_of fw "x"))
 
 let test_cache_wipe_self_repairs () =
-  with_radical (fun net fw ->
-      let env = { Nemesis.net; fw } in
+  with_radical (fun fw ->
       let o1 = Framework.invoke fw ~from:Location.jp "get" [ Dval.Str "x" ] in
       Alcotest.(check string) "warm read speculative" "speculative"
         (match o1.path with Runtime.Speculative -> "speculative" | _ -> "other");
       ignore
-        (Nemesis.launch env
+        (Nemesis.launch fw
            [ Plan.event ~at:0.0 (Plan.Wipe_cache Location.jp) ]);
       Engine.sleep 1.0;
       Alcotest.(check int) "cache empty" 0
@@ -199,9 +196,10 @@ let test_cache_wipe_self_repairs () =
 (* --- Non-quiescent restart_recover (satellite: restart coverage) ------ *)
 
 let test_restart_with_pending_intent_and_inflight_followup () =
-  with_radical ~config:short_timer_config (fun net fw ->
+  with_radical ~config:short_timer_config (fun fw ->
       (* Slow every followup down; the restart happens while the intent
          is pending and its followup is still in flight. *)
+      let net = Framework.net fw in
       let h =
         Transport.add_fault net (fun ~src:_ ~dst:_ ~label ->
             if String.equal label "followup" then Transport.Delay 5000.0
@@ -232,7 +230,7 @@ let test_restart_with_pending_intent_and_inflight_followup () =
       Transport.remove_fault net h)
 
 let test_restart_with_request_in_flight () =
-  with_radical ~config:short_timer_config (fun _net fw ->
+  with_radical ~config:short_timer_config (fun fw ->
       (* Restart while the LVI request is still on the wire (~70 ms one
          way from JP, restart at 40 ms): the server has no intent yet,
          the handler fiber proceeds normally after the restart. *)
@@ -262,7 +260,7 @@ let test_restart_with_request_in_flight () =
    from the validated snapshot, return the real value, and leave a
    linearizable history. *)
 let test_wipe_mid_speculation_stays_consistent () =
-  with_radical (fun _net fw ->
+  with_radical (fun fw ->
       Framework.record_history fw;
       let outcome = ref None in
       Engine.spawn (fun () ->
@@ -282,7 +280,7 @@ let test_wipe_mid_speculation_stays_consistent () =
 (* --- Oracle ----------------------------------------------------------- *)
 
 let test_oracle_clean_deployment () =
-  with_radical (fun _net fw ->
+  with_radical (fun fw ->
       Framework.record_history fw;
       ignore (Framework.invoke fw ~from:Location.ca "put" [ Dval.Str "x"; Dval.Str "v2" ]);
       ignore (Framework.invoke fw ~from:Location.de "get" [ Dval.Str "x" ]);
@@ -291,7 +289,7 @@ let test_oracle_clean_deployment () =
         (List.length (Oracle.check ~init:data fw)))
 
 let test_oracle_flags_poisoned_cache () =
-  with_radical (fun _net fw ->
+  with_radical (fun fw ->
       let cache = Runtime.cache (Framework.runtime fw Location.ca) in
       (* Same version as the primary but a different value: the state a
          repaired cache can never legitimately reach. *)
@@ -310,7 +308,7 @@ let test_oracle_flags_poisoned_cache () =
         (Oracle.caches_coherent fw <> []))
 
 let test_oracle_flags_effect_miscounts () =
-  with_radical (fun _net fw ->
+  with_radical (fun fw ->
       Framework.register_external fw ~name:"pay" (fun v -> v);
       let ext = Framework.external_services fw in
       (* Two distinct idempotency keys -> two handler runs; a duplicate
@@ -444,6 +442,14 @@ let test_raft_crash_skipped_on_singleton () =
   Alcotest.(check int) "crash skipped" 1 o.Campaign.faults_skipped;
   Alcotest.(check int) "no violations" 0 (List.length o.Campaign.violations)
 
+(* A fiber that raises ends the run with exactly one violation, not an
+   exception out of the campaign. *)
+let test_crash_is_one_violation () =
+  let exploding = { kv_app with seed = (fun _ -> failwith "seed exploded") } in
+  let o = Campaign.run_one ~seed:3 exploding [] in
+  Alcotest.(check (list string)) "one no-crash violation" [ "no-crash" ]
+    (List.map (fun (v : Oracle.violation) -> v.inv) o.Campaign.violations)
+
 let () =
   Alcotest.run "chaos"
     [
@@ -493,5 +499,7 @@ let () =
             test_replicated_raft_churn;
           Alcotest.test_case "raft crash skipped on singleton" `Quick
             test_raft_crash_skipped_on_singleton;
+          Alcotest.test_case "crashing fiber is one violation" `Quick
+            test_crash_is_one_violation;
         ] );
     ]

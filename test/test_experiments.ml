@@ -351,6 +351,26 @@ let prop_speculation_preserves_semantics =
       (* ...and agree with the plain execution bit for bit. *)
       && radical_value = plain_value)
 
+(* --- The skeleton's stuck exit ----------------------------------------- *)
+
+(* [load] on a one-site local baseline, cut off at 100 ms. *)
+let simulate_until load =
+  Runner.simulate ~until:100.0 ~seed:1 ~jitter:0.0
+    ~tracer:Metrics.Tracer.noop ~locations:[ Location.ca ] Runner.Local
+    ~funcs:[] ~schema:[]
+    ~data:(fun _ -> [])
+    (fun _ _ -> load ())
+
+let test_simulate_until_sleeping () =
+  Alcotest.(check int) "a load within the cap returns" 7
+    (simulate_until (fun () -> Sim.Engine.sleep 50.0; 7));
+  Alcotest.check_raises "a load past the cap" Runner.Unfinished (fun () ->
+      simulate_until (fun () -> Sim.Engine.sleep 1000.0))
+
+let test_simulate_until_suspended () =
+  Alcotest.check_raises "a load that never resumes" Runner.Unfinished
+    (fun () -> simulate_until (fun () -> Sim.Engine.suspend (fun _ -> ())))
+
 let () =
   Alcotest.run "experiments"
     [
@@ -365,6 +385,13 @@ let () =
           Alcotest.test_case "replay" `Slow test_trace_replay;
           Alcotest.test_case "replay reports spec_rate" `Slow
             test_trace_replay_spec_rate;
+        ] );
+      ( "simulate",
+        [
+          Alcotest.test_case "until cuts off a sleeping load" `Quick
+            test_simulate_until_sleeping;
+          Alcotest.test_case "until cuts off a suspended load" `Quick
+            test_simulate_until_suspended;
         ] );
       ( "bench json",
         [

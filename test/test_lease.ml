@@ -345,15 +345,15 @@ let test_lease_chaos_smoke () =
   in
   let config =
     {
-      Chaos.Campaign.default_config with
+      Experiments.Campaign.default_config with
       deployment =
         Radical.Deployment.config
-          ~base:Chaos.Campaign.default_config.deployment [ Leased ];
+          ~base:Experiments.Campaign.default_config.deployment [ Leased ];
     }
   in
   let app = Apps.Bundle.social in
   let summary =
-    Chaos.Campaign.sweep ~config ~templates:[ template ] ~replay_every:10
+    Experiments.Campaign.sweep ~config ~templates:[ template ] ~replay_every:10
       ~seeds:20 app
   in
   Alcotest.(check int) "20 runs" 20 summary.runs;

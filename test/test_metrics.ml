@@ -73,6 +73,23 @@ let test_noop_tracer () =
   Alcotest.(check int) "no traces" 0 (Tracer.trace_count t);
   Alcotest.(check string) "empty json" "{}" (Tracer.phases_json t)
 
+(* Every instrumented call site pays for the disabled tracer: 1,000
+   rounds of the calls a request makes must not allocate a word. *)
+let test_noop_tracer_allocates_nothing () =
+  let t = Tracer.noop in
+  let body () = () in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    let root = Tracer.root t "fn" in
+    let child = Tracer.child t ~parent:root "phase" in
+    Tracer.annotate root "k" "v";
+    Tracer.with_phase t ~parent:root "p" body;
+    Tracer.record_wire t ~label:"lvi" 1.5;
+    Tracer.stop child;
+    Tracer.stop root
+  done;
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (Gc.minor_words () -. before)
+
 (* ------------------------------------------------------------------ *)
 (* Tracer: span trees                                                  *)
 
@@ -272,6 +289,8 @@ let () =
       ( "tracer",
         [
           Alcotest.test_case "noop is inert" `Quick test_noop_tracer;
+          Alcotest.test_case "disabled tracer allocates nothing" `Quick
+            test_noop_tracer_allocates_nothing;
           Alcotest.test_case "span tree phases" `Quick test_span_tree_phases;
           Alcotest.test_case "open span not aggregated" `Quick
             test_open_span_not_aggregated;
