@@ -23,6 +23,10 @@ type lvi_request = {
          sitting in its coalescing buffer when this request departed:
          the request carries them for free, and the server applies them
          before processing the request itself. *)
+  acks : exec_id list;
+      (* Execution ids of earlier calls from this site to this server
+         that have returned (reply or timeout): the server may drop their
+         stored responses. *)
 }
 
 type update = { up_key : string; up_value : Dval.t; up_version : int }
@@ -76,6 +80,7 @@ type exec_request = {
   dx_exec_id : exec_id;
   dx_fn_name : string;
   dx_args : Dval.t list;
+  dx_acks : exec_id list; (* as [lvi_request.acks] *)
 }
 
 (* Cross-shard atomic commit (sharded LVI service). The coordinator

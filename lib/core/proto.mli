@@ -44,6 +44,14 @@ type lvi_request = {
           followup can never stall a later request from the same site
           behind the locks it would release. Empty unless followup
           coalescing is on. *)
+  acks : exec_id list;
+      (** Execution ids of this site's earlier LVI and direct-exec calls
+          to the same server that have returned, with a reply or a
+          timeout, since the site's last request to it. The client no
+          longer waits on those replies, so the server replaces each
+          stored response it has already sent with a shared tombstone
+          (DESIGN.md §16.2); the entry's key and deadline stay, so a
+          late duplicate is still recognised and never re-runs. *)
 }
 
 type update = { up_key : string; up_value : Dval.t; up_version : int }
@@ -133,6 +141,7 @@ type exec_request = {
   dx_exec_id : exec_id;
   dx_fn_name : string;
   dx_args : Dval.t list;
+  dx_acks : exec_id list;  (** As {!lvi_request.acks}. *)
 }
 (** Direct near-storage execution, used when the analyzer failed and for
     the primary-datacenter baseline. *)

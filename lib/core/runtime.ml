@@ -76,13 +76,27 @@ type stats = {
    exactly one; sharded ones have one per shard, indexed by shard id.
    Followup coalescers are per-endpoint: a followup must reach the
    shard that installed its intent, and a piggybacked followup may
-   only ride a request bound for that same shard. *)
+   only ride a request bound for that same shard. So is the ack
+   buffer: a reply is acknowledged to the server that stored it. *)
 type endpoint = {
   ep_lvi : (Proto.lvi_request, Proto.lvi_response) Transport.service;
   ep_fu : (Proto.followup list, unit) Transport.service;
   ep_exec : (Proto.exec_request, Proto.exec_result) Transport.service;
   ep_coal : Client_pipeline.coalescer;
+  mutable ep_acks : Proto.exec_id list;
+      (* Calls to this endpoint that have returned since the last
+         request to it; the next LVI or direct-exec request carries
+         them, so the server can drop their stored replies. *)
 }
+
+(* The call [exec_id] to [ep] has returned, with a reply or a timeout:
+   this site will never read another copy of its reply. *)
+let ack ep exec_id = ep.ep_acks <- exec_id :: ep.ep_acks
+
+let take_acks ep =
+  let acks = ep.ep_acks in
+  ep.ep_acks <- [];
+  acks
 
 type t = {
   cfg : config;
@@ -164,6 +178,7 @@ let endpoint_of ~net ~tracer cfg server =
         ~on_flush:(fun ~count ~waited ->
           Tracer.record_batch tracer ~label:"followup" count;
           Tracer.record_queue tracer ~label:"followup" waited);
+    ep_acks = [];
   }
 
 let create ?extsvc ?(tracer = Tracer.noop) ?sharding ~net ~registry ~cache
@@ -313,8 +328,14 @@ let direct_execute t ~start ~exec_id ~root ep fn args =
     Tracer.with_phase t.tracer ~parent:root "direct_exec" (fun () ->
         Transport.call_timeout t.net ~from:t.cfg.loc
           ~timeout:rpc_timeout ep.ep_exec
-          { Proto.dx_exec_id = exec_id; dx_fn_name = fn; dx_args = args })
+          {
+            Proto.dx_exec_id = exec_id;
+            dx_fn_name = fn;
+            dx_args = args;
+            dx_acks = take_acks ep;
+          })
   in
+  ack ep exec_id;
   let finish = Engine.now () in
   match res with
   | Some res ->
@@ -448,7 +469,7 @@ let invoke t fn args =
             t.cfg.ro_fast && entry.read_only && rwset.writes = []
           in
           if ro_hint then t.s_ro_hints <- t.s_ro_hints + 1;
-          match
+          let reply =
             Tracer.with_phase t.tracer ~parent:root "lvi_rtt" (fun () ->
                 Transport.call_timeout t.net ~from:t.cfg.loc
                   ~timeout:rpc_timeout ep.ep_lvi
@@ -461,8 +482,11 @@ let invoke t fn args =
                     ro_hint;
                     from_loc = t.cfg.loc;
                     piggyback = Client_pipeline.take_piggyback ep.ep_coal;
+                    acks = take_acks ep;
                   })
-          with
+          in
+          ack ep exec_id;
+          match reply with
           | None ->
               (* Request or reply lost past the timeout: surface an error
                  instead of blocking this fiber forever. Never fall back
@@ -553,6 +577,9 @@ let invoke t fn args =
               finalize
                 { value = backup.value; latency = finish -. start; path = Backup })
           end)
+
+let pending_acks t =
+  Array.fold_left (fun acc ep -> acc + List.length ep.ep_acks) 0 t.endpoints
 
 let stats t =
   {

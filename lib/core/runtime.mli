@@ -171,6 +171,13 @@ val set_recorder : t -> (Lincheck.op -> unit) -> unit
 
 val stats : t -> stats
 
+val pending_acks : t -> int
+(** Returned calls, across this site's server endpoints, not yet
+    acknowledged to their server. Each LVI or direct-exec request
+    carries its endpoint's whole buffer ([Proto.lvi_request.acks]), so
+    this counts only the calls returned since the last request to each
+    endpoint. *)
+
 val location : t -> Net.Location.t
 
 val cache : t -> Cache.t

@@ -215,11 +215,22 @@ let outstanding_leases (t : t) = Lease.live t.lease_tbl ~now:(Engine.now ())
 
 let pending_intents (t : t) = Store.Intents.pending_count t.intents
 
-let dedup_entries (t : t) =
+let prune_replies (t : t) =
   let now = Engine.now () in
   Expiring.prune t.reply_cache ~now;
-  Expiring.prune t.exec_replies ~now;
+  Expiring.prune t.exec_replies ~now
+
+let dedup_entries (t : t) =
+  prune_replies t;
   Expiring.length t.reply_cache + Expiring.length t.exec_replies
+
+let held_replies (t : t) =
+  prune_replies t;
+  let count tomb _ cell n =
+    if !cell != tomb && Ivar.is_full !cell then n + 1 else n
+  in
+  Expiring.fold (count Server_state.lvi_tombstone) t.reply_cache 0
+  + Expiring.fold (count Server_state.exec_tombstone) t.exec_replies 0
 
 let inject_mutation (t : t) m = t.mutation <- m
 

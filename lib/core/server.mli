@@ -130,6 +130,12 @@ val dedup_entries : t -> int
     times {!Net.Transport.max_message_age} (plus in-flight requests), and
     0 after a quiet period longer than that lifetime. *)
 
+val held_replies : t -> int
+(** Entries of those caches that still hold a response: filled, and not
+    yet acknowledged by the client's next request to this server. The
+    rest are in flight or tombstones that keep only their key and
+    deadline (DESIGN.md §16.2). *)
+
 val restart_recover : t -> unit
 (** Simulate an LVI-server restart: in-memory intent timers are gone,
     but the intent records (with the function and inputs needed for

@@ -264,34 +264,40 @@ let handle_lvi_once (t : t) (req : Proto.lvi_request) : Proto.lvi_response =
    duplicate — even one arriving while the original is still being
    processed — blocks on the same ivar and returns the same response.
    Entries whose lifetime has passed are pruned first; none of their
-   requests can still arrive. *)
+   requests can still arrive. Then the replies the client acknowledges
+   give up their responses; a duplicate of one of those gets the
+   tombstone, after its client has finished the call. *)
 let handle_lvi (t : t) (req : Proto.lvi_request) : Proto.lvi_response =
   Expiring.prune t.reply_cache ~now:(Engine.now ());
+  forget_acked t req.acks;
   match Expiring.find_opt t.reply_cache req.exec_id with
-  | Some iv ->
+  | Some cell ->
       t.s_dup_deliveries <- t.s_dup_deliveries + 1;
       Log.info (fun m ->
           m "LVI %s: duplicate delivery, replaying reply" req.exec_id);
-      Ivar.read iv
+      Ivar.read !cell
   | None ->
       let iv = Ivar.create () in
-      Expiring.replace t.reply_cache req.exec_id iv;
+      let cell = ref iv in
+      Expiring.replace t.reply_cache req.exec_id cell;
       let resp = handle_lvi_once t req in
       Ivar.fill iv resp;
-      expire_reply t.reply_cache req.exec_id iv;
+      expire_reply t.reply_cache req.exec_id cell;
       resp
 
 (* Same reply-cache guard as [handle_lvi]: a duplicated direct-exec
    delivery must not run the function (and its effects) twice. *)
 let handle_exec (t : t) (req : Proto.exec_request) : Proto.exec_result =
   Expiring.prune t.exec_replies ~now:(Engine.now ());
+  forget_acked t req.dx_acks;
   match Expiring.find_opt t.exec_replies req.dx_exec_id with
-  | Some iv ->
+  | Some cell ->
       t.s_dup_deliveries <- t.s_dup_deliveries + 1;
-      Ivar.read iv
+      Ivar.read !cell
   | None ->
       let iv = Ivar.create () in
-      Expiring.replace t.exec_replies req.dx_exec_id iv;
+      let cell = ref iv in
+      Expiring.replace t.exec_replies req.dx_exec_id cell;
       t.s_direct <- t.s_direct + 1;
       let result =
         match Registry.find t.registry req.dx_fn_name with
@@ -301,5 +307,5 @@ let handle_exec (t : t) (req : Proto.exec_request) : Proto.exec_result =
               req.dx_args
       in
       Ivar.fill iv result;
-      expire_reply t.exec_replies req.dx_exec_id iv;
+      expire_reply t.exec_replies req.dx_exec_id cell;
       result

@@ -185,10 +185,12 @@ let restart_recover (t : t) =
      re-runs the full protocol — it re-acquires the now-released locks,
      finds its reads stale (re-execution bumped the versions) and
      double-executes the backup. Direct-exec replies have no durable
-     record to rebuild from and keep their in-memory entries. *)
+     record to rebuild from and keep their in-memory entries.
+     Acknowledged entries hold the filled tombstone and go with the
+     rest. *)
   let filled =
     Expiring.fold
-      (fun id iv acc -> if Ivar.is_full iv then id :: acc else acc)
+      (fun id cell acc -> if Ivar.is_full !cell then id :: acc else acc)
       t.reply_cache []
   in
   List.iter (Expiring.remove t.reply_cache) filled;
@@ -209,8 +211,9 @@ let restart_recover (t : t) =
         in
         let iv = Ivar.create () in
         Ivar.fill iv (Proto.Validated { write_versions; leases = [] });
-        Expiring.replace t.reply_cache exec_id iv;
-        expire_reply t.reply_cache exec_id iv
+        let cell = ref iv in
+        Expiring.replace t.reply_cache exec_id cell;
+        expire_reply t.reply_cache exec_id cell
       end)
     t.durable_reqs;
   let orphans = Hashtbl.fold (fun _ req acc -> req :: acc) t.durable_reqs [] in

@@ -24,6 +24,11 @@ type repl = {
          (batching.persist_window > 0). *)
 }
 
+(* A reply-cache entry. The cell, not the ivar, is what the table binds
+   and what [Sim.Expiring]'s deadline is tied to ([==]), so repointing
+   it at a tombstone leaves the deadline in force. *)
+type 'r reply = 'r Sim.Ivar.t ref
+
 type pending = {
   p_req : Proto.lvi_request;
   p_timer : Sim.Timer.t;
@@ -107,9 +112,13 @@ type t = {
      simulation equivalent of a server-side reply cache. An entry is
      forgotten once the clock passes its fill time plus
      [Transport.max_message_age]: every copy of a request leaves before
-     the first one arrives, so none can arrive after that. *)
-  reply_cache : (string, Proto.lvi_response Sim.Ivar.t) Sim.Expiring.t;
-  exec_replies : (string, Proto.exec_result Sim.Ivar.t) Sim.Expiring.t;
+     the first one arrives, so none can arrive after that. Once the
+     client acknowledges the reply (a later request's [acks]), a filled
+     entry keeps its key and deadline but its cell is pointed at the
+     table's shared tombstone, so neither the table nor the deadline
+     FIFO pins the response any more. *)
+  reply_cache : (string, Proto.lvi_response reply) Sim.Expiring.t;
+  exec_replies : (string, Proto.exec_result reply) Sim.Expiring.t;
   (* Some when this server is one shard of a sharded LVI service. *)
   mutable sharding : sharding option;
   (* Outstanding read leases this server (the lease authority for its
@@ -208,9 +217,40 @@ let create ?repl ?admission ?(tracer = Tracer.noop) ~net ~registry ~kv ~extsvc
     decide_svc = None;
   }
 
-(* [iv], the reply bound to [id], was filled now: no copy of its request
-   can arrive once the message lifetime has passed, so the entry may go
-   then. *)
-let expire_reply tbl id iv =
-  Sim.Expiring.expire tbl id iv
+(* [cell], the reply bound to [id], was filled now: no copy of its
+   request can arrive once the message lifetime has passed, so the entry
+   may go then. *)
+let expire_reply tbl id cell =
+  Sim.Expiring.expire tbl id cell
     ~at:(Sim.Engine.now () +. Transport.max_message_age)
+
+let tombstone v =
+  let iv = Sim.Ivar.create () in
+  Sim.Ivar.fill iv v;
+  iv
+
+let lvi_tombstone =
+  tombstone
+    (Proto.Mismatch { backup = Proto.failed "reply acknowledged"; updates = [] })
+
+let exec_tombstone = tombstone (Proto.failed "reply acknowledged")
+
+(* Whether [id] is bound in [tbl]; a filled entry gives up its reply. *)
+let forget_reply tbl tomb id =
+  match Sim.Expiring.find_opt tbl id with
+  | Some cell ->
+      if Sim.Ivar.is_full !cell then cell := tomb;
+      true
+  | None -> false
+
+(* The client has stopped waiting on each acked call, so its stored
+   response can go. Only filled entries are tombstoned: an unfilled one
+   belongs to a handler still running, whose duplicates must block on it
+   and get the real reply. An exec id names an LVI or a direct-exec call,
+   never both. *)
+let rec forget_acked (t : t) = function
+  | [] -> ()
+  | id :: acks ->
+      if not (forget_reply t.reply_cache lvi_tombstone id) then
+        ignore (forget_reply t.exec_replies exec_tombstone id : bool);
+      forget_acked t acks

@@ -18,6 +18,11 @@ type repl = {
           (batching.persist_window > 0). *)
 }
 
+type 'r reply = 'r Sim.Ivar.t ref
+(** A reply-cache entry: a cell holding the reply's ivar, repointed at
+    the table's tombstone once the client acknowledges the reply. The
+    table and the deadline FIFO bind the cell, never the ivar. *)
+
 type pending = {
   p_req : Proto.lvi_request;
   p_timer : Sim.Timer.t;
@@ -63,10 +68,11 @@ type t = {
   mutable mutation : Server_config.protocol_mutation option;
   mutable subscribers :
     (Net.Location.t * (Proto.update * float) Batcher.t) list;
-  reply_cache : (string, Proto.lvi_response Sim.Ivar.t) Sim.Expiring.t;
-  exec_replies : (string, Proto.exec_result Sim.Ivar.t) Sim.Expiring.t;
+  reply_cache : (string, Proto.lvi_response reply) Sim.Expiring.t;
+  exec_replies : (string, Proto.exec_result reply) Sim.Expiring.t;
       (** Dedup tables: entries are forgotten once the clock passes
-          their fill time plus {!Net.Transport.max_message_age}. *)
+          their fill time plus {!Net.Transport.max_message_age}; an
+          acknowledged entry holds the table's tombstone until then. *)
   mutable sharding : sharding option;
   lease_tbl : Lease.t;
   mutable lease_peers :
@@ -118,8 +124,18 @@ val create :
     starts from, and what isolation tests of the extracted layers
     construct without spinning up the full stack. *)
 
-val expire_reply :
-  (string, 'r Sim.Ivar.t) Sim.Expiring.t -> string -> 'r Sim.Ivar.t -> unit
-(** [expire_reply tbl id iv], called when [iv] is filled: forget [id]
-    once {!Net.Transport.max_message_age} has passed, if it is still
-    bound to [iv]. *)
+val expire_reply : (string, 'r reply) Sim.Expiring.t -> string -> 'r reply -> unit
+(** [expire_reply tbl id cell], called when [cell]'s ivar is filled:
+    forget [id] once {!Net.Transport.max_message_age} has passed, if it
+    is still bound to [cell]. *)
+
+val lvi_tombstone : Proto.lvi_response Sim.Ivar.t
+val exec_tombstone : Proto.exec_result Sim.Ivar.t
+(** The shared filled ivars an acknowledged entry of [reply_cache] and
+    [exec_replies] points at. A late duplicate of an acknowledged
+    request gets this constant reply, which its client, having finished
+    the call, drops as late. *)
+
+val forget_acked : t -> Proto.exec_id list -> unit
+(** Point every filled entry of either table whose id is acked at that
+    table's tombstone. Unfilled entries and unknown ids are left alone. *)

@@ -40,19 +40,33 @@ let pairs =
     ((oh, oregon), 50.0);
   ]
 
-let known l =
-  List.mem l [ va; ca; ie; de; jp; oh; oregon ]
+(* [rtt] runs for every message, so the matrix is built once, indexed by
+   each location's position in [all]; [nan] marks a pair [pairs] lacks. *)
+let all = [| va; ca; ie; de; jp; oh; oregon |]
+
+let rec index_from i l =
+  if i = Array.length all then -1
+  else if String.equal all.(i) l then i
+  else index_from (i + 1) l
+
+let index l = index_from 0 l
+
+let matrix =
+  let n = Array.length all in
+  let m = Array.make_matrix n n Float.nan in
+  Array.iteri (fun i _ -> m.(i).(i) <- 1.0) all;
+  List.iter
+    (fun ((a, b), v) ->
+      m.(index a).(index b) <- v;
+      m.(index b).(index a) <- v)
+    pairs;
+  m
 
 let rtt a b =
-  if not (known a && known b) then
+  let i = index a and j = index b in
+  if i < 0 || j < 0 then
     invalid_arg (Printf.sprintf "Location.rtt: unknown location %s/%s" a b);
-  if String.equal a b then 1.0
-  else
-    match List.assoc_opt (a, b) pairs with
-    | Some v -> v
-    | None -> (
-        match List.assoc_opt (b, a) pairs with
-        | Some v -> v
-        | None -> invalid_arg "Location.rtt: missing pair")
+  let v = matrix.(i).(j) in
+  if Float.is_nan v then invalid_arg "Location.rtt: missing pair" else v
 
 let pp fmt t = Format.pp_print_string fmt t

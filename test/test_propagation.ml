@@ -35,11 +35,14 @@ let prop_config prop =
     server = { Server.default_config with propagation = prop };
   }
 
-let with_radical ?(seed = 11) ?config ?manual ?(funcs = funcs) ?(data = data) f =
+let with_radical ?(seed = 11) ?config ?manual ?(funcs = funcs) ?(data = data)
+    ?rtt f =
   let e = Engine.create ~seed () in
   Engine.run e (fun () ->
       let net =
-        Transport.create ~jitter_sigma:0.0 ~rng:(Rng.split (Engine.rng ())) ()
+        Transport.create ?rtt ~jitter_sigma:0.0
+          ~rng:(Rng.split (Engine.rng ()))
+          ()
       in
       let fw = Framework.create ?config ?manual ~net ~funcs ~data () in
       f net fw;
@@ -269,6 +272,7 @@ let test_late_duplicate_replayed_then_forgotten () =
           ro_hint = false;
           from_loc = Location.ca;
           piggyback = [];
+          acks = [];
         }
       in
       let svc = Server.lvi_service server in
@@ -294,6 +298,116 @@ let test_late_duplicate_replayed_then_forgotten () =
       Engine.sleep (Transport.max_message_age +. 1.0);
       Alcotest.(check int) "quiet past the lifetime: nothing held" 0
         (Server.dedup_entries server))
+
+(* --- Acknowledged replies ---------------------------------------------- *)
+
+let lvi_req ?(acks = []) exec_id fn_name args ~writes =
+  {
+    Radical.Proto.exec_id;
+    fn_name;
+    args;
+    reads = [];
+    writes;
+    ro_hint = false;
+    from_loc = Location.ca;
+    piggyback = [];
+    acks;
+  }
+
+let put_a = lvi_req "A" "put" [ Dval.Str "x"; Dval.Str "v2" ] ~writes:[ "x" ]
+
+let follow_up_a net server =
+  Transport.post net ~from:Location.ca (Server.followup_service server)
+    [
+      {
+        Radical.Proto.fu_exec_id = "A";
+        fu_from = Location.ca;
+        fu_updates = [ ("x", Dval.Str "v2") ];
+      };
+    ]
+
+(* B acknowledges A's reply, so the server drops A's response and keeps
+   only its key and deadline. A copy of A that lands after that is still
+   a duplicate: nothing runs again, and its tombstone reply reaches a
+   client that has finished the call and drops it as late. *)
+let test_duplicate_after_ack_gets_tombstone () =
+  (* The fault hook duplicates A's request; the transport samples the
+     first copy's delay, then the second's, and [lag] stretches the
+     second to 1.5 s one way, so that copy lands after B. *)
+  let lag = ref 0 in
+  let rtt a b =
+    match !lag with
+    | 2 ->
+        lag := 1;
+        Location.rtt a b
+    | 1 ->
+        lag := 0;
+        3000.0
+    | _ -> Location.rtt a b
+  in
+  with_radical ~rtt (fun net fw ->
+      let server = Framework.server fw in
+      let svc = Server.lvi_service server in
+      let call req =
+        Transport.call_timeout net ~from:Location.ca
+          ~timeout:Runtime.rpc_timeout svc req
+      in
+      let first = ref true in
+      Transport.set_fault net (fun ~src:_ ~dst:_ ~label ->
+          if String.equal label "lvi" && !first then begin
+            first := false;
+            lag := 2;
+            Transport.Duplicate
+          end
+          else Transport.Deliver);
+      (match call put_a with
+      | Some (Radical.Proto.Validated _) -> ()
+      | _ -> Alcotest.fail "A not validated");
+      follow_up_a net server;
+      Engine.sleep 200.0;
+      ignore (call (lvi_req ~acks:[ "A" ] "B" "get" [ Dval.Str "y" ] ~writes:[]));
+      Alcotest.(check int) "only B's reply held" 1 (Server.held_replies server);
+      Alcotest.(check int) "A's entry kept for dedup" 2
+        (Server.dedup_entries server);
+      let before = Server.stats server in
+      Alcotest.(check int) "copy of A not yet in" 0 before.dup_deliveries;
+      Engine.sleep 4000.0;
+      let after = Server.stats server in
+      Alcotest.(check int) "late copy is a duplicate" 1 after.dup_deliveries;
+      Alcotest.(check int) "nothing re-runs" before.requests after.requests;
+      Alcotest.(check int) "no new validation" before.validated after.validated;
+      Alcotest.(check int) "no intent" 0 (Server.pending_intents server);
+      Alcotest.(check int) "locks drained" 0 (Server.locks_held server);
+      (match Kv.peek (Framework.primary fw) "x" with
+      | Some { version; _ } -> Alcotest.(check int) "written once" 2 version
+      | None -> Alcotest.fail "x missing");
+      Alcotest.(check int) "client drops the reply as late" 1
+        (Transport.late_replies net))
+
+(* Until the client acknowledges it, a reply stays whole: a copy of A
+   arriving before B's ack gets A's own response. *)
+let test_duplicate_before_ack_gets_full_reply () =
+  with_radical (fun net fw ->
+      let server = Framework.server fw in
+      let svc = Server.lvi_service server in
+      let r1 = Transport.call net ~from:Location.ca svc put_a in
+      follow_up_a net server;
+      Engine.sleep 200.0;
+      let r2 = Transport.call net ~from:Location.ca svc put_a in
+      Alcotest.(check bool) "A's own response replayed" true (r1 == r2);
+      (match r2 with
+      | Radical.Proto.Validated { write_versions; _ } ->
+          Alcotest.(check (list (pair string int)))
+            "A's write versions" [ ("x", 1) ] write_versions
+      | Radical.Proto.Mismatch _ -> Alcotest.fail "expected A's validation");
+      Alcotest.(check int) "A's reply held" 1 (Server.held_replies server);
+      ignore
+        (Transport.call net ~from:Location.ca svc
+           (lvi_req ~acks:[ "A" ] "B" "get" [ Dval.Str "y" ] ~writes:[]));
+      Alcotest.(check int) "after the ack only B's is held" 1
+        (Server.held_replies server);
+      Alcotest.(check int) "both entries kept" 2 (Server.dedup_entries server);
+      Alcotest.(check int) "processed once" 2 (Server.stats server).requests)
 
 (* --- Write-set accounting regression ---------------------------------- *)
 
@@ -413,6 +527,10 @@ let () =
             test_duplicate_lvi_delivery_processed_once;
           Alcotest.test_case "late duplicate replayed, then forgotten" `Quick
             test_late_duplicate_replayed_then_forgotten;
+          Alcotest.test_case "copy after the ack is a tombstone" `Quick
+            test_duplicate_after_ack_gets_tombstone;
+          Alcotest.test_case "copy before the ack gets the reply" `Quick
+            test_duplicate_before_ack_gets_full_reply;
         ] );
       ( "accounting",
         [

@@ -312,6 +312,26 @@ let test_fallback_for_unanalyzable () =
       let st = Server.stats (Framework.server fw) in
       Alcotest.(check int) "direct execution" 1 st.direct_executions)
 
+(* Direct executions acknowledge their replies too: a site that only
+   sends them carries each ack on its next request, so neither its ack
+   buffer nor the server's held replies grow with the number of calls. *)
+let test_direct_only_site_acks_bounded () =
+  with_radical (fun _ fw ->
+      let rt = Framework.runtime fw Location.de in
+      let server = Framework.server fw in
+      for _ = 1 to 20 do
+        let o = Framework.invoke fw ~from:Location.de "mystery" [] in
+        check_path "fallback" Runtime.Fallback o;
+        Alcotest.(check int) "only the last call unacked" 1
+          (Runtime.pending_acks rt);
+        Alcotest.(check int) "only the last reply held" 1
+          (Server.held_replies server)
+      done;
+      Alcotest.(check int) "every call executed" 20
+        (Server.stats server).direct_executions;
+      Alcotest.(check int) "every entry kept for dedup" 20
+        (Server.dedup_entries server))
+
 let test_expensive_runs_near_storage () =
   (* A key derived from heavy computation: f^rw would cost as much as f,
      so the framework always executes near storage (§3.3). *)
@@ -806,7 +826,9 @@ let test_prediction_failure_falls_back () =
    Raft lock log compacts. Run the same open loop for 30 s and for 90 s
    of virtual time and sample both tables every second: each stays
    below rate x (lifetime + 1 s), and the longer run holds no more than
-   the shorter one plus Poisson noise. *)
+   the shorter one plus Poisson noise. Of the dedup entries, only those
+   whose client has not yet acknowledged the reply still hold a
+   response: at most rate x 1 s of them. *)
 let soak_peaks ~seconds =
   let rate = 100.0 in
   let config =
@@ -820,7 +842,7 @@ let soak_peaks ~seconds =
         };
     }
   in
-  let peak_dedup = ref 0 and peak_raft = ref 0 in
+  let peak_dedup = ref 0 and peak_held = ref 0 and peak_raft = ref 0 in
   with_radical ~config (fun _ fw ->
       let server = Framework.server fw in
       let cluster = Option.get (Server.raft_cluster server) in
@@ -830,6 +852,7 @@ let soak_peaks ~seconds =
           while !running do
             Engine.sleep 1000.0;
             peak_dedup := max !peak_dedup (Server.dedup_entries server);
+            peak_held := max !peak_held (Server.held_replies server);
             for id = 0 to Radical.Raft_locks.size cluster - 1 do
               peak_raft :=
                 max !peak_raft (Radical.Raft_locks.stored_entries cluster id)
@@ -848,12 +871,16 @@ let soak_peaks ~seconds =
       running := false;
       Alcotest.(check bool) "load ran" true (n > int_of_float (rate *. seconds /. 2.0));
       Alcotest.(check int) "locks drained" 0 (Server.locks_held server));
-  (!peak_dedup, !peak_raft)
+  (!peak_dedup, !peak_held, !peak_raft)
 
 let test_bounded_state_soak () =
   let bound = int_of_float (100.0 *. (Transport.max_message_age +. 1000.0) /. 1000.0) in
-  let dedup30, raft30 = soak_peaks ~seconds:30.0 in
-  let dedup90, raft90 = soak_peaks ~seconds:90.0 in
+  let dedup30, held30, raft30 = soak_peaks ~seconds:30.0 in
+  let dedup90, held90, raft90 = soak_peaks ~seconds:90.0 in
+  List.iter
+    (fun (what, v) ->
+      Alcotest.(check bool) (Printf.sprintf "%s = %d <= 100" what v) true (v <= 100))
+    [ ("held replies, 30 s", held30); ("held replies, 90 s", held90) ];
   List.iter
     (fun (what, v) ->
       Alcotest.(check bool) (Printf.sprintf "%s = %d < %d" what v bound) true (v < bound))
@@ -910,6 +937,8 @@ let () =
             test_cold_caches_start_empty;
           Alcotest.test_case "unanalyzable fallback" `Quick
             test_fallback_for_unanalyzable;
+          Alcotest.test_case "direct-only site acks bounded" `Quick
+            test_direct_only_site_acks_bounded;
           Alcotest.test_case "prediction failure falls back" `Quick
             test_prediction_failure_falls_back;
           Alcotest.test_case "expensive f^rw runs near storage" `Quick

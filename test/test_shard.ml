@@ -472,6 +472,7 @@ let test_restart_duplicate_lvi_dedup () =
           ro_hint = false;
           from_loc = Location.va;
           piggyback = [];
+          acks = [];
         }
       in
       let svc = Server.lvi_service server in
