@@ -33,7 +33,8 @@ analyze:
 certify:
 	dune build @certify
 
-# Batching load sweep: open-loop load against the replicated LVI
+# Batching load sweep (`Experiments.Sweeps.batch`, run by
+# `Experiments.Sweep`): open-loop load against the replicated LVI
 # server with group commit / lock-record flush / conflict-aware
 # admission / followup coalescing toggled per variant; prints the
 # batched-vs-unbatched acceptance verdict. `make check` runs it with
@@ -41,24 +42,26 @@ certify:
 batch:
 	dune exec bench/main.exe -- batch
 
-# Cache-update propagation experiment: multi-site shared-key workload
-# with propagation off / Nagle window sweep / invalidate-only; prints
-# the on-vs-off acceptance verdict (speculation success up, median
-# latency down). `make check` diffs BENCH_propagate.json.
+# Cache-update propagation sweep (`Experiments.Sweeps.propagate`):
+# multi-site shared-key workload with propagation off / Nagle window
+# sweep / invalidate-only; prints the on-vs-off acceptance verdict
+# (speculation success up, median latency down). `make check` diffs
+# BENCH_propagate.json.
 propagate:
 	dune exec bench/main.exe -- propagate
 
-# Shard scaling sweep: prefix-disjoint key families over 1/2/4 LVI
-# shards, peak sustainable throughput per shard count, a cross-shard
-# transfer mix at 4 shards, and the one-round-trip / >=3x scaling
-# acceptance verdicts. `make check` diffs BENCH_shard.json.
+# Shard scaling sweep (`Experiments.Sweeps.shard`): prefix-disjoint
+# key families over 1/2/4 LVI shards, peak sustainable throughput per
+# shard count, a cross-shard transfer mix at 4 shards, and the
+# one-round-trip / >=3x scaling acceptance verdicts; each distinct
+# cell runs once. `make check` diffs BENCH_shard.json.
 shard:
 	dune exec bench/main.exe -- shard
 
-# Read-lease experiment: read-heavy zipf mix with leases off / on
-# (revocation) / on (expiry-wait only); prints the >=40% read-only
-# median reduction acceptance verdict and writes BENCH_lease.json.
-# `make check` diffs BENCH_lease.json.
+# Read-lease sweep (`Experiments.Sweeps.lease`): read-heavy zipf mix
+# with leases off / on (revocation) / on (expiry-wait only); prints the
+# >=40% read-only median reduction acceptance verdict and writes
+# BENCH_lease.json. `make check` diffs BENCH_lease.json.
 lease:
 	dune exec bench/main.exe -- --json lease
 
@@ -83,7 +86,9 @@ radbench-compare:
 # feature experiments) at bench scale with --json: every
 # BENCH_<target>.json must match the checked-in file exactly, each
 # number and each `accept` verdict flag included (a change that moves
-# them commits the regenerated files). Then three 20-seed chaos smoke
+# them commits the regenerated files), and so must the step's stdout
+# (every table, note and verdict line), which it writes over
+# bench/stdout.expected. Then three 20-seed chaos smoke
 # campaigns, each named by its --deployment (see Radical.Deployment):
 # `batched,propagating` (every batching knob and cache-update
 # propagation on), `sharded=4` (the LVI service hash-sharded 4 ways, so
@@ -102,8 +107,8 @@ check:
 	$(MAKE) certify
 	$(TIMED) dune exec bench/main.exe -- --json fig1 table1 table2 fig4 fig5 fig6 \
 	  repl cost sensitivity skew throughput bootstrap ablation phases \
-	  batch propagate lease shard
-	git diff --exit-code -- 'BENCH_*.json'
+	  batch propagate lease shard > bench/stdout.expected
+	git diff --exit-code -- 'BENCH_*.json' bench/stdout.expected
 	$(TIMED) dune exec bin/radical_cli.exe -- chaos --seeds 20 --deployment batched,propagating
 	$(TIMED) dune exec bin/radical_cli.exe -- chaos --seeds 20 --deployment sharded=4
 	$(TIMED) dune exec bin/radical_cli.exe -- chaos --seeds 20 --deployment leased

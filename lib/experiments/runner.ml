@@ -211,11 +211,12 @@ let rate_label r = Printf.sprintf "%.0f/s" r
 let peak_sustainable = function
   | [] -> 0.0
   | first :: _ as cells ->
-      List.fold_left
-        (fun acc c ->
-          if c.median <= 2.0 *. first.median then Float.max acc c.offered
-          else acc)
-        0.0 cells
+      let rec below_knee peak = function
+        | c :: rest when c.median <= 2.0 *. first.median ->
+            below_knee (Float.max peak c.offered) rest
+        | _ -> peak
+      in
+      below_knee 0.0 cells
 
 (* --- machine-readable bench output (--json) --------------------------- *)
 

@@ -154,9 +154,10 @@ val rate_label : float -> string
 (** An offered rate as printed in the sweep tables ("400/s"). *)
 
 val peak_sustainable : load list -> float
-(** Highest offered rate before the latency knee: a cell is sustainable
-    while its median stays within 2x the first (lowest-rate) cell's
-    median. 0 when even the lowest rate has collapsed. *)
+(** Highest offered rate below the latency knee. The knee is the first
+    cell whose median exceeds 2x the first (lowest-rate) cell's median;
+    no cell from the knee on counts, even where a later median falls
+    back. 0 for an empty list or a NaN first median. *)
 
 (** {1 BENCH files} *)
 

@@ -53,13 +53,13 @@ let paper =
 let features =
   [
     target "batch" "group commit / lock flush / admission load sweep"
-      (fun ~scale -> Batch_exp.run ~scale ());
+      (fun ~scale -> Sweep.run (Sweeps.batch ~scale));
     target "propagate" "cache-update propagation: off, window sweep, inval"
-      (fun ~scale -> Propagate_exp.run ~scale ());
+      (fun ~scale -> Sweep.run (Sweeps.propagate ~scale));
     target "lease" "read leases: off, on (revocation), on (expiry wait)"
-      (fun ~scale -> Lease_exp.run ~scale ());
+      (fun ~scale -> Sweep.run (Sweeps.lease ~scale));
     target "shard" "shard scaling and cross-shard commit sweep"
-      (fun ~scale -> Shard_exp.run ~scale ());
+      (fun ~scale -> Sweep.run (Sweeps.shard ~scale));
   ]
 
 let find name = List.find_opt (fun t -> t.name = name) (paper @ features)

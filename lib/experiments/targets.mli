@@ -13,7 +13,8 @@ val paper : t list
     collected evaluation per scale. *)
 
 val features : t list
-(** The feature experiments: batching, propagation, leases, sharding. *)
+(** The feature experiments, the {!Sweeps} values run by {!Sweep.run}:
+    batching, propagation, leases, sharding. *)
 
 val find : string -> t option
 (** Look a target up by name in [paper @ features]. *)

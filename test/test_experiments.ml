@@ -296,6 +296,44 @@ let test_json_empty () =
 |}
     (json_of ~config:[] [])
 
+(* --- Feature sweeps ------------------------------------------------------ *)
+
+let cell offered median =
+  { Runner.offered; achieved = offered; median; p99 = median; requests = 1;
+    errors = 0 }
+
+let test_peak_stops_at_knee () =
+  (* 400/s is back under 2x the first median, but it lies past the
+     200/s knee. *)
+  Alcotest.(check (float 0.0)) "the rate before the knee" 100.0
+    (Runner.peak_sustainable
+       [ cell 100.0 100.0; cell 200.0 300.0; cell 400.0 150.0 ]);
+  Alcotest.(check (float 0.0)) "a NaN first median" 0.0
+    (Runner.peak_sustainable [ cell 100.0 nan; cell 200.0 100.0 ])
+
+(* The measurement names of a checked-in BENCH file, in order. *)
+let bench_names target =
+  In_channel.with_open_text
+    (Printf.sprintf "../BENCH_%s.json" target)
+    In_channel.input_lines
+  |> List.fold_left
+       (fun (inside, names) line ->
+         if String.trim line = "\"measurements\": {" then (true, names)
+         else if inside && String.starts_with ~prefix:"    \"" line then
+           (true, Scanf.sscanf line " %S:" Fun.id :: names)
+         else (inside, names))
+       (false, [])
+  |> snd |> List.rev
+
+let test_sweep_names () =
+  List.iter
+    (fun (t : Experiments.Targets.t) ->
+      Alcotest.(check (list string))
+        (t.name ^ " names match BENCH_" ^ t.name ^ ".json")
+        (bench_names t.name)
+        (List.map fst (t.run ~scale:0.2)))
+    Experiments.Targets.features
+
 (* --- Semantic equivalence of the speculative path ---------------------- *)
 
 (* Whatever the protocol machinery does — f^rw prediction, cache reads,
@@ -398,6 +436,13 @@ let () =
           Alcotest.test_case "non-finite values" `Quick test_json_non_finite;
           Alcotest.test_case "key escaping" `Quick test_json_escaping;
           Alcotest.test_case "empty blocks" `Quick test_json_empty;
+        ] );
+      ( "sweeps",
+        [
+          Alcotest.test_case "peak stops at the knee" `Quick
+            test_peak_stops_at_knee;
+          Alcotest.test_case "names match the BENCH files" `Quick
+            test_sweep_names;
         ] );
       ( "equivalence",
         [ QCheck_alcotest.to_alcotest prop_speculation_preserves_semantics ] );
