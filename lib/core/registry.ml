@@ -16,9 +16,12 @@ type t = {
   degrees : (string, int) Hashtbl.t;
       (* Per-function conflict degree, memoized alongside [conflicts]
          because the runtime asks on every invocation. *)
-  verdicts : (string * string, Analyzer.Conflict.verdict option) Hashtbl.t;
+  verdicts :
+    (string, (string, Analyzer.Conflict.verdict option) Hashtbl.t) Hashtbl.t;
       (* Per-pair static verdict, memoized for the same reason:
-         admission asks for every pair of requests sharing a key. *)
+         admission asks for every pair of requests sharing a key. One
+         row per function, keyed by the other function's name, so a
+         lookup builds no pair and allocates nothing. *)
 }
 
 let create () =
@@ -146,9 +149,17 @@ let conflict_degree t name =
       d
 
 let find_pair t a b =
-  match Hashtbl.find_opt t.verdicts (a, b) with
-  | Some v -> v
-  | None ->
+  let row =
+    match Hashtbl.find t.verdicts a with
+    | row -> row
+    | exception Not_found ->
+        let row = Hashtbl.create 16 in
+        Hashtbl.replace t.verdicts a row;
+        row
+  in
+  match Hashtbl.find row b with
+  | v -> v
+  | exception Not_found ->
       let v = Analyzer.Conflict.find_pair (conflicts t) a b in
-      Hashtbl.replace t.verdicts (a, b) v;
+      Hashtbl.replace row b v;
       v

@@ -42,17 +42,19 @@ let claim_execution (t : t) ~exec_id =
   | None -> true
   | Some { idempotency; _ } -> Store.Idempotency.register idempotency ~exec_id
 
-(* Invocation keys expire after the message lifetime, as the paper's
-   DynamoDB items do by TTL: nothing reads them back, and no copy of the
-   request can still arrive once the lifetime has passed. Execution
-   claims ("ns:") guard re-execution and stay. *)
+(* Invocation records expire after the message lifetime, as the
+   paper's DynamoDB items do by TTL: nothing reads them back, and no copy
+   of the request can still arrive once the lifetime has passed. They
+   are keyed by the exec id itself, the string the reply cache already
+   binds; exec ids ([LOC/fn/n]) never start with "ns:", so they cannot
+   collide with execution claims, which guard re-execution and stay. *)
 let register_invocation (t : t) ~exec_id =
   match t.repl with
   | None -> ()
   | Some { idempotency; _ } ->
       ignore
         (Store.Idempotency.register ~ttl:Transport.max_message_age idempotency
-           ~exec_id:("inv:" ^ exec_id))
+           ~exec_id)
 
 let release (t : t) ~owner keys =
   Locks.release t.locks ~owner;

@@ -77,3 +77,7 @@ let to_str = function
 let to_list = function
   | List xs -> xs
   | v -> invalid_arg ("Dval.to_list: " ^ to_string v)
+
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []

@@ -43,3 +43,8 @@ val to_int_exn : t -> int
 val to_str : t -> string
 
 val to_list : t -> t list
+
+val take : int -> t list -> t list
+(** [take n l]: the first [n] elements of [l], the DSL's [take] in both
+    the evaluator and the VM. [[]] when [n <= 0], all of [l] when [n]
+    is past its length; walks at most [n] elements. *)

@@ -105,7 +105,7 @@ let rec eval_expr h env (e : Ast.expr) =
   | Take (l, n) ->
       let l = as_list (eval_expr h env l) in
       let n = Int64.to_int (as_int (eval_expr h env n)) in
-      Dval.List (List.filteri (fun i _ -> i < n) l)
+      Dval.List (Dval.take n l)
   | Length l -> Dval.Int (Int64.of_int (List.length (as_list (eval_expr h env l))))
   | Nth (l, i) ->
       let l = as_list (eval_expr h env l) in

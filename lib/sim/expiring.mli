@@ -8,6 +8,11 @@
     one constant lifetime; a deadline earlier than the previous one is
     raised to it, which can only keep a binding longer.
 
+    The FIFO is a chain of fixed-size chunks of parallel arrays
+    (deadline, key, value), so a pending deadline costs three words
+    and allocates nothing. A slot that {!prune} vacates keeps no
+    reference to the key or value it held.
+
     A deadline is tied to the value it was set for: {!prune} removes a
     key only while the table still binds it to that same value ([==]).
     A key re-bound to a fresh value in the meantime survives the old

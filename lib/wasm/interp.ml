@@ -43,7 +43,12 @@ let as_list st v =
   | Dval.List l -> l
   | d -> raise (Trap ("expected a list, found " ^ Dval.to_string d))
 
-let bool_i64 b = I64 (if b then 1L else 0L)
+(* Shared, so a comparison pushes a result without allocating one. *)
+let i64_true = I64 1L
+
+let i64_false = I64 0L
+
+let bool_i64 b = if b then i64_true else i64_false
 
 let apply_binop op a b =
   let open Int64 in
@@ -115,7 +120,7 @@ let host_call st name pop push =
   | "list.take" ->
       let n = Int64.to_int (as_i64 (pop ())) in
       let l = as_list st (pop ()) in
-      push (alloc st (Dval.List (List.filteri (fun i _ -> i < n) l)))
+      push (alloc st (Dval.List (Dval.take n l)))
   | "list.concat" ->
       let b = as_list st (pop ()) in
       let a = as_list st (pop ()) in

@@ -10,11 +10,11 @@ type t = { funcs : func array; imports : string list }
 let create ~funcs ~imports = { funcs = Array.of_list funcs; imports }
 
 let find t name =
-  let found = ref None in
-  Array.iteri
-    (fun i f -> if !found = None && String.equal f.fn_name name then found := Some i)
-    t.funcs;
-  !found
+  let n = Array.length t.funcs and i = ref 0 in
+  while !i < n && not (String.equal t.funcs.(!i).fn_name name) do
+    incr i
+  done;
+  if !i < n then Some !i else None
 
 let func t i =
   if i < 0 || i >= Array.length t.funcs then

@@ -52,6 +52,42 @@ let test_all_29_register () =
   Alcotest.(check int) "all but ib-flag analyzable" 28
     (Radical.Registry.analyzable_count reg)
 
+(* Admission asks [find_pair] for every pair of tickets sharing a key:
+   the memoized verdict is the conflict report's, a repeated lookup
+   allocates nothing, and a registration forgets the memo. *)
+let test_find_pair_memo () =
+  let reg = Radical.Registry.create () in
+  let register f =
+    match Radical.Registry.register reg f with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e
+  in
+  let funcs = Apps.Catalog.all_functions in
+  let late = List.hd funcs in
+  List.iter register (List.tl funcs);
+  let names = List.map (fun (f : Fdsl.Ast.func) -> f.fn_name) funcs in
+  let pairs = List.concat_map (fun a -> List.map (fun b -> (a, b)) names) names in
+  Alcotest.(check bool) "unregistered: no verdict" true
+    (Radical.Registry.find_pair reg late.fn_name late.fn_name = None);
+  let agree () =
+    let r = Radical.Registry.conflicts reg in
+    List.for_all
+      (fun (a, b) ->
+        Radical.Registry.find_pair reg a b
+        = Analyzer.Conflict.find_pair r a b)
+      pairs
+  in
+  Alcotest.(check bool) "memo agrees with the report" true (agree ());
+  let lookup (a, b) = ignore (Radical.Registry.find_pair reg a b) in
+  let before = Gc.minor_words () in
+  List.iter lookup pairs;
+  Alcotest.(check (float 0.0)) "hits allocate nothing" 0.0
+    (Gc.minor_words () -. before);
+  register late;
+  Alcotest.(check bool) "registration forgets the memo" true (agree ());
+  Alcotest.(check bool) "late function has verdicts" true
+    (Radical.Registry.find_pair reg late.fn_name late.fn_name <> None)
+
 let classification_of name =
   match Derive.derive (find_fn name) with
   | Ok d -> d.classification
@@ -608,6 +644,7 @@ let () =
       ( "registration",
         [
           Alcotest.test_case "all 29 register" `Quick test_all_29_register;
+          Alcotest.test_case "find_pair memo" `Quick test_find_pair_memo;
           Alcotest.test_case "classification matches Table 1" `Quick
             test_dependent_functions_match_table1;
         ] );

@@ -264,6 +264,29 @@ let test_compile_agreement_samples () =
     }
     []
 
+(* [take] stops after [n] elements: nothing for [n <= 0], the whole
+   list once [n] reaches its length, the same in the evaluator and the
+   VM. *)
+let test_take_edges () =
+  let ints l = Dval.List (List.map (fun i -> Dval.Int (Int64.of_int i)) l) in
+  List.iter
+    (fun (n, want) ->
+      let body = Take (List_lit [ Int 1L; Int 2L; Int 3L ], Int (Int64.of_int n)) in
+      let name = Printf.sprintf "take %d" n in
+      check_dval name (ints want) (ev body);
+      check_agree name { fn_name = "take"; params = []; body } [])
+    [
+      (min_int, []);
+      (-1, []);
+      (0, []);
+      (1, [ 1 ]);
+      (2, [ 1; 2 ]);
+      (3, [ 1; 2; 3 ]);
+      (4, [ 1; 2; 3 ]);
+      (max_int, [ 1; 2; 3 ]);
+    ];
+  check_dval "take from empty" (Dval.List []) (ev (Take (List_lit [], Int 5L)))
+
 let test_compile_nondeterministic_rejected () =
   let f = { fn_name = "nd"; params = []; body = Binop (Add, Time_now, Int 1L) } in
   let m = Compile.compile f in
@@ -403,6 +426,7 @@ let () =
           Alcotest.test_case "timeline through VM" `Quick test_compiled_timeline;
           Alcotest.test_case "agreement samples" `Quick
             test_compile_agreement_samples;
+          Alcotest.test_case "take edges" `Quick test_take_edges;
           Alcotest.test_case "nondeterministic rejected" `Quick
             test_compile_nondeterministic_rejected;
           Alcotest.test_case "declare unsupported" `Quick

@@ -268,6 +268,179 @@ let test_expiring_rebound_survives () =
   Expiring.prune t ~now:9.0;
   Alcotest.(check int) "then forgotten" 0 (Expiring.length t)
 
+(* A value reachable only through an expired, pruned binding is
+   collectable: the slot its deadline held keeps no reference, whether
+   the FIFO still holds later deadlines in the same or a later chunk, or
+   is emptied. *)
+let test_expiring_pruned_slot_releases () =
+  let t = Expiring.create 8 in
+  let bind k v ~at =
+    Expiring.replace t k v;
+    Expiring.expire t k v ~at
+  in
+  let w =
+    let xs, w = alloc 3 in
+    (* 0 and 1 are forgotten outright; key 2 is re-bound before its
+       deadline, so its old value stays only in the FIFO. *)
+    List.iteri (fun i x -> bind i x ~at:1.0) xs;
+    w
+  in
+  Expiring.replace t 2 (ref (-1));
+  for k = 3 to 700 do
+    bind k (ref k) ~at:5.0
+  done;
+  Expiring.prune t ~now:2.0;
+  Alcotest.(check int) "the rest kept" 699 (Expiring.length t);
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) (Printf.sprintf "pruned %d collectable" i) true
+        (collected w i))
+    [ 0; 1; 2 ];
+  for k = 701 to 710 do
+    bind k (ref k) ~at:6.0
+  done;
+  let w =
+    let xs, w = alloc 1 in
+    bind 0 (List.hd xs) ~at:7.0;
+    w
+  in
+  Expiring.prune t ~now:8.0;
+  Alcotest.(check int) "only the unexpiring binding left" 1 (Expiring.length t);
+  Alcotest.(check bool) "emptied FIFO releases" true (collected w 0);
+  bind 1 (ref 1) ~at:9.0;
+  Expiring.prune t ~now:8.5;
+  Alcotest.(check bool) "refilled after emptying" true (Expiring.mem t 1)
+
+(* Per binding with a deadline, the table costs its hash bucket plus
+   three FIFO slots; keys and values are not counted. *)
+let test_expiring_footprint () =
+  let n = 10_000 in
+  let keys = Array.init n string_of_int in
+  let vals = Array.init n (fun i -> ref i) in
+  let t = Expiring.create 64 in
+  Array.iteri
+    (fun i k ->
+      Expiring.replace t k vals.(i);
+      Expiring.expire t k vals.(i) ~at:(float_of_int i))
+    keys;
+  let words =
+    Obj.reachable_words (Obj.repr (t, keys, vals))
+    - Obj.reachable_words (Obj.repr (keys, vals))
+  in
+  let per_binding = float_of_int words /. float_of_int n in
+  if per_binding > 9.0 then
+    Alcotest.failf "%.2f words per binding, want at most 9" per_binding
+
+(* Random steps against a list model, over more deadlines than one FIFO
+   chunk holds: out-of-order deadlines, keys re-bound before their old
+   deadline, deadlines for values no longer bound, and long quiet
+   spells that empty the FIFO. Values are fresh boxes, so the model's
+   value ids stand for physical identity. *)
+type expiring_step =
+  | Bind of int
+  | Unbind of int
+  | Expire of int * int * int (* key, value id back from the newest, delay *)
+  | Prune of int
+
+let expiring_keys = 400
+
+let show_expiring_step = function
+  | Bind k -> Printf.sprintf "Bind %d" k
+  | Unbind k -> Printf.sprintf "Unbind %d" k
+  | Expire (k, back, d) -> Printf.sprintf "Expire (%d, %d, %d)" k back d
+  | Prune d -> Printf.sprintf "Prune %d" d
+
+let expiring_step_gen =
+  QCheck.Gen.(
+    let key = int_range 0 (expiring_keys - 1) in
+    frequency
+      [
+        (3, map (fun k -> Bind k) key);
+        (1, map (fun k -> Unbind k) key);
+        ( 5,
+          map3
+            (fun k back d -> Expire (k, back, d))
+            key
+            (frequency [ (4, return 0); (1, int_range 1 5) ])
+            (int_range (-20) 2000) );
+        ( 2,
+          map
+            (fun d -> Prune d)
+            (frequency [ (300, int_range 0 2); (1, int_range 0 4000) ]) );
+      ])
+
+let prop_expiring_matches_model =
+  QCheck.Test.make ~name:"matches a list model" ~count:15
+    (QCheck.make
+       ~print:(fun steps ->
+         String.concat "; " (List.map show_expiring_step steps))
+       QCheck.Gen.(list_size (int_range 1000 3000) expiring_step_gen))
+    (fun steps ->
+      let t = Expiring.create 8 in
+      (* Model: bindings as (key, id) with the newest first, pending
+         deadlines oldest first, and every value box by id. *)
+      let table = ref [] and fifo = Queue.create () in
+      let boxes = Hashtbl.create 64 and next_id = ref 0 in
+      let now = ref 0.0 and last = ref neg_infinity in
+      let box id = Hashtbl.find boxes id in
+      let agrees k =
+        let want = List.assoc_opt k !table in
+        (match (Expiring.find_opt t k, want) with
+        | None, None -> true
+        | Some v, Some id -> v == box id
+        | _ -> false)
+        && Expiring.length t = List.length !table
+        && List.sort compare
+             (Expiring.fold (fun k v acc -> (k, !v) :: acc) t [])
+           = List.sort compare !table
+      in
+      List.for_all
+        (fun step ->
+          let k =
+            match step with
+            | Bind k ->
+                let id = !next_id in
+                incr next_id;
+                Hashtbl.replace boxes id (ref id);
+                Expiring.replace t k (box id);
+                table := (k, id) :: List.remove_assoc k !table;
+                k
+            | Unbind k ->
+                Expiring.remove t k;
+                table := List.remove_assoc k !table;
+                k
+            | Expire (k, back, d) ->
+                (* The value bound to [k], or an older one. *)
+                let id =
+                  match List.assoc_opt k !table with
+                  | Some id when back = 0 -> id
+                  | _ -> max 0 (!next_id - 1 - back)
+                in
+                if Hashtbl.mem boxes id then begin
+                  let at = !now +. float_of_int d in
+                  Expiring.expire t k (box id) ~at;
+                  last := Float.max at !last;
+                  Queue.push (!last, k, id) fifo
+                end;
+                k
+            | Prune d ->
+                now := !now +. float_of_int d;
+                Expiring.prune t ~now:!now;
+                let rec pop () =
+                  match Queue.peek_opt fifo with
+                  | Some (at, k, id) when !now > at ->
+                      ignore (Queue.pop fifo);
+                      if List.assoc_opt k !table = Some id then
+                        table := List.remove_assoc k !table;
+                      pop ()
+                  | _ -> ()
+                in
+                pop ();
+                0
+          in
+          agrees k)
+        steps)
+
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
 
@@ -587,7 +760,11 @@ let () =
             test_expiring_forgets_after_deadline;
           Alcotest.test_case "re-bound key survives" `Quick
             test_expiring_rebound_survives;
-        ] );
+          Alcotest.test_case "pruned slots release" `Quick
+            test_expiring_pruned_slot_releases;
+          Alcotest.test_case "footprint" `Quick test_expiring_footprint;
+        ]
+        @ qsuite [ prop_expiring_matches_model ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;

@@ -510,6 +510,29 @@ let test_idempotency_ttl () =
       Alcotest.(check int) "only the keys without ttl remain" 2
         (Store.Idempotency.count t))
 
+(* The LVI server keys an invocation record by the bare exec id and an
+   execution claim by "ns:" and the same id: both coexist, both count,
+   and only the record expires. *)
+let test_idempotency_exec_id_keys () =
+  run_sim (fun () ->
+      let t = Store.Idempotency.create () in
+      let id = "CA/post/17" in
+      Alcotest.(check bool) "record" true
+        (Store.Idempotency.register ~ttl:100.0 t ~exec_id:id);
+      Alcotest.(check bool) "claim beside it" true
+        (Store.Idempotency.register t ~exec_id:("ns:" ^ id));
+      Alcotest.(check int) "count covers both" 2 (Store.Idempotency.count t);
+      Alcotest.(check bool) "record held inside the ttl" false
+        (Store.Idempotency.register ~ttl:100.0 t ~exec_id:id);
+      Engine.sleep 100.0;
+      ignore (Store.Idempotency.register t ~exec_id:"ns:other");
+      Alcotest.(check bool) "record forgotten after the ttl" false
+        (Store.Idempotency.seen t ~exec_id:id);
+      Alcotest.(check bool) "claim stays" true
+        (Store.Idempotency.seen t ~exec_id:("ns:" ^ id));
+      Alcotest.(check int) "count covers the claims" 2
+        (Store.Idempotency.count t))
+
 (* --- Dval.equal ------------------------------------------------------ *)
 
 (* Structural reference with no physical-equality shortcut. *)
@@ -645,5 +668,7 @@ let () =
         [
           Alcotest.test_case "at-most-once" `Quick test_idempotency;
           Alcotest.test_case "ttl keys expire" `Quick test_idempotency_ttl;
+          Alcotest.test_case "exec-id records and claims" `Quick
+            test_idempotency_exec_id_keys;
         ] );
     ]
