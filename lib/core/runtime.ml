@@ -256,7 +256,7 @@ let cache t = t.cache
 
 let fresh_exec_id t fn =
   t.next_id <- t.next_id + 1;
-  Printf.sprintf "%s/%s/%d" t.cfg.loc fn t.next_id
+  String.concat "/" [ t.cfg.loc; fn; string_of_int t.next_id ]
 
 let record t ~exec_id ~start ~finish (res : Proto.exec_result) =
   match t.recorder with
@@ -359,15 +359,20 @@ let invoke t fn args =
   let root = Tracer.root t.tracer fn in
   Tracer.annotate root "loc" t.cfg.loc;
   Tracer.annotate root "exec_id" exec_id;
+  let entry =
+    match Registry.find t.registry fn with
+    | Some e -> e
+    | None -> invalid_arg ("Runtime.invoke: unknown function " ^ fn)
+  in
   (* Analysis-derived metadata: whether the function is statically
      read-only, and with how many other registered functions it may
      conflict (shared key shape with a write involved). *)
-  (match Registry.find t.registry fn with
-  | Some e ->
-      Tracer.annotate root "read_only" (if e.read_only then "true" else "false");
-      Tracer.annotate root "conflict_degree"
-        (string_of_int (Registry.conflict_degree t.registry fn))
-  | None -> ());
+  if Tracer.enabled t.tracer then begin
+    Tracer.annotate root "read_only"
+      (if entry.read_only then "true" else "false");
+    Tracer.annotate root "conflict_degree"
+      (string_of_int (Registry.conflict_degree t.registry fn))
+  end;
   Tracer.register_exec t.tracer ~exec_id root;
   let finalize (o : outcome) =
     Tracer.release_exec t.tracer ~exec_id;
@@ -376,11 +381,6 @@ let invoke t fn args =
   in
   Tracer.with_phase t.tracer ~parent:root "invoke_overhead" (fun () ->
       Engine.sleep invoke_overhead);
-  let entry =
-    match Registry.find t.registry fn with
-    | Some e -> e
-    | None -> invalid_arg ("Runtime.invoke: unknown function " ^ fn)
-  in
   match entry.derived with
   | None ->
       finalize

@@ -45,6 +45,7 @@ let ro_fast_eligible (t : t) (req : Proto.lvi_request) =
    the sequencing frame is explicit. *)
 
 type slow_ctx = {
+  sc_server : t;
   sc_req : Proto.lvi_request;
   sc_root : Tracer.span;
   sc_lock_list : (string * Locks.mode) list;
@@ -60,8 +61,9 @@ type slow_ctx = {
    wait here in arrival order. The backup path's re-lock attempts
    run outside admission — they are rare, bounded, and still
    serialized by the lock table itself. *)
-let admit_stage t =
+let admit_stage =
   Pipeline.stage "admit" (fun c ->
+      let t = c.sc_server in
       (match t.admission with
       | None -> ()
       | Some adm ->
@@ -78,8 +80,9 @@ let admit_stage t =
                      ~writes:c.sc_req.writes)));
       Pipeline.Continue)
 
-let lock_stage t =
+let lock_stage =
   Pipeline.stage "lock" (fun c ->
+      let t = c.sc_server in
       Server_persist.acquire ~span:c.sc_root t ~owner:c.sc_req.exec_id
         c.sc_lock_list;
       (match (t.admission, c.sc_ticket) with
@@ -90,14 +93,15 @@ let lock_stage t =
 (* Write keys are locked from here on, so no new lease on them can be
    granted; settle whatever grants are outstanding before the write
    may validate. *)
-let settle_stage t =
+let settle_stage =
   Pipeline.stage "settle" (fun c ->
-      Server_lease_authority.settle_write_leases ~span:c.sc_root t
+      Server_lease_authority.settle_write_leases ~span:c.sc_root c.sc_server
         c.sc_req.writes;
       Pipeline.Continue)
 
-let validate_stage t =
+let validate_stage =
   Pipeline.stage "validate" (fun c ->
+      let t = c.sc_server in
       let sp_validate = Tracer.child t.tracer ~parent:c.sc_root "validate" in
       let version_of, stale =
         Server_exec.stale_reads t ~keys:c.sc_all_keys c.sc_req.reads
@@ -107,7 +111,8 @@ let validate_stage t =
       Tracer.stop sp_validate;
       Pipeline.Continue)
 
-let reply_finish t c : Proto.lvi_response =
+let reply_finish c : Proto.lvi_response =
+  let t = c.sc_server in
   let req = c.sc_req in
   let exec_id = req.exec_id in
   Log.debug (fun m ->
@@ -157,7 +162,7 @@ let reply_finish t c : Proto.lvi_response =
         let backup, held =
           Server_exec.backup_execute t entry req ~held:(exec_id, c.sc_all_keys)
             ~unlock ~lock:(fun attempt rwset ->
-              let owner = Printf.sprintf "%s#%d" exec_id attempt in
+              let owner = String.concat "#" [ exec_id; string_of_int attempt ] in
               Server_persist.acquire ~span:sp_backup t ~owner
                 (Server_persist.lock_list_of rwset);
               Some (owner, Analyzer.Rwset.all_keys rwset))
@@ -176,6 +181,10 @@ let reply_finish t c : Proto.lvi_response =
         Proto.Mismatch { backup; updates }
   end
 
+(* The stages read the server from the context, so one list serves
+   every server and request. *)
+let slow_stages = [ admit_stage; lock_stage; settle_stage; validate_stage ]
+
 let handle_lvi_slow (t : t) (req : Proto.lvi_request) ~root :
     Proto.lvi_response =
   Server_persist.register_invocation t ~exec_id:req.exec_id;
@@ -186,6 +195,7 @@ let handle_lvi_slow (t : t) (req : Proto.lvi_request) ~root :
   in
   let ctx =
     {
+      sc_server = t;
       sc_req = req;
       sc_root = root;
       sc_lock_list = lock_list;
@@ -195,10 +205,7 @@ let handle_lvi_slow (t : t) (req : Proto.lvi_request) ~root :
       sc_version_of = (fun _ -> 0);
     }
   in
-  Pipeline.run ~on_stage:t.stage_hook
-    [ admit_stage t; lock_stage t; settle_stage t; validate_stage t ]
-    ctx
-    ~finish:(reply_finish t)
+  Pipeline.run ~on_stage:t.stage_hook slow_stages ctx ~finish:reply_finish
 
 (* Read-only fast path as a single pipeline stage in front of the slow
    pipeline: [Done] replies without ever touching the lock table,

@@ -29,6 +29,7 @@ type t = {
 type ('req, 'resp) service = {
   svc_loc : Location.t;
   svc_name : string;
+  svc_reply : string; (* the replies' label *)
   handler : 'req -> 'resp;
 }
 
@@ -103,7 +104,8 @@ let fault_verdict t ~src ~dst ~label =
     ((match t.base_hook with Some h -> [ h ] | None -> [])
     @ List.map snd t.hooks)
 
-let serve _t ~loc ~name handler = { svc_loc = loc; svc_name = name; handler }
+let serve _t ~loc ~name handler =
+  { svc_loc = loc; svc_name = name; svc_reply = name ^ ":reply"; handler }
 
 let service_location svc = svc.svc_loc
 
@@ -152,8 +154,7 @@ let dispatch t ~from svc req ~on_reply =
   transmit t ~src:from ~dst:svc.svc_loc ~label:svc.svc_name (fun () ->
       Engine.spawn ~name:svc.svc_name (fun () ->
           let resp = svc.handler req in
-          transmit t ~src:svc.svc_loc ~dst:from
-            ~label:(svc.svc_name ^ ":reply")
+          transmit t ~src:svc.svc_loc ~dst:from ~label:svc.svc_reply
             (fun () -> on_reply resp)))
 
 let call t ~from svc req =

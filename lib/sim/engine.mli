@@ -7,10 +7,16 @@
     in (time, sequence) order. Same-time events run in FIFO spawn/wakeup
     order, so runs are fully deterministic given the seed.
 
-    Pending events sit in a binary min-heap ordered on (time, sequence)
-    in which every event knows its slot, so {!cancel} takes an event out
-    in O(log n): a cancelled event is gone at once and is never popped
-    or counted.
+    Pending events sit in two queues popped together in (time, sequence)
+    order. Events due at the current instant (spawns, wakeups, zero
+    sleeps) wait in a FIFO ring, and the clock does not move while one
+    is pending. Future events, and every event {!arm} returns, wait in
+    an indexed binary min-heap whose keys (unboxed times and sequence
+    numbers) and slot ids sit in parallel arrays, while each callback
+    stays put in a slot table. {!cancel} finds an event by its slot and
+    takes it out in O(log n): a cancelled event is gone at once and is
+    never popped or counted. A sleep allocates no event record and no
+    boxed time.
 
     All operations other than [create] and [run] must be called from
     within a running engine (inside a fiber, or from a callback invoked by
@@ -63,7 +69,8 @@ val arm : at:float -> (unit -> unit) -> event
 val cancel : event -> unit
 (** Remove the event from the running engine's queue, so it never runs.
     A no-op once it has run or been cancelled, and for an event of an
-    engine that is not running. *)
+    engine that is not running, even after its slot has been reused: a
+    slot's generation must match the event's. *)
 
 val rng : unit -> Rng.t
 (** The engine's root generator. Subsystems should [Rng.split] it. *)

@@ -239,6 +239,311 @@ let prop_heap_matches_model =
        QCheck.Gen.(list_size (int_range 0 60) op_gen))
     (fun ops -> real ops = model ops)
 
+(* Minor words per queue operation, measured in a running engine after
+   a warm-up run of the same operations has grown the queue to its
+   working size. The budgets sit above what the engine allocates: for a
+   sleep, its continuation and resume closure and no event; for a
+   schedule, its boxed time besides; for a spawn, its closure and fiber
+   handler besides a yield's. *)
+let test_engine_allocation_budget () =
+  let n = 10_000 in
+  let per_op ops =
+    ops ();
+    let before = Gc.minor_words () in
+    ops ();
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let tick () = () in
+  let words = ref [] in
+  run_sim (fun () ->
+      let sleep =
+        per_op (fun () ->
+            for _ = 1 to n do
+              Engine.sleep 1.0
+            done)
+      in
+      let schedule =
+        per_op (fun () ->
+            for _ = 1 to n do
+              Engine.schedule ~at:(Engine.now () +. 1.0) tick;
+              Engine.sleep 1.0
+            done)
+      in
+      let spawn =
+        per_op (fun () ->
+            for _ = 1 to n do
+              Engine.spawn tick;
+              Engine.yield ()
+            done)
+      in
+      words :=
+        [
+          ("sleep", sleep, 10.0);
+          ("schedule, then sleep while it runs", schedule, 16.0);
+          ("spawn an empty fiber, then yield", spawn, 45.0);
+        ]);
+  List.iter
+    (fun (op, w, budget) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f words, budget %.0f" op w budget)
+        true (w <= budget))
+    !words
+
+(* Random programs over every way an event enters the queue, against a
+   reference model: a list of pending [(time, seq, action)] searched for
+   its minimum. Fibers run [prog]s: scheduled callbacks in the past, now
+   and the future, armed events and their cancellation (of pending,
+   fired and cancelled events, from fibers and from callbacks at the
+   same instant, and of events of an earlier engine whose slots the new
+   one reuses), sleeps, yields, spawns and suspends resumed later by a
+   callback. The run stops at an optional [until], possibly between the
+   events due at an instant and the next future one. A second run with
+   [until] in the past runs nothing, not even its main fiber, which the
+   third run, to quiescence, starts. *)
+module Order = struct
+  type op =
+    | Sched of int (* a callback at now + d; d < 0 is the past *)
+    | Arm of int (* the same, cancellable *)
+    | Cancel of int (* the i-th armed event, mod their count *)
+    | Cancel_stale of int (* an event of an earlier engine *)
+    | Cancel_at of int * int (* a callback at now + d cancels one *)
+    | Sleep of int
+    | Yield
+    | Spawn of prog
+    | Suspend of int (* a callback at now + d resumes the fiber *)
+
+  (* Each op has a unique id: the fiber logs [2 id] when it runs the op,
+     and the op's callback logs [2 id + 1]. *)
+  and prog = (int * op) list
+
+  type action =
+    | Call of int
+    | Fire of int * bool ref (* pending while true *)
+    | Cancel_cb of int * int
+    | Resume of prog
+    | Wake of prog
+
+  let model ~until prog =
+    let now = ref 0.0 and seq = ref 0 and processed = ref 0 in
+    let pending = ref [] and log = ref [] and armed = ref [] in
+    let push at a =
+      pending := (Float.max at !now, !seq, a) :: !pending;
+      incr seq
+    in
+    let after d a = push (!now +. float_of_int d) a in
+    let note id = log := (!now, id) :: !log in
+    let cancel i =
+      match !armed with
+      | [] -> ()
+      | l ->
+          let cell = List.nth l (i mod List.length l) in
+          if !cell then begin
+            cell := false;
+            pending :=
+              List.filter
+                (function _, _, Fire (_, c) -> c != cell | _ -> true)
+                !pending
+          end
+    in
+    let rec exec = function
+      | [] -> ()
+      | (id, op) :: rest -> (
+          note (2 * id);
+          match op with
+          | Sched d ->
+              after d (Call id);
+              exec rest
+          | Arm d ->
+              let cell = ref true in
+              armed := !armed @ [ cell ];
+              after d (Fire (id, cell));
+              exec rest
+          | Cancel i ->
+              cancel i;
+              exec rest
+          | Cancel_stale _ -> exec rest
+          | Cancel_at (d, i) ->
+              after d (Cancel_cb (id, i));
+              exec rest
+          | Sleep d -> after (max 0 d) (Resume rest)
+          | Yield -> after 0 (Resume rest)
+          | Spawn p ->
+              after 0 (Resume p);
+              exec rest
+          | Suspend d -> after d (Wake rest))
+    in
+    let rec loop limit =
+      match !pending with
+      | [] -> ()
+      | first :: _ ->
+          let ((time, _, action) as ev) =
+            List.fold_left
+              (fun ((t, s, _) as best) ((t', s', _) as e) ->
+                if t' < t || (t' = t && s' < s) then e else best)
+              first !pending
+          in
+          if not (time > limit) then begin
+            pending := List.filter (fun e -> e != ev) !pending;
+            now := time;
+            incr processed;
+            (match action with
+            | Call id -> note ((2 * id) + 1)
+            | Fire (id, cell) ->
+                cell := false;
+                note ((2 * id) + 1)
+            | Cancel_cb (id, i) ->
+                note ((2 * id) + 1);
+                cancel i
+            | Resume p -> exec p
+            | Wake p -> after 0 (Resume p));
+            loop limit
+          end
+    in
+    let run limit p =
+      push !now (Resume p);
+      loop limit;
+      (List.rev !log, !processed)
+    in
+    let first = run (Option.value until ~default:infinity) prog in
+    let second = run (-1.0) [] in
+    (first, second, run infinity [])
+
+  (* An earlier engine leaves events behind in each state: fired,
+     cancelled and still pending. *)
+  let stale_events () =
+    let e = Engine.create () in
+    let evs = ref [] in
+    Engine.run ~until:2.5 e (fun () ->
+        evs := List.init 8 (fun i -> Engine.arm ~at:(float_of_int (i mod 4)) ignore);
+        Engine.cancel (List.nth !evs 5));
+    Array.of_list !evs
+
+  let real ~until prog =
+    let stale = stale_events () in
+    let e = Engine.create () in
+    let log = ref [] and armed = ref [] in
+    let note id = log := (Engine.now (), id) :: !log in
+    let after d f = Engine.schedule ~at:(Engine.now () +. float_of_int d) f in
+    let cancel i =
+      match !armed with
+      | [] -> ()
+      | l -> Engine.cancel (List.nth l (i mod List.length l))
+    in
+    let rec exec prog =
+      List.iter
+        (fun (id, op) ->
+          note (2 * id);
+          match op with
+          | Sched d -> after d (fun () -> note ((2 * id) + 1))
+          | Arm d ->
+              let ev =
+                Engine.arm
+                  ~at:(Engine.now () +. float_of_int d)
+                  (fun () -> note ((2 * id) + 1))
+              in
+              armed := !armed @ [ ev ]
+          | Cancel i -> cancel i
+          | Cancel_stale i -> Engine.cancel stale.(i mod Array.length stale)
+          | Cancel_at (d, i) ->
+              after d (fun () ->
+                  note ((2 * id) + 1);
+                  cancel i)
+          | Sleep d -> Engine.sleep (float_of_int d)
+          | Yield -> Engine.yield ()
+          | Spawn p -> Engine.spawn (fun () -> exec p)
+          | Suspend d -> Engine.suspend (fun resume -> after d resume))
+        prog
+    in
+    let run ?until main =
+      Engine.run ?until e main;
+      (List.rev !log, Engine.events_processed e)
+    in
+    let first = run ?until (fun () -> exec prog) in
+    let second = run ~until:(-1.0) ignore in
+    (first, second, run ignore)
+
+  let op_gen =
+    QCheck.Gen.(
+      let d lo = int_range lo 4 in
+      let i = int_range 0 30 in
+      fix
+        (fun self depth ->
+          frequency
+            ([
+               (4, map (fun d -> Sched d) (d (-2)));
+               (4, map (fun d -> Arm d) (d (-1)));
+               (4, map (fun i -> Cancel i) i);
+               (1, map (fun i -> Cancel_stale i) i);
+               (2, map2 (fun d i -> Cancel_at (d, i)) (d 0) i);
+               (3, map (fun d -> Sleep d) (int_range (-1) 3));
+               (2, return Yield);
+               (2, map (fun d -> Suspend d) (int_range 0 3));
+             ]
+            @
+            if depth = 0 then []
+            else
+              [
+                ( 2,
+                  map
+                    (fun p -> Spawn (List.map (fun op -> (0, op)) p))
+                    (list_size (int_range 0 6) (self (depth - 1))) );
+              ]))
+        2)
+
+  (* Numbers the ops in pre-order, from 1. *)
+  let number ops =
+    let n = ref 0 in
+    let rec go p =
+      List.map
+        (fun (_, op) ->
+          incr n;
+          let id = !n in
+          (id, match op with Spawn p -> Spawn (go p) | op -> op))
+        p
+    in
+    go (List.map (fun op -> (0, op)) ops)
+
+  let rec show (prog : prog) =
+    String.concat "; "
+      (List.map
+         (fun (_, op) ->
+           match op with
+           | Sched d -> Printf.sprintf "Sched %d" d
+           | Arm d -> Printf.sprintf "Arm %d" d
+           | Cancel i -> Printf.sprintf "Cancel %d" i
+           | Cancel_stale i -> Printf.sprintf "Cancel_stale %d" i
+           | Cancel_at (d, i) -> Printf.sprintf "Cancel_at (%d, %d)" d i
+           | Sleep d -> Printf.sprintf "Sleep %d" d
+           | Yield -> "Yield"
+           | Spawn p -> Printf.sprintf "Spawn [%s]" (show p)
+           | Suspend d -> Printf.sprintf "Suspend %d" d)
+         prog)
+
+  (* A cut at an integer instant runs that instant's due-now events and
+     none of the next future ones; a half-integer one falls between. *)
+  let until_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return None);
+          (3, map (fun k -> Some (float_of_int k)) (int_range 0 8));
+          (1, map (fun k -> Some (float_of_int k +. 0.5)) (int_range 0 8));
+        ])
+
+  let prop =
+    QCheck.Test.make ~name:"order matches the (time, push order) model"
+      ~count:500
+      (QCheck.make
+         ~print:(fun (until, prog) ->
+           Printf.sprintf "until %s: %s"
+             (match until with None -> "-" | Some u -> string_of_float u)
+             (show prog))
+         QCheck.Gen.(
+           pair until_gen
+             (map number (list_size (int_range 0 40) op_gen))))
+      (fun (until, prog) -> real ~until prog = model ~until prog)
+end
+
 (* ------------------------------------------------------------------ *)
 (* Expiring                                                            *)
 
@@ -746,8 +1051,10 @@ let () =
             test_heap_releases_events;
           Alcotest.test_case "NaN deadlines rejected" `Quick
             test_nan_deadline_rejected;
+          Alcotest.test_case "queue operations within allocation budget"
+            `Quick test_engine_allocation_budget;
         ]
-        @ qsuite [ prop_heap_matches_model ] );
+        @ qsuite [ prop_heap_matches_model; Order.prop ] );
       ( "vec",
         [
           Alcotest.test_case "drop releases" `Quick test_vec_drop_releases;
