@@ -96,7 +96,11 @@ radbench-compare:
 # cross-atomicity oracle) and `leased` (read leases on, so the
 # lease-chaos template attacks the revocation channel). Every cell of
 # each grid also runs on a Raft-replicated server; `radical_cli chaos
-# --help` lists the flags.
+# --help` lists the flags. Each campaign is deterministic and writes
+# its stdout over bench/chaos-<deployment>.expected (`,` and `=` in the
+# deployment spelled `-`); the closing
+# `git diff --exit-code` fails if any BENCH file, the bench stdout or a
+# campaign's stdout changed.
 # The BENCH step and each chaos cell run under $(TIMED), which prints
 # their wall time to stderr and leaves their stdout untouched.
 check:
@@ -108,10 +112,14 @@ check:
 	$(TIMED) dune exec bench/main.exe -- --json fig1 table1 table2 fig4 fig5 fig6 \
 	  repl cost sensitivity skew throughput bootstrap ablation phases \
 	  batch propagate lease shard > bench/stdout.expected
-	git diff --exit-code -- 'BENCH_*.json' bench/stdout.expected
-	$(TIMED) dune exec bin/radical_cli.exe -- chaos --seeds 20 --deployment batched,propagating
-	$(TIMED) dune exec bin/radical_cli.exe -- chaos --seeds 20 --deployment sharded=4
-	$(TIMED) dune exec bin/radical_cli.exe -- chaos --seeds 20 --deployment leased
+	$(TIMED) dune exec bin/radical_cli.exe -- chaos --seeds 20 \
+	  --deployment batched,propagating > bench/chaos-batched-propagating.expected
+	$(TIMED) dune exec bin/radical_cli.exe -- chaos --seeds 20 \
+	  --deployment sharded=4 > bench/chaos-sharded-4.expected
+	$(TIMED) dune exec bin/radical_cli.exe -- chaos --seeds 20 \
+	  --deployment leased > bench/chaos-leased.expected
+	git diff --exit-code -- 'BENCH_*.json' bench/stdout.expected \
+	  'bench/chaos-*.expected'
 
 # Run a command, then print "wall <seconds> s: <command>" to stderr and
 # exit with the command's status.

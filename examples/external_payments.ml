@@ -68,12 +68,14 @@ let () =
       print_endline "   re-executes near storage — and regenerates the same";
       print_endline "   idempotency keys, so the charge is not repeated.";
       let armed = ref true in
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label ->
-          if !armed && label = "followup" then begin
-            armed := false;
-            Transport.Drop
-          end
-          else Transport.Deliver);
+      ignore
+        (Transport.add_fault net (fun ~src:_ ~dst:_ ~label ->
+             if !armed && label = "followup" then begin
+               armed := false;
+               Transport.Drop
+             end
+             else Transport.Deliver)
+          : int);
       let _ = Framework.invoke fw ~from:Location.de "checkout" [ Dval.Str "bob" ] in
       Engine.sleep 3000.0;
       let st = Radical.Server.stats (Framework.server fw) in

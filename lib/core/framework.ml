@@ -119,9 +119,13 @@ let create ?(config = default_config) ?schema ?(manual = [])
         let rt =
           Runtime.create ~extsvc ~tracer ?sharding ~net ~registry:reg
             ~cache:(Cache.copy warm) ~server:srv
-            (Runtime.config ~overlap:config.overlap ~ro_fast:config.ro_fast
-               ~fu_window:config.fu_window ~fu_piggyback:config.fu_piggyback
-               loc)
+            {
+              loc;
+              overlap = config.overlap;
+              ro_fast = config.ro_fast;
+              fu_window = config.fu_window;
+              fu_piggyback = config.fu_piggyback;
+            }
         in
         (loc, rt))
       config.locations

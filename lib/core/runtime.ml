@@ -14,10 +14,6 @@ type config = {
   fu_piggyback : bool;
 }
 
-let config ?(overlap = true) ?(ro_fast = true) ?(fu_window = 0.0)
-    ?(fu_piggyback = false) loc =
-  { loc; overlap; ro_fast; fu_window; fu_piggyback }
-
 let invoke_overhead = 12.0
 let frw_overhead = 1.0
 let rpc_timeout = 60_000.0
@@ -382,14 +378,11 @@ let invoke t fn args =
   Tracer.with_phase t.tracer ~parent:root "invoke_overhead" (fun () ->
       Engine.sleep invoke_overhead);
   match entry.derived with
-  | None ->
-      finalize
-        (direct_execute t ~start ~exec_id ~root (endpoint_for_entry t entry)
-           fn args)
-  | Some { classification = Analyzer.Derive.Expensive; _ } ->
-      (* §3.3 "Failure case": an f^rw that must do the function's own
-         expensive computation runs in series with f and would erase the
-         benefit — such functions always run near storage. *)
+  | None | Some { classification = Analyzer.Derive.Expensive; _ } ->
+      (* No f^rw, or §3.3's "Failure case": an f^rw that must do the
+         function's own expensive computation runs in series with f and
+         would erase the benefit — such functions always run near
+         storage. *)
       finalize
         (direct_execute t ~start ~exec_id ~root (endpoint_for_entry t entry)
            fn args)

@@ -20,24 +20,19 @@ type config = {
           static analysis proved write-free, letting the server answer
           on its validate-only fast path (no locks, no intent, no
           idempotency record). [false] is the ablation: every request
-          takes the full locked path. Default [true]. *)
+          takes the full locked path. *)
   fu_window : float;
       (** > 0: Nagle-style followup coalescing — followups buffer for up
           to this many virtual ms and leave as one message. Must stay
           well under the server's 200 ms intent-timer floor, since a
           buffered followup delays the release of its server-side locks
-          by up to one window. 0 (default) posts each followup
-          immediately. *)
+          by up to one window. 0 posts each followup immediately. *)
   fu_piggyback : bool;
       (** Drain the followup buffer into the next outgoing LVI request
           ([Proto.lvi_request.piggyback]) instead of waiting for the
           window timer — the request carries them for free and the
-          server applies them first. Default [false]. *)
+          server applies them first. *)
 }
-
-val config :
-  ?overlap:bool -> ?ro_fast:bool -> ?fu_window:float -> ?fu_piggyback:bool ->
-  Net.Location.t -> config
 
 val invoke_overhead : float
 (** Lambda instantiation + WASM blob load per invocation (§5.5 items

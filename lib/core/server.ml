@@ -11,8 +11,8 @@
      Server_propagator      cache-update publication and subscriptions
      Server_coordinator     cross-shard prepare / decide / topology
      Server_recovery        intent timers, followups, restart recovery
-     Server_pipeline        the explicit request-stage engine
-     Server_lvi_engine      LVI admission: ro-fast and slow pipelines
+     Server_lvi_engine      LVI admission: reply-cache guard, ro-fast
+                            and slow paths
 
    This module includes the configuration layer, seals
    [Server_state.t] abstract, constructs the engine, and delegates

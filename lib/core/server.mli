@@ -155,7 +155,7 @@ val inject_mutation : t -> protocol_mutation option -> unit
 (** Enable/disable a deliberate protocol bug (chaos testing only). *)
 
 val on_stage : t -> (string -> unit) -> unit
-(** Attach a per-stage observation hook to the request pipeline: the
+(** Attach a per-stage observation hook to the LVI request path: the
     callback fires with the stage name ([admit], [lock], [settle],
     [validate], [ro_validate]) just before that stage of an LVI request
     runs. Chaos fault injection and stage-level instrumentation attach

@@ -1,12 +1,11 @@
 (* LVI request admission: the engine's front door (Figure 3, steps
    4-6). Dispatches each request to the cross-shard coordinator, the
-   read-only validate-only fast path, or the locked slow path — the
-   latter two composed from explicit {!Server_pipeline} stages so chaos
-   fault hooks and stage-level instrumentation attach per stage. *)
+   read-only validate-only fast path, or the locked slow path.
+   [t.stage_hook] fires with each step's name just before it runs, so
+   chaos fault hooks and stage-level instrumentation attach per step. *)
 
 open Sim
 open Server_state
-module Pipeline = Server_pipeline
 module Locks = Store.Locks
 module Intents = Store.Intents
 module Tracer = Metrics.Tracer
@@ -37,89 +36,49 @@ let ro_fast_eligible (t : t) (req : Proto.lvi_request) =
      | Some entry -> entry.read_only
      | None -> false)
 
-(* --- Slow path: the locked pipeline --------------------------------
+(* [Some reply] validates without ever touching the lock table; [None]
+   falls through to the full locked protocol (paying a second version
+   sample under locks). *)
+let ro_validate (t : t) (req : Proto.lvi_request) ~root =
+  t.stage_hook "ro_validate";
+  let sp = Tracer.child t.tracer ~parent:root "ro_validate" in
+  let keys = List.map fst req.reads in
+  let _, stale = Server_exec.stale_reads t ~keys req.reads in
+  let fresh = stale = [] in
+  let unlocked = not (List.exists (Locks.write_locked t.locks) keys) in
+  Tracer.stop sp;
+  if fresh && unlocked then begin
+    t.s_validated <- t.s_validated + 1;
+    t.s_ro_fast <- t.s_ro_fast + 1;
+    Log.debug (fun m ->
+        m "LVI %s: read-only fast path, %d reads validated" req.exec_id
+          (List.length req.reads));
+    (* The validated versions equal primary's at this (non-blocking)
+       instant and none is write-locked: the reply may carry fresh
+       leases on the whole read set for free. *)
+    Some
+      (Proto.Validated
+         {
+           write_versions = [];
+           leases =
+             Server_lease_authority.grant_leases t ~site:req.from_loc req.reads;
+         })
+  end
+  else None
 
-   Stage sequence admit -> lock -> settle -> validate, then the reply
-   as the pipeline's finish. The stage bodies are the pre-pipeline
-   handler verbatim (same tracer phases, same order of effects); only
-   the sequencing frame is explicit. *)
+(* --- Slow path: the locked protocol ---------------------------------- *)
 
-type slow_ctx = {
-  sc_server : t;
-  sc_req : Proto.lvi_request;
-  sc_root : Tracer.span;
-  sc_lock_list : (string * Locks.mode) list;
-  sc_all_keys : string list;
-  mutable sc_ticket : Admission.ticket option;
-  mutable sc_stale : string list;
-  mutable sc_version_of : string -> int;
-}
-
-(* Conflict-aware admission brackets the lock-and-persist section:
-   statically non-conflicting requests pass straight through and get
-   their lock records batched together; actually-conflicting ones
-   wait here in arrival order. The backup path's re-lock attempts
-   run outside admission — they are rare, bounded, and still
-   serialized by the lock table itself. *)
-let admit_stage =
-  Pipeline.stage "admit" (fun c ->
-      let t = c.sc_server in
-      (match t.admission with
-      | None -> ()
-      | Some adm ->
-          c.sc_ticket <-
-            Some
-              (Tracer.with_phase t.tracer ~parent:c.sc_root "admission"
-                 (fun () ->
-                   Admission.enter adm ~fn:c.sc_req.fn_name
-                     ~reads:
-                       (List.filter_map
-                          (fun (k, m) ->
-                            if m = Locks.Read then Some k else None)
-                          c.sc_lock_list)
-                     ~writes:c.sc_req.writes)));
-      Pipeline.Continue)
-
-let lock_stage =
-  Pipeline.stage "lock" (fun c ->
-      let t = c.sc_server in
-      Server_persist.acquire ~span:c.sc_root t ~owner:c.sc_req.exec_id
-        c.sc_lock_list;
-      (match (t.admission, c.sc_ticket) with
-      | Some adm, Some tk -> Admission.leave adm tk
-      | _ -> ());
-      Pipeline.Continue)
-
-(* Write keys are locked from here on, so no new lease on them can be
-   granted; settle whatever grants are outstanding before the write
-   may validate. *)
-let settle_stage =
-  Pipeline.stage "settle" (fun c ->
-      Server_lease_authority.settle_write_leases ~span:c.sc_root c.sc_server
-        c.sc_req.writes;
-      Pipeline.Continue)
-
-let validate_stage =
-  Pipeline.stage "validate" (fun c ->
-      let t = c.sc_server in
-      let sp_validate = Tracer.child t.tracer ~parent:c.sc_root "validate" in
-      let version_of, stale =
-        Server_exec.stale_reads t ~keys:c.sc_all_keys c.sc_req.reads
-      in
-      c.sc_version_of <- version_of;
-      c.sc_stale <- stale;
-      Tracer.stop sp_validate;
-      Pipeline.Continue)
-
-let reply_finish c : Proto.lvi_response =
-  let t = c.sc_server in
-  let req = c.sc_req in
+(* The reply once [all_keys] are locked and the reads validated: [stale]
+   lists the read keys whose versions moved, [version_of] gives each
+   locked key's version. *)
+let lvi_reply (t : t) (req : Proto.lvi_request) ~root ~all_keys ~version_of
+    stale : Proto.lvi_response =
   let exec_id = req.exec_id in
   Log.debug (fun m ->
       m "LVI %s: %d reads, %d writes, stale=[%s]" exec_id
         (List.length req.reads) (List.length req.writes)
-        (String.concat "," c.sc_stale));
-  if c.sc_stale = [] then begin
+        (String.concat "," stale));
+  if stale = [] then begin
     t.s_validated <- t.s_validated + 1;
     if req.writes = [] then begin
       (* Grant while the read locks are still held: the validated
@@ -127,7 +86,7 @@ let reply_finish c : Proto.lvi_response =
       let leases =
         Server_lease_authority.grant_leases t ~site:req.from_loc req.reads
       in
-      Server_persist.release t ~owner:exec_id c.sc_all_keys;
+      Server_persist.release t ~owner:exec_id all_keys;
       Proto.Validated { write_versions = []; leases }
     end
     else begin
@@ -139,8 +98,7 @@ let reply_finish c : Proto.lvi_response =
       Server_recovery.start_intent_timer t req;
       Proto.Validated
         {
-          write_versions =
-            List.map (fun k -> (k, c.sc_version_of k)) req.writes;
+          write_versions = List.map (fun k -> (k, version_of k)) req.writes;
           leases = [];
         }
     end
@@ -149,7 +107,7 @@ let reply_finish c : Proto.lvi_response =
     t.s_mismatched <- t.s_mismatched + 1;
     match Registry.find t.registry req.fn_name with
     | None ->
-        Server_persist.release t ~owner:exec_id c.sc_all_keys;
+        Server_persist.release t ~owner:exec_id all_keys;
         Proto.Mismatch
           {
             backup = Proto.failed ("unknown function " ^ req.fn_name);
@@ -157,10 +115,10 @@ let reply_finish c : Proto.lvi_response =
           }
     | Some entry ->
         (* The backup's own re-lock attempts nest under this span. *)
-        let sp_backup = Tracer.child t.tracer ~parent:c.sc_root "backup_exec" in
+        let sp_backup = Tracer.child t.tracer ~parent:root "backup_exec" in
         let unlock (owner, keys) = Server_persist.release t ~owner keys in
         let backup, held =
-          Server_exec.backup_execute t entry req ~held:(exec_id, c.sc_all_keys)
+          Server_exec.backup_execute t entry req ~held:(exec_id, all_keys)
             ~unlock ~lock:(fun attempt rwset ->
               let owner = String.concat "#" [ exec_id; string_of_int attempt ] in
               Server_persist.acquire ~span:sp_backup t ~owner
@@ -170,8 +128,7 @@ let reply_finish c : Proto.lvi_response =
         Option.iter unlock held;
         Tracer.stop sp_backup;
         let refresh_keys =
-          List.sort_uniq String.compare
-            (c.sc_stale @ List.map fst backup.written)
+          List.sort_uniq String.compare (stale @ List.map fst backup.written)
         in
         let updates = Server_propagator.fresh_updates t refresh_keys in
         (* The repair material also freshens the other subscribed sites:
@@ -181,63 +138,50 @@ let reply_finish c : Proto.lvi_response =
         Proto.Mismatch { backup; updates }
   end
 
-(* The stages read the server from the context, so one list serves
-   every server and request. *)
-let slow_stages = [ admit_stage; lock_stage; settle_stage; validate_stage ]
-
 let handle_lvi_slow (t : t) (req : Proto.lvi_request) ~root :
     Proto.lvi_response =
   Server_persist.register_invocation t ~exec_id:req.exec_id;
   (* Write locks dominate for keys that are both read and written; the
-     read is still validated in the validate stage. *)
+     read is still validated below. *)
   let lock_list =
     Locks.lock_list ~reads:(List.map fst req.reads) ~writes:req.writes
   in
-  let ctx =
-    {
-      sc_server = t;
-      sc_req = req;
-      sc_root = root;
-      sc_lock_list = lock_list;
-      sc_all_keys = List.map fst lock_list;
-      sc_ticket = None;
-      sc_stale = [];
-      sc_version_of = (fun _ -> 0);
-    }
+  let all_keys = List.map fst lock_list in
+  (* Conflict-aware admission brackets the lock-and-persist section:
+     statically non-conflicting requests pass straight through and get
+     their lock records batched together; actually-conflicting ones
+     wait here in arrival order. The backup path's re-lock attempts
+     run outside admission — they are rare, bounded, and still
+     serialized by the lock table itself. *)
+  t.stage_hook "admit";
+  let ticket =
+    match t.admission with
+    | None -> None
+    | Some adm ->
+        Some
+          (Tracer.with_phase t.tracer ~parent:root "admission" (fun () ->
+               Admission.enter adm ~fn:req.fn_name
+                 ~reads:
+                   (List.filter_map
+                      (fun (k, m) -> if m = Locks.Read then Some k else None)
+                      lock_list)
+                 ~writes:req.writes))
   in
-  Pipeline.run ~on_stage:t.stage_hook slow_stages ctx ~finish:reply_finish
-
-(* Read-only fast path as a single pipeline stage in front of the slow
-   pipeline: [Done] replies without ever touching the lock table,
-   [Continue] falls through to the full locked protocol (paying a
-   second version sample under locks). *)
-let ro_stage t ~root =
-  Pipeline.stage "ro_validate" (fun (req : Proto.lvi_request) ->
-      let sp = Tracer.child t.tracer ~parent:root "ro_validate" in
-      let keys = List.map fst req.reads in
-      let _, stale = Server_exec.stale_reads t ~keys req.reads in
-      let fresh = stale = [] in
-      let unlocked = not (List.exists (Locks.write_locked t.locks) keys) in
-      Tracer.stop sp;
-      if fresh && unlocked then begin
-        t.s_validated <- t.s_validated + 1;
-        t.s_ro_fast <- t.s_ro_fast + 1;
-        Log.debug (fun m ->
-            m "LVI %s: read-only fast path, %d reads validated" req.exec_id
-              (List.length req.reads));
-        (* The validated versions equal primary's at this (non-blocking)
-           instant and none is write-locked: the reply may carry fresh
-           leases on the whole read set for free. *)
-        Pipeline.Done
-          (Proto.Validated
-             {
-               write_versions = [];
-               leases =
-                 Server_lease_authority.grant_leases t ~site:req.from_loc
-                   req.reads;
-             })
-      end
-      else Pipeline.Continue)
+  t.stage_hook "lock";
+  Server_persist.acquire ~span:root t ~owner:req.exec_id lock_list;
+  (match (t.admission, ticket) with
+  | Some adm, Some tk -> Admission.leave adm tk
+  | _ -> ());
+  (* Write keys are locked from here on, so no new lease on them can be
+     granted; settle whatever grants are outstanding before the write
+     may validate. *)
+  t.stage_hook "settle";
+  Server_lease_authority.settle_write_leases ~span:root t req.writes;
+  t.stage_hook "validate";
+  let sp_validate = Tracer.child t.tracer ~parent:root "validate" in
+  let version_of, stale = Server_exec.stale_reads t ~keys:all_keys req.reads in
+  Tracer.stop sp_validate;
+  lvi_reply t req ~root ~all_keys ~version_of stale
 
 let handle_lvi_once (t : t) (req : Proto.lvi_request) : Proto.lvi_response =
   (* Piggybacked followups of earlier invocations from the same site
@@ -255,64 +199,54 @@ let handle_lvi_once (t : t) (req : Proto.lvi_request) : Proto.lvi_response =
         req ~root
         ~arm_intent:(Server_recovery.start_intent_timer t)
         parts
-  | None ->
+  | None -> (
       (match t.sharding with
       | Some sh -> Tracer.record_shard t.tracer ~shard:sh.sh_id ~parts:1
       | None -> ());
-      if ro_fast_eligible t req then
-        Pipeline.run ~on_stage:t.stage_hook [ ro_stage t ~root ] req
-          ~finish:(fun req -> handle_lvi_slow t req ~root)
-      else handle_lvi_slow t req ~root
+      let fast =
+        if ro_fast_eligible t req then ro_validate t req ~root else None
+      in
+      match fast with Some reply -> reply | None -> handle_lvi_slow t req ~root)
 
-(* At-least-once delivery guard: a duplicated LVI message must not run
-   the protocol twice — the second pass would queue on its own locks,
-   find its own writes "stale" and double-execute the backup. The first
-   delivery registers an ivar and fills it with the response; a
-   duplicate — even one arriving while the original is still being
-   processed — blocks on the same ivar and returns the same response.
-   Entries whose lifetime has passed are pruned first; none of their
-   requests can still arrive. Then the replies the client acknowledges
-   give up their responses; a duplicate of one of those gets the
-   tombstone, after its client has finished the call. *)
-let handle_lvi (t : t) (req : Proto.lvi_request) : Proto.lvi_response =
-  Expiring.prune t.reply_cache ~now:(Engine.now ());
-  forget_acked t req.acks;
-  match Expiring.find_opt t.reply_cache req.exec_id with
+(* At-least-once delivery guard: a duplicated message must not run its
+   handler twice — a second LVI pass would queue on its own locks, find
+   its own writes "stale" and double-execute the backup; a second direct
+   execution would repeat its effects. The first delivery registers an
+   ivar and fills it with the response; a duplicate — even one arriving
+   while the original is still being processed — blocks on the same ivar
+   and returns the same response. Entries whose lifetime has passed are
+   pruned first; none of their requests can still arrive. Then the
+   replies the client acknowledges give up their responses; a duplicate
+   of one of those gets the tombstone, after its client has finished the
+   call. *)
+let dedup_reply (t : t) tbl ~acks exec_id handle req =
+  Expiring.prune tbl ~now:(Engine.now ());
+  forget_acked t acks;
+  match Expiring.find_opt tbl exec_id with
   | Some cell ->
       t.s_dup_deliveries <- t.s_dup_deliveries + 1;
-      Log.info (fun m ->
-          m "LVI %s: duplicate delivery, replaying reply" req.exec_id);
+      Log.info (fun m -> m "%s: duplicate delivery, replaying reply" exec_id);
       Ivar.read !cell
   | None ->
       let iv = Ivar.create () in
       let cell = ref iv in
-      Expiring.replace t.reply_cache req.exec_id cell;
-      let resp = handle_lvi_once t req in
+      Expiring.replace tbl exec_id cell;
+      let resp = handle t req in
       Ivar.fill iv resp;
-      expire_reply t.reply_cache req.exec_id cell;
+      expire_reply tbl exec_id cell;
       resp
 
-(* Same reply-cache guard as [handle_lvi]: a duplicated direct-exec
-   delivery must not run the function (and its effects) twice. *)
+let handle_lvi (t : t) (req : Proto.lvi_request) : Proto.lvi_response =
+  dedup_reply t t.reply_cache ~acks:req.acks req.exec_id handle_lvi_once req
+
+let handle_exec_once (t : t) (req : Proto.exec_request) : Proto.exec_result =
+  t.s_direct <- t.s_direct + 1;
+  match Registry.find t.registry req.dx_fn_name with
+  | None -> Proto.failed ("unknown function " ^ req.dx_fn_name)
+  | Some entry ->
+      Server_exec.execute_on_primary t ~exec_id:req.dx_exec_id entry
+        req.dx_args
+
 let handle_exec (t : t) (req : Proto.exec_request) : Proto.exec_result =
-  Expiring.prune t.exec_replies ~now:(Engine.now ());
-  forget_acked t req.dx_acks;
-  match Expiring.find_opt t.exec_replies req.dx_exec_id with
-  | Some cell ->
-      t.s_dup_deliveries <- t.s_dup_deliveries + 1;
-      Ivar.read !cell
-  | None ->
-      let iv = Ivar.create () in
-      let cell = ref iv in
-      Expiring.replace t.exec_replies req.dx_exec_id cell;
-      t.s_direct <- t.s_direct + 1;
-      let result =
-        match Registry.find t.registry req.dx_fn_name with
-        | None -> Proto.failed ("unknown function " ^ req.dx_fn_name)
-        | Some entry ->
-            Server_exec.execute_on_primary t ~exec_id:req.dx_exec_id entry
-              req.dx_args
-      in
-      Ivar.fill iv result;
-      expire_reply t.exec_replies req.dx_exec_id cell;
-      result
+  dedup_reply t t.exec_replies ~acks:req.dx_acks req.dx_exec_id
+    handle_exec_once req

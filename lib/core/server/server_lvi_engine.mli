@@ -1,23 +1,14 @@
 (** LVI request admission: the engine's front door (Figure 3, steps
     4-6). Dispatches each request to the cross-shard coordinator, the
-    read-only validate-only fast path, or the locked slow path — the
-    latter two composed from explicit {!Server_pipeline} stages
-    (admit -> lock -> settle -> validate -> reply), so chaos fault hooks
-    and stage-level instrumentation attach per stage through
-    [Server_state.t.stage_hook]. *)
-
-val ro_fast_eligible : Server_state.t -> Proto.lvi_request -> bool
-(** Is the request eligible for the read-only validate-only fast path?
-    The client hint is re-derived against this server's own registry
-    before being trusted. *)
-
-val handle_lvi_once : Server_state.t -> Proto.lvi_request -> Proto.lvi_response
-(** Process one (deduplicated) LVI delivery: apply piggybacked
-    followups, then dispatch to the cross-shard coordinator, the
-    read-only fast path, or the locked slow pipeline. *)
+    read-only validate-only fast path, or the locked slow path
+    (admit -> lock -> settle -> validate -> reply).
+    [Server_state.t.stage_hook] fires with each step's name
+    (["ro_validate"], ["admit"], ["lock"], ["settle"], ["validate"])
+    just before it runs, so chaos fault hooks and stage-level
+    instrumentation attach per step. *)
 
 val handle_lvi : Server_state.t -> Proto.lvi_request -> Proto.lvi_response
-(** The at-least-once delivery guard in front of {!handle_lvi_once}:
+(** Process one LVI delivery behind the at-least-once delivery guard:
     duplicated deliveries replay the first delivery's (possibly still
     pending) response instead of re-running the protocol. *)
 

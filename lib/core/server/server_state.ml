@@ -131,9 +131,9 @@ type t = {
      only issued to sites present here. *)
   mutable lease_peers :
     (Net.Location.t * (Proto.lease_revoke, unit) Transport.service) list;
-  (* Per-stage observation hook for the request pipeline: called with
-     the stage name just before each [Server_pipeline] stage runs.
-     Chaos fault injection and stage-level instrumentation attach here
+  (* Per-stage observation hook: [Server_lvi_engine] calls it with the
+     step's name just before each step of an LVI request runs. Chaos
+     fault injection and stage-level instrumentation attach here
      instead of threading ad hoc callbacks through the handlers. *)
   mutable stage_hook : string -> unit;
   mutable owners : int;

@@ -78,9 +78,10 @@ type t = {
   mutable lease_peers :
     (Net.Location.t * (Proto.lease_revoke, unit) Net.Transport.service) list;
   mutable stage_hook : string -> unit;
-      (** Called with the stage name just before each
-          {!Server_pipeline} stage runs; chaos fault injection and
-          stage-level instrumentation attach here. *)
+      (** Called by {!Server_lvi_engine} with the step's name
+          ([ro_validate], [admit], [lock], [settle], [validate]) just
+          before each step of an LVI request runs; chaos fault
+          injection and stage-level instrumentation attach here. *)
   mutable owners : int;
   mutable s_requests : int;
   mutable s_validated : int;

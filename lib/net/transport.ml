@@ -11,11 +11,8 @@ type t = {
   jitter_sigma : float;
   rng : Rng.t;
   fault_rng : Rng.t;
-  (* Legacy single-slot hook ([set_fault]/[clear_fault]) plus a stack of
-     independently installed hooks ([add_fault]/[remove_fault]). The slot
-     keeps the historical replace-on-set semantics for tests while letting
-     a nemesis driver coexist with test-local hooks. *)
-  mutable base_hook : hook_fn option;
+  (* Independently installed hooks ([add_fault]/[remove_fault]), so a
+     nemesis driver coexists with test-local hooks. *)
   mutable hooks : (handle * hook_fn) list; (* oldest first *)
   mutable next_handle : int;
   mutable tracer : Metrics.Tracer.t;
@@ -46,7 +43,6 @@ let create ?(rtt = Location.rtt) ?(jitter_sigma = 0.05)
        the jitter stream of pre-existing seeded runs either. *)
     fault_rng =
       (match fault_rng with Some r -> r | None -> Rng.create 0x6661756c74);
-    base_hook = None;
     hooks = [];
     next_handle = 0;
     tracer;
@@ -70,10 +66,6 @@ let one_way t src dst =
     let s = t.jitter_sigma in
     base *. Rng.lognormal t.rng ~mu:(-.s *. s /. 2.0) ~sigma:s
 
-let set_fault t hook = t.base_hook <- Some hook
-
-let clear_fault t = t.base_hook <- None
-
 let add_fault t hook =
   let h = t.next_handle in
   t.next_handle <- t.next_handle + 1;
@@ -82,27 +74,24 @@ let add_fault t hook =
 
 let remove_fault t handle = t.hooks <- List.remove_assoc handle t.hooks
 
-let active_faults t =
-  List.length t.hooks + match t.base_hook with Some _ -> 1 | None -> 0
+let active_faults t = List.length t.hooks
 
 let partition t group =
   let inside loc = List.mem loc group in
   add_fault t (fun ~src ~dst ~label:_ ->
       if inside src <> inside dst then Drop else Deliver)
 
-(* The legacy slot is consulted first, then added hooks in installation
-   order; the first non-[Deliver] verdict decides the message's fate. *)
+(* Hooks are consulted in installation order; the first non-[Deliver]
+   verdict decides the message's fate. *)
 let fault_verdict t ~src ~dst ~label =
   let rec first = function
     | [] -> Deliver
-    | hook :: rest -> (
+    | (_, hook) :: rest -> (
         match hook ~src ~dst ~label with
         | Deliver -> first rest
         | verdict -> verdict)
   in
-  first
-    ((match t.base_hook with Some h -> [ h ] | None -> [])
-    @ List.map snd t.hooks)
+  first t.hooks
 
 let serve _t ~loc ~name handler =
   { svc_loc = loc; svc_name = name; svc_reply = name ^ ":reply"; handler }

@@ -9,9 +9,9 @@
     Fault injection hooks decide per message whether it is delivered,
     dropped, or delayed — used by the tests and by the chaos nemesis to
     exercise lost followups, late messages and partitions in the LVI
-    protocol. Hooks compose: the legacy [set_fault] slot coexists with any
-    number of [add_fault] hooks, so a nemesis campaign and a test-local
-    hook can be active at once.
+    protocol. Hooks compose: any number can be installed with
+    {!add_fault}, so a nemesis campaign and a test-local hook can be
+    active at once.
 
     Every message has a maximum lifetime, {!max_message_age} (TCP's
     maximum segment lifetime): a copy whose sampled delay, a fault's
@@ -66,29 +66,20 @@ val fault_rng : t -> Sim.Rng.t
 val one_way : t -> Location.t -> Location.t -> float
 (** Sample a one-way delay (RTT/2 × jitter). *)
 
-val set_fault :
-  t -> (src:Location.t -> dst:Location.t -> label:string -> fault) -> unit
-(** Install the single-slot fault hook consulted once per message
-    (requests, responses and one-way posts independently). [label] is the
-    target service's name for requests and ["<name>:reply"] for
-    responses, letting tests drop, say, only followup messages.
-    Re-invoking replaces only this slot; hooks installed with
-    {!add_fault} are unaffected. *)
-
-val clear_fault : t -> unit
-(** Remove the {!set_fault} slot hook (leaves {!add_fault} hooks alone). *)
-
 val add_fault :
   t -> (src:Location.t -> dst:Location.t -> label:string -> fault) -> int
-(** Install an additional fault hook and return a handle for
-    {!remove_fault}. Hooks are consulted in installation order after the
-    {!set_fault} slot; the first non-[Deliver] verdict decides. *)
+(** Install a fault hook and return a handle for {!remove_fault}. Each
+    hook is consulted once per message (requests, responses and one-way
+    posts independently). [label] is the target service's name for
+    requests and ["<name>:reply"] for responses, letting tests drop,
+    say, only followup messages. Hooks are consulted in installation
+    order; the first non-[Deliver] verdict decides. *)
 
 val remove_fault : t -> int -> unit
 (** Uninstall a hook by handle. Idempotent. *)
 
 val active_faults : t -> int
-(** Number of installed hooks (slot + stack). *)
+(** Number of installed hooks. *)
 
 val partition : t -> Location.t list -> int
 (** [partition t group] installs a hook dropping every message that

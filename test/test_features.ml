@@ -84,8 +84,10 @@ let test_external_at_most_once_under_reexecution () =
          deterministic re-execution) — the provider must still charge
          exactly once because both executions derive the same
          idempotency keys. *)
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label ->
-          if label = "followup" then Transport.Drop else Transport.Deliver);
+      ignore
+        (Transport.add_fault net (fun ~src:_ ~dst:_ ~label ->
+             if label = "followup" then Transport.Drop else Transport.Deliver)
+          : int);
       let _ = Framework.invoke fw ~from:Location.ca "checkout" [ Dval.Str "alice" ] in
       Engine.sleep 3000.0;
       let st = Server.stats (Framework.server fw) in
@@ -201,7 +203,13 @@ let test_manual_rw_registration () =
       Cache.update cache "seen:bob" Dval.Unit ~version:0;
       let rt =
         Runtime.create ~net ~registry:reg ~cache ~server:srv
-          (Runtime.config Location.de)
+          {
+            loc = Location.de;
+            overlap = true;
+            ro_fast = true;
+            fu_window = 0.0;
+            fu_piggyback = false;
+          }
       in
       let o = Runtime.invoke rt "opaque-profile" [ Dval.Str "bob" ] in
       Alcotest.(check bool) "speculative via manual f^rw" true
@@ -346,9 +354,11 @@ let test_server_restart_resolves_orphaned_intents () =
       let fw = Framework.create ~net ~funcs:[ put_fn ] ~data () in
       (* A validated write whose followup crawls: at the moment of the
          crash an intent is pending with locks held. *)
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label ->
-          if label = "followup" then Transport.Delay 5000.0
-          else Transport.Deliver);
+      ignore
+        (Transport.add_fault net (fun ~src:_ ~dst:_ ~label ->
+             if label = "followup" then Transport.Delay 5000.0
+             else Transport.Deliver)
+          : int);
       let o =
         Framework.invoke fw ~from:Location.ca "put"
           [ Dval.Str "x"; Dval.Str "crashed" ]
@@ -424,8 +434,10 @@ let test_adaptive_timer_recovers_faster_than_ceiling () =
       Engine.sleep 500.0;
       (* Now lose a followup: the adaptive timer (~4x the observed ~70 ms
          followup delay) should replay long before the 5 s ceiling. *)
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label ->
-          if label = "followup" then Transport.Drop else Transport.Deliver);
+      ignore
+        (Transport.add_fault net (fun ~src:_ ~dst:_ ~label ->
+             if label = "followup" then Transport.Drop else Transport.Deliver)
+          : int);
       let t0 = Engine.now () in
       let _ = Framework.invoke fw ~from:Location.ca "put" [ Dval.Str "a"; Dval.int 3 ] in
       let rec wait_for_reexec () =
@@ -462,9 +474,11 @@ let test_soak_no_residue () =
         Transport.create ~jitter_sigma:0.05 ~rng:(Rng.split (Engine.rng ())) ()
       in
       let rng = Rng.split (Engine.rng ()) in
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label ->
-          if label = "followup" && Rng.int rng 20 = 0 then Transport.Drop
-          else Transport.Deliver);
+      ignore
+        (Transport.add_fault net (fun ~src:_ ~dst:_ ~label ->
+             if label = "followup" && Rng.int rng 20 = 0 then Transport.Drop
+             else Transport.Deliver)
+          : int);
       let data = Apps.Social.seed (Rng.split (Engine.rng ())) in
       let fw = Framework.create ~net ~funcs:Apps.Social.functions ~data () in
       let gen = Apps.Social.gen () in

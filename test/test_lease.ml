@@ -315,9 +315,11 @@ let test_lost_revocation_degrades_to_expiry_wait () =
   in
   with_radical ~config:(lease_config leases) (fun net fw ->
       let _ = Framework.invoke fw ~from:Location.ca "get" [ Dval.Str "x" ] in
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label ->
-          if String.equal label "lease_revoke" then Transport.Drop
-          else Transport.Deliver);
+      let lose_revocations =
+        Transport.add_fault net (fun ~src:_ ~dst:_ ~label ->
+            if String.equal label "lease_revoke" then Transport.Drop
+            else Transport.Deliver)
+      in
       let ow =
         Framework.invoke fw ~from:Location.de "put"
           [ Dval.Str "x"; Dval.Str "v2" ]
@@ -328,7 +330,7 @@ let test_lost_revocation_degrades_to_expiry_wait () =
         (st.lease_revokes >= 1);
       Alcotest.(check bool) "fell back to the expiry wait" true
         (st.lease_expiry_waits >= 1);
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label:_ -> Transport.Deliver);
+      Transport.remove_fault net lose_revocations;
       let o = Framework.invoke fw ~from:Location.ca "get" [ Dval.Str "x" ] in
       check_dval "reader is fresh after the wait" (Dval.Str "v2") (ok_value o))
 

@@ -112,7 +112,10 @@ let test_call_timeout_drop () =
   run_sim (fun () ->
       let net = mknet () in
       let svc = Transport.serve net ~loc:Location.va ~name:"echo" Fun.id in
-      Transport.set_fault net (fun ~src ~dst:_ ~label:_ -> if src = Location.ca then Transport.Drop else Transport.Deliver);
+      ignore
+        (Transport.add_fault net (fun ~src ~dst:_ ~label:_ ->
+             if src = Location.ca then Transport.Drop else Transport.Deliver)
+          : int);
       let t0 = Engine.now () in
       let r = Transport.call_timeout net ~from:Location.ca ~timeout:200.0 svc 7 in
       Alcotest.(check (option int)) "timed out" None r;
@@ -135,8 +138,10 @@ let test_call_timeout_stats () =
   run_sim (fun () ->
       let net = mknet () in
       let svc = Transport.serve net ~loc:Location.va ~name:"echo" Fun.id in
-      Transport.set_fault net (fun ~src ~dst:_ ~label:_ ->
-          if src = Location.ca then Transport.Drop else Transport.Deliver);
+      ignore
+        (Transport.add_fault net (fun ~src ~dst:_ ~label:_ ->
+             if src = Location.ca then Transport.Drop else Transport.Deliver)
+          : int);
       ignore (Transport.call_timeout net ~from:Location.ca ~timeout:200.0 svc 7);
       ignore (Transport.call_timeout net ~from:Location.ca ~timeout:200.0 svc 8);
       Alcotest.(check int) "two timeouts" 2 (Transport.calls_timed_out net))
@@ -150,7 +155,10 @@ let test_call_timeout_late_reply () =
       (* 300 ms extra per leg pushes the reply far past the 200 ms
          timeout: the caller gets None, and when the reply eventually
          lands it is counted as late instead of re-filling the ivar. *)
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label:_ -> Transport.Delay 300.0);
+      ignore
+        (Transport.add_fault net (fun ~src:_ ~dst:_ ~label:_ ->
+             Transport.Delay 300.0)
+          : int);
       let r = Transport.call_timeout net ~from:Location.ca ~timeout:200.0 svc 7 in
       Alcotest.(check (option int)) "timed out" None r;
       Alcotest.(check int) "timeout counted" 1 (Transport.calls_timed_out net);
@@ -206,8 +214,10 @@ let test_response_drop () =
       let net = mknet () in
       let svc = Transport.serve net ~loc:Location.va ~name:"echo" Fun.id in
       (* Drop only the response leg. *)
-      Transport.set_fault net (fun ~src ~dst:_ ~label:_ ->
-          if src = Location.va then Transport.Drop else Transport.Deliver);
+      ignore
+        (Transport.add_fault net (fun ~src ~dst:_ ~label:_ ->
+             if src = Location.va then Transport.Drop else Transport.Deliver)
+          : int);
       let r = Transport.call_timeout net ~from:Location.ca ~timeout:200.0 svc 7 in
       Alcotest.(check (option int)) "response lost" None r)
 
@@ -220,19 +230,21 @@ let test_duplicate_fault () =
       in
       (* Duplicate only the request leg of the first post. *)
       let first = ref true in
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label:_ ->
-          if !first then begin
-            first := false;
-            Transport.Duplicate
-          end
-          else Transport.Deliver);
+      let h =
+        Transport.add_fault net (fun ~src:_ ~dst:_ ~label:_ ->
+            if !first then begin
+              first := false;
+              Transport.Duplicate
+            end
+            else Transport.Deliver)
+      in
       Transport.post net ~from:Location.ca svc ();
       Engine.sleep 500.0;
       Alcotest.(check int) "handler ran twice" 2 !hits;
       Alcotest.(check int) "one duplication recorded" 1
         (Transport.messages_duplicated net);
       Alcotest.(check int) "nothing dropped" 0 (Transport.messages_dropped net);
-      Transport.clear_fault net;
+      Transport.remove_fault net h;
       Transport.post net ~from:Location.ca svc ();
       Engine.sleep 500.0;
       Alcotest.(check int) "healed: delivered once" 3 !hits)
@@ -241,11 +253,14 @@ let test_delay_fault () =
   run_sim (fun () ->
       let net = mknet () in
       let svc = Transport.serve net ~loc:Location.va ~name:"echo" Fun.id in
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label:_ -> Transport.Delay 100.0);
+      let h =
+        Transport.add_fault net (fun ~src:_ ~dst:_ ~label:_ ->
+            Transport.Delay 100.0)
+      in
       let t0 = Engine.now () in
       ignore (Transport.call net ~from:Location.ca svc 1);
       check_float "rtt + 2 delays" (68.0 +. 200.0) (Engine.now () -. t0);
-      Transport.clear_fault net;
+      Transport.remove_fault net h;
       let t1 = Engine.now () in
       ignore (Transport.call net ~from:Location.ca svc 1);
       check_float "back to rtt" 68.0 (Engine.now () -. t1))
@@ -262,8 +277,10 @@ let test_delay_beyond_lifetime_expires () =
       let svc =
         Transport.serve net ~loc:Location.va ~name:"sink" (fun () -> incr hits)
       in
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label:_ ->
-          Transport.Delay Transport.max_message_age);
+      let h =
+        Transport.add_fault net (fun ~src:_ ~dst:_ ~label:_ ->
+            Transport.Delay Transport.max_message_age)
+      in
       Transport.post net ~from:Location.ca svc ();
       Engine.sleep (3.0 *. Transport.max_message_age);
       Alcotest.(check int) "never delivered" 0 !hits;
@@ -271,8 +288,11 @@ let test_delay_beyond_lifetime_expires () =
         (Transport.messages_dropped net);
       Alcotest.(check (option int)) "traced as expired" (Some 1)
         (List.assoc_opt ("sink", "expired") (Metrics.Tracer.fault_counts tracer));
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label:_ ->
-          Transport.Delay (Transport.max_message_age -. 100.0));
+      Transport.remove_fault net h;
+      ignore
+        (Transport.add_fault net (fun ~src:_ ~dst:_ ~label:_ ->
+             Transport.Delay (Transport.max_message_age -. 100.0))
+          : int);
       Transport.post net ~from:Location.ca svc ();
       Engine.sleep Transport.max_message_age;
       Alcotest.(check int) "inside the lifetime: delivered" 1 !hits)
@@ -306,31 +326,6 @@ let test_fault_hooks_compose () =
       let t1 = Engine.now () in
       ignore (Transport.call net ~from:Location.ca svc 3);
       check_float "clean again" 68.0 (Engine.now () -. t1))
-
-let test_set_fault_slot_and_stack_independent () =
-  run_sim (fun () ->
-      let net = mknet () in
-      let svc = Transport.serve net ~loc:Location.va ~name:"echo" Fun.id in
-      let h =
-        Transport.add_fault net (fun ~src:_ ~dst:_ ~label:_ ->
-            Transport.Delay 50.0)
-      in
-      (* The legacy slot is consulted before the stack and replaces only
-         itself; clearing it leaves the stacked hook in place. *)
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label:_ -> Transport.Delay 10.0);
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label:_ -> Transport.Delay 20.0);
-      Alcotest.(check int) "slot + stacked hook" 2 (Transport.active_faults net);
-      let t0 = Engine.now () in
-      ignore (Transport.call net ~from:Location.ca svc 1);
-      check_float "replacement slot wins over stack" (68.0 +. 40.0)
-        (Engine.now () -. t0);
-      Transport.clear_fault net;
-      Alcotest.(check int) "stacked hook survives clear_fault" 1
-        (Transport.active_faults net);
-      let t1 = Engine.now () in
-      ignore (Transport.call net ~from:Location.ca svc 2);
-      check_float "stacked delay applies" (68.0 +. 100.0) (Engine.now () -. t1);
-      Transport.remove_fault net h)
 
 let test_partition_and_heal () =
   run_sim (fun () ->
@@ -419,8 +414,6 @@ let () =
             test_delay_beyond_lifetime_expires;
           Alcotest.test_case "fault hooks compose" `Quick
             test_fault_hooks_compose;
-          Alcotest.test_case "set_fault slot vs stack" `Quick
-            test_set_fault_slot_and_stack_independent;
           Alcotest.test_case "partition and heal" `Quick
             test_partition_and_heal;
           Alcotest.test_case "fault rng independent of jitter" `Quick

@@ -142,11 +142,13 @@ let test_monotonic_under_duplication_and_reorder () =
          once. Version-guarded installs must still converge every site
          to the newest version and never regress. *)
       let frng = Transport.fault_rng net in
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label ->
-          if String.equal label "cache_update" then
-            if Rng.int frng 2 = 0 then Transport.Duplicate
-            else Transport.Delay (Rng.float frng 200.0)
-          else Transport.Deliver);
+      ignore
+        (Transport.add_fault net (fun ~src:_ ~dst:_ ~label ->
+             if String.equal label "cache_update" then
+               if Rng.int frng 2 = 0 then Transport.Duplicate
+               else Transport.Delay (Rng.float frng 200.0)
+             else Transport.Deliver)
+          : int);
       for i = 1 to 6 do
         let _ =
           Framework.invoke fw ~from:Location.ca "put"
@@ -181,9 +183,11 @@ let test_monotonic_under_duplication_and_reorder () =
 let test_lost_updates_degrade_to_seed_behaviour () =
   let config = Radical.Deployment.config [ Propagating ] in
   with_radical ~config (fun net fw ->
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label ->
-          if String.equal label "cache_update" then Transport.Drop
-          else Transport.Deliver);
+      ignore
+        (Transport.add_fault net (fun ~src:_ ~dst:_ ~label ->
+             if String.equal label "cache_update" then Transport.Drop
+             else Transport.Deliver)
+          : int);
       let _ =
         Framework.invoke fw ~from:Location.ca "put"
           [ Dval.Str "x"; Dval.Str "new" ]
@@ -229,12 +233,15 @@ let test_invalidate_only_evicts_stale_entries () =
 let test_duplicate_lvi_delivery_processed_once () =
   with_radical (fun net fw ->
       let first = ref true in
-      Transport.set_fault net (fun ~src ~dst:_ ~label ->
-          if String.equal label "lvi" && src = Location.ca && !first then begin
-            first := false;
-            Transport.Duplicate
-          end
-          else Transport.Deliver);
+      ignore
+        (Transport.add_fault net (fun ~src ~dst:_ ~label ->
+             if String.equal label "lvi" && src = Location.ca && !first
+             then begin
+               first := false;
+               Transport.Duplicate
+             end
+             else Transport.Deliver)
+          : int);
       let o =
         Framework.invoke fw ~from:Location.ca "put"
           [ Dval.Str "x"; Dval.Str "v2" ]
@@ -353,13 +360,15 @@ let test_duplicate_after_ack_gets_tombstone () =
           ~timeout:Runtime.rpc_timeout svc req
       in
       let first = ref true in
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label ->
-          if String.equal label "lvi" && !first then begin
-            first := false;
-            lag := 2;
-            Transport.Duplicate
-          end
-          else Transport.Deliver);
+      ignore
+        (Transport.add_fault net (fun ~src:_ ~dst:_ ~label ->
+             if String.equal label "lvi" && !first then begin
+               first := false;
+               lag := 2;
+               Transport.Duplicate
+             end
+             else Transport.Deliver)
+          : int);
       (match call put_a with
       | Some (Radical.Proto.Validated _) -> ()
       | _ -> Alcotest.fail "A not validated");

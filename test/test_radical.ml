@@ -406,12 +406,14 @@ let test_wide_write_set () =
 
 let drop_nth_followup net n =
   let count = ref 0 in
-  Transport.set_fault net (fun ~src:_ ~dst:_ ~label ->
-      if String.equal label "followup" then begin
-        incr count;
-        if !count = n then Transport.Drop else Transport.Deliver
-      end
-      else Transport.Deliver)
+  ignore
+    (Transport.add_fault net (fun ~src:_ ~dst:_ ~label ->
+         if String.equal label "followup" then begin
+           incr count;
+           if !count = n then Transport.Drop else Transport.Deliver
+         end
+         else Transport.Deliver)
+      : int)
 
 let test_dropped_followup_triggers_reexecution () =
   with_radical (fun net fw ->
@@ -439,12 +441,14 @@ let test_dropped_followup_triggers_reexecution () =
 let test_late_followup_discarded () =
   with_radical (fun net fw ->
       let count = ref 0 in
-      Transport.set_fault net (fun ~src:_ ~dst:_ ~label ->
-          if String.equal label "followup" then begin
-            incr count;
-            if !count = 1 then Transport.Delay 3000.0 else Transport.Deliver
-          end
-          else Transport.Deliver);
+      ignore
+        (Transport.add_fault net (fun ~src:_ ~dst:_ ~label ->
+             if String.equal label "followup" then begin
+               incr count;
+               if !count = 1 then Transport.Delay 3000.0 else Transport.Deliver
+             end
+             else Transport.Deliver)
+          : int);
       let _ =
         Framework.invoke fw ~from:Location.ca "put"
           [ Dval.Str "x"; Dval.Str "vlate" ]
@@ -505,12 +509,14 @@ let prop_linearizable_history =
           (* Adversarial network: ~25% of followups drop (forcing
              re-execution), and any other protocol message may be
              delayed up to 400 ms, reordering the schedule. *)
-          Transport.set_fault net (fun ~src:_ ~dst:_ ~label ->
-              if String.equal label "followup" && Rng.int rng 4 = 0 then
-                Transport.Drop
-              else if Rng.int rng 5 = 0 then
-                Transport.Delay (Rng.float rng 400.0)
-              else Transport.Deliver);
+          ignore
+            (Transport.add_fault net (fun ~src:_ ~dst:_ ~label ->
+                 if String.equal label "followup" && Rng.int rng 4 = 0 then
+                   Transport.Drop
+                 else if Rng.int rng 5 = 0 then
+                   Transport.Delay (Rng.float rng 400.0)
+                 else Transport.Deliver)
+              : int);
           let sites = [ Location.ca; Location.de; Location.jp; Location.va ] in
           let pending = ref 0 in
           List.iteri

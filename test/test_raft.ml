@@ -53,14 +53,12 @@ let is_node_traffic label =
   && not (String.length label >= 11 && String.sub label 0 11 = "raft-client")
 
 (* Cut one AZ's raft links (node-to-node traffic only, so test clients
-   can still reach the majority side). *)
+   can still reach the majority side). Heal it with [remove_fault]. *)
 let isolate net az =
-  Transport.set_fault net (fun ~src ~dst ~label ->
+  Transport.add_fault net (fun ~src ~dst ~label ->
       if is_node_traffic label && String.equal src az <> String.equal dst az
       then Transport.Drop
       else Transport.Deliver)
-
-let heal net = Transport.clear_fault net
 
 let await_leader ?(max_wait = 5000.0) c =
   let deadline = Engine.now () +. max_wait in
@@ -205,7 +203,7 @@ let test_leader_partition_failover () =
       set c "x" "1";
       (* Cut the leader off: the majority side elects a replacement and
          keeps committing; the old leader cannot. Node i lives in AZ i. *)
-      isolate net (List.nth azs l1);
+      let cut = isolate net (List.nth azs l1) in
       Engine.sleep 1500.0;
       (match R.leader c with
       | Some l2 -> Alcotest.(check bool) "replacement leader" true (l2 <> l1)
@@ -213,7 +211,7 @@ let test_leader_partition_failover () =
       set c "x" "2";
       (* Heal: the deposed leader hears a higher term and steps down;
          logs converge. *)
-      heal net;
+      Transport.remove_fault net cut;
       Engine.sleep 2000.0;
       Alcotest.(check (option string)) "post-heal read" (Some "2") (get c "x");
       Alcotest.(check bool) "old leader caught up" true
@@ -232,12 +230,12 @@ let test_follower_partition_harmless () =
   with_cluster_net (fun net c ->
       let l = await_leader c in
       let follower = if l = 0 then 1 else 0 in
-      isolate net (List.nth azs follower);
+      let cut = isolate net (List.nth azs follower) in
       set c "a" "1";
       set c "b" "2";
       Alcotest.(check (option string)) "majority commits through partition"
         (Some "2") (get c "b");
-      heal net;
+      Transport.remove_fault net cut;
       Engine.sleep 2000.0;
       Alcotest.(check bool) "partitioned follower converged" true
         (R.commit_index c follower >= 2))
@@ -246,14 +244,16 @@ let test_full_partition_blocks () =
   with_cluster_net (fun net c ->
       let _ = await_leader c in
       (* Every AZ's raft links cut: no quorum anywhere. *)
-      Transport.set_fault net (fun ~src ~dst ~label ->
-          if is_node_traffic label && not (String.equal src dst) then
-            Transport.Drop
-          else Transport.Deliver);
+      let cut =
+        Transport.add_fault net (fun ~src ~dst ~label ->
+            if is_node_traffic label && not (String.equal src dst) then
+              Transport.Drop
+            else Transport.Deliver)
+      in
       Engine.sleep 500.0;
       let r = R.submit ~timeout:1500.0 c (Raft.Kvsm.Set ("x", "1")) in
       Alcotest.(check bool) "no quorum, no commit" true (r = None);
-      heal net;
+      Transport.remove_fault net cut;
       Engine.sleep 2000.0;
       set c "x" "2";
       Alcotest.(check (option string)) "recovers after heal" (Some "2") (get c "x"))

@@ -4,7 +4,8 @@
    behaviour of the same code paths is covered by test_radical,
    test_lease and the seed-identity golden; these tests pin the layer
    contracts (grant refusal rules, the settle barrier's two modes,
-   propagation's origin-site exclusion, pipeline stage order). *)
+   propagation's origin-site exclusion). The stage-hook tests run the
+   full stack instead, since the hook's order is the handler's. *)
 
 open Sim
 module Transport = Net.Transport
@@ -14,7 +15,8 @@ module Server_config = Radical.Server_config
 module Server_state = Radical.Server_state
 module Lease_authority = Radical.Server_lease_authority
 module Propagator = Radical.Server_propagator
-module Pipeline = Radical.Server_pipeline
+module Framework = Radical.Framework
+module Server = Radical.Server
 module Lease = Radical.Lease
 module Proto = Radical.Proto
 
@@ -212,54 +214,91 @@ let test_publish_propagation_off () =
       Alcotest.(check int) "nothing delivered" 0 (List.length !at_ca);
       Alcotest.(check int) "nothing counted" 0 t.s_prop_records)
 
-(* --- Pipeline: stage order and short-circuit -------------------------- *)
+(* --- Server.on_stage: the LVI handler's stage hook -------------------
 
-let probe trace name step =
-  Pipeline.stage name (fun _ctx ->
-      trace := name :: !trace;
-      step)
+   Full stack: the hook must fire with each step's name, in order, just
+   before the step runs, on every path a request can take. Each entry
+   pairs the name with the server's lock-owner count at that instant,
+   which pins "before": locks are taken in the lock step. *)
 
-let test_pipeline_order () =
-  let trace = ref [] and hooks = ref [] in
-  let reply =
-    Pipeline.run
-      ~on_stage:(fun n -> hooks := n :: !hooks)
-      [
-        probe trace "admit" Pipeline.Continue;
-        probe trace "lock" Pipeline.Continue;
-        probe trace "validate" Pipeline.Continue;
-      ]
-      41
-      ~finish:(fun ctx -> ctx + 1)
-  in
-  Alcotest.(check int) "finish produced the reply" 42 reply;
-  Alcotest.(check (list string))
-    "stages ran in order"
-    [ "admit"; "lock"; "validate" ]
-    (List.rev !trace);
-  Alcotest.(check (list string))
-    "hook fired before each stage"
-    [ "admit"; "lock"; "validate" ]
-    (List.rev !hooks)
+let get_fn =
+  Fdsl.Ast.
+    {
+      fn_name = "get";
+      params = [ "k" ];
+      body = Compute (100.0, Read (Input "k"));
+    }
 
-let test_pipeline_done_short_circuits () =
-  let trace = ref [] and hooks = ref [] in
-  let reply =
-    Pipeline.run
-      ~on_stage:(fun n -> hooks := n :: !hooks)
-      [
-        probe trace "admit" Pipeline.Continue;
-        probe trace "reply_now" (Pipeline.Done 99);
-        probe trace "never" Pipeline.Continue;
-      ]
-      0
-      ~finish:(fun _ -> Alcotest.fail "finish must not run after Done")
-  in
-  Alcotest.(check int) "Done's reply wins" 99 reply;
-  Alcotest.(check (list string))
-    "later stages skipped" [ "admit"; "reply_now" ] (List.rev !trace);
-  Alcotest.(check (list string))
-    "hook stopped with the pipeline" [ "admit"; "reply_now" ] (List.rev !hooks)
+let put_fn =
+  Fdsl.Ast.
+    {
+      fn_name = "put";
+      params = [ "k"; "v" ];
+      body = Compute (20.0, Seq [ Write (Input "k", Input "v"); Input "v" ]);
+    }
+
+let with_stage_hook f =
+  run_sim (fun () ->
+      let net =
+        Transport.create ~jitter_sigma:0.0 ~rng:(Rng.split (Engine.rng ())) ()
+      in
+      let fw =
+        Framework.create ~net ~funcs:[ get_fn; put_fn ]
+          ~data:[ ("x", Dval.Str "v1") ]
+          ()
+      in
+      let server = Framework.server fw in
+      let seen = ref [] in
+      Server.on_stage server (fun name ->
+          seen := (name, Server.locks_held server) :: !seen);
+      (* The hook's calls while [invoke] runs and its followup lands. *)
+      let stages ~from fn args =
+        seen := [];
+        ignore (Framework.invoke fw ~from fn args : Radical.Runtime.outcome);
+        Engine.sleep 500.0;
+        List.rev !seen
+      in
+      f net server stages;
+      Framework.stop fw)
+
+let check_stages msg expected got =
+  Alcotest.(check (list (pair string int))) msg expected got
+
+let locked_path = [ ("admit", 0); ("lock", 0); ("settle", 1); ("validate", 1) ]
+
+let test_stage_hook_write () =
+  with_stage_hook (fun _ _ stages ->
+      check_stages "a write runs the locked path" locked_path
+        (stages ~from:Location.ca "put" [ Dval.Str "x"; Dval.Str "v2" ]))
+
+let test_stage_hook_ro_validated () =
+  with_stage_hook (fun _ server stages ->
+      check_stages "a fresh read-only call validates without locks"
+        [ ("ro_validate", 0) ]
+        (stages ~from:Location.ca "get" [ Dval.Str "x" ]);
+      Alcotest.(check int) "fast path taken" 1 (Server.stats server).ro_fast)
+
+let test_stage_hook_ro_falls_through () =
+  with_stage_hook (fun _ server stages ->
+      ignore (stages ~from:Location.va "put" [ Dval.Str "x"; Dval.Str "new" ]);
+      (* de's cache still holds v1: the fast path refuses the stale read
+         and the locked path runs behind it. *)
+      check_stages "a stale read-only call falls through"
+        (("ro_validate", 0) :: locked_path)
+        (stages ~from:Location.de "get" [ Dval.Str "x" ]);
+      Alcotest.(check int) "fast path refused" 0 (Server.stats server).ro_fast)
+
+let test_stage_hook_duplicate () =
+  with_stage_hook (fun net server stages ->
+      ignore
+        (Transport.add_fault net (fun ~src:_ ~dst:_ ~label ->
+             if String.equal label "lvi" then Transport.Duplicate
+             else Transport.Deliver)
+          : int);
+      check_stages "the duplicate fires no stage" locked_path
+        (stages ~from:Location.ca "put" [ Dval.Str "x"; Dval.Str "v2" ]);
+      Alcotest.(check int) "duplicate delivered" 1
+        (Server.stats server).dup_deliveries)
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
@@ -432,11 +471,15 @@ let () =
           Alcotest.test_case "propagation off is inert" `Quick
             test_publish_propagation_off;
         ] );
-      ( "pipeline",
+      ( "stage_hook",
         [
-          Alcotest.test_case "stage order" `Quick test_pipeline_order;
-          Alcotest.test_case "Done short-circuits" `Quick
-            test_pipeline_done_short_circuits;
+          Alcotest.test_case "write" `Quick test_stage_hook_write;
+          Alcotest.test_case "validated read-only" `Quick
+            test_stage_hook_ro_validated;
+          Alcotest.test_case "stale read-only falls through" `Quick
+            test_stage_hook_ro_falls_through;
+          Alcotest.test_case "duplicate fires nothing" `Quick
+            test_stage_hook_duplicate;
         ] );
       ( "admission",
         [ QCheck_alcotest.to_alcotest prop_admission_matches_scan ] );
