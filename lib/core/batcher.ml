@@ -1,11 +1,12 @@
 open Sim
 
+let max_batch = 64
+
 type 'a t = {
   window : float;
-  max_batch : int;
   flush : 'a list -> unit;
   on_flush : size:int -> queue_delay:float -> unit;
-  mutable buf : 'a list list; (* newest submission first *)
+  mutable buf : 'a list list; (* newest addition first *)
   mutable count : int;
   mutable oldest : float; (* enqueue time of the round's first element *)
   mutable round : unit Ivar.t; (* completion of the currently-filling round *)
@@ -14,13 +15,10 @@ type 'a t = {
   mutable flushes : int;
 }
 
-let create ~window ?(max_batch = 64)
-    ?(on_flush = fun ~size:_ ~queue_delay:_ -> ()) flush =
+let create ~window ?(on_flush = fun ~size:_ ~queue_delay:_ -> ()) flush =
   if window < 0.0 then invalid_arg "Batcher.create: negative window";
-  if max_batch < 1 then invalid_arg "Batcher.create: max_batch < 1";
   {
     window;
-    max_batch;
     flush;
     on_flush;
     buf = [];
@@ -32,21 +30,25 @@ let create ~window ?(max_batch = 64)
     flushing = false;
   }
 
-let pending t = t.count
-
 let flushes t = t.flushes
 
-let rec do_flush t =
+(* Empty the buffer and open the next round; returns the drained
+   elements (oldest first) and the drained round's ivar. *)
+let drain t =
   (match t.timer with Some tm -> Timer.cancel tm | None -> ());
   t.timer <- None;
+  let items = List.concat (List.rev t.buf) in
+  let round = t.round in
+  t.buf <- [];
+  t.count <- 0;
+  t.round <- Ivar.create ();
+  (items, round)
+
+let rec do_flush t =
   if t.count > 0 && not t.flushing then begin
     t.flushing <- true;
-    let items = List.concat (List.rev t.buf) in
-    let round = t.round in
     let delay = Engine.now () -. t.oldest in
-    t.buf <- [];
-    t.count <- 0;
-    t.round <- Ivar.create ();
+    let items, round = drain t in
     t.flush items;
     t.flushes <- t.flushes + 1;
     t.on_flush ~size:(List.length items) ~queue_delay:delay;
@@ -54,8 +56,7 @@ let rec do_flush t =
     t.flushing <- false;
     (* Elements that arrived during the flush could not arm a timer
        (arming is suppressed while flushing); give them their own round. *)
-    if t.count > 0 then
-      if t.count >= t.max_batch then do_flush t else arm t
+    if t.count > 0 then if t.count >= max_batch then do_flush t else arm t
   end
 
 and arm t =
@@ -66,14 +67,25 @@ and arm t =
              t.timer <- None;
              do_flush t))
 
-let submit_all t items =
+let add t items =
   if items <> [] then begin
     if t.count = 0 then t.oldest <- Engine.now ();
     t.buf <- items :: t.buf;
     t.count <- t.count + List.length items;
+    if t.count >= max_batch && not t.flushing then do_flush t else arm t
+  end
+
+let submit_all t items =
+  if items <> [] then begin
     let round = t.round in
-    if t.count >= t.max_batch && not t.flushing then do_flush t else arm t;
+    add t items;
     Ivar.read round
   end
 
-let submit t item = submit_all t [ item ]
+let take t =
+  if t.count = 0 then []
+  else begin
+    let items, round = drain t in
+    Ivar.fill round ();
+    items
+  end

@@ -1,5 +1,5 @@
 (* The LVI server's consensus-replicated lock store (the etcd role in
-   Â§5.6): a Raft cluster whose state machine is a string KV holding one
+   §5.6): a Raft cluster whose state machine is a string KV holding one
    record per held lock. Instantiated once here so the cluster type can
    appear in interfaces (tests crash/restart nodes through it). *)
 

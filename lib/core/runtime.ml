@@ -35,50 +35,35 @@ type stats = {
   fallback : int;
   skipped_speculations : int;
   ro_hints : int;
-      (* LVI requests sent with the read-only hint set: the analysis
-         proved the function write-free, so the server may answer on its
-         validate-only fast path. *)
   fu_batches : int;
-      (* Coalesced followup messages posted (each carrying >= 1
-         followups); 0 when the coalescing window is off. *)
   fu_piggybacked : int;
-      (* Followups that rode an outgoing LVI request instead of their
-         own message. *)
   rpc_timeouts : int;
-      (* LVI or direct-execution calls that hit the RPC timeout and
-         returned an error outcome instead of blocking forever. *)
   prop_batches : int;
-      (* cache_update messages received from the LVI server's
-         propagation channel (0 with propagation off). *)
   prop_records : int;
-      (* Update records carried by those messages. *)
   prop_installed : int;
-      (* Records that actually changed the cache — installed a newer
-         version, or evicted a stale entry in invalidate mode. The
-         remainder lost the version guard (already as fresh, typically
-         the origin's own writes or a reordered duplicate). *)
   lease_local : int;
-      (* Statically read-only invocations served entirely at this site
-         under read leases: zero LVI round trips (0 with leases off). *)
   lease_installed : int;
-      (* Lease grants accepted off LVI replies and cache updates. *)
   lease_refused : int;
-      (* Grants refused: fenced by a later revocation, or superseded. *)
   lease_revoked : int;
-      (* Held grants dropped by server revocations. *)
 }
 
 (* One LVI server this runtime talks to. Unsharded deployments have
    exactly one; sharded ones have one per shard, indexed by shard id.
-   Followup coalescers are per-endpoint: a followup must reach the
-   shard that installed its intent, and a piggybacked followup may
-   only ride a request bound for that same shard. So is the ack
-   buffer: a reply is acknowledged to the server that stored it. *)
+   Followup batchers are per-endpoint: a followup must reach the shard
+   that installed its intent, and a piggybacked followup may only ride
+   a request bound for that same shard. So is the ack buffer: a reply
+   is acknowledged to the server that stored it. *)
 type endpoint = {
   ep_lvi : (Proto.lvi_request, Proto.lvi_response) Transport.service;
   ep_fu : (Proto.followup list, unit) Transport.service;
   ep_exec : (Proto.exec_request, Proto.exec_result) Transport.service;
-  ep_coal : Client_pipeline.coalescer;
+  ep_fus : Proto.followup Batcher.t option;
+      (* Followups waiting for the Nagle window or for a request to
+         ride; [None] when the window is off and nothing piggybacks, so
+         each followup is posted at once. The window must stay well
+         under the server's 200 ms intent-timer floor: a buffered
+         followup delays the release of its server-side locks by at
+         most one window. *)
   mutable ep_acks : Proto.exec_id list;
       (* Calls to this endpoint that have returned since the last
          request to it; the next LVI or direct-exec request carries
@@ -115,6 +100,7 @@ type t = {
   mutable s_fallback : int;
   mutable s_skipped : int;
   mutable s_ro_hints : int;
+  mutable s_fu_piggybacked : int;
   mutable s_rpc_timeouts : int;
   mutable s_prop_batches : int;
   mutable s_prop_records : int;
@@ -123,6 +109,19 @@ type t = {
   mutable cu_svc : (Proto.cache_update, unit) Transport.service option;
   mutable lr_svc : (Proto.lease_revoke, unit) Transport.service option;
 }
+
+(* Grants arrive piggybacked on Validated replies and cache updates.
+   [Cache.Leases.install] refuses fenced grants (issued at or before the
+   last acknowledged revocation of the key — they were in flight while a
+   writer settled it) and keeps its own counters. *)
+let install_leases t grants =
+  List.iter
+    (fun { Proto.lg_key; lg_version; lg_issued; lg_until } ->
+      ignore
+        (Cache.Leases.install t.leases ~key:lg_key ~version:lg_version
+           ~issued:lg_issued ~until:lg_until
+          : bool))
+    grants
 
 (* Server-side write path revoking this site's leases. Drop the grants
    and fence the keys BEFORE the reply travels back: the ack is the
@@ -159,7 +158,7 @@ let handle_cache_update t (cu : Proto.cache_update) =
           (now -. stamp)
       end)
     cu.cu_updates;
-  Client_pipeline.install_leases t.leases cu.cu_leases
+  install_leases t cu.cu_leases
 
 let endpoint_of ~net ~tracer cfg server =
   let ep_fu = Server.followup_service server in
@@ -167,13 +166,15 @@ let endpoint_of ~net ~tracer cfg server =
     ep_lvi = Server.lvi_service server;
     ep_fu;
     ep_exec = Server.exec_service server;
-    ep_coal =
-      Client_pipeline.coalescer ~window:cfg.fu_window
-        ~piggyback:cfg.fu_piggyback
-        ~post:(fun fus -> Transport.post net ~from:cfg.loc ep_fu fus)
-        ~on_flush:(fun ~count ~waited ->
-          Tracer.record_batch tracer ~label:"followup" count;
-          Tracer.record_queue tracer ~label:"followup" waited);
+    ep_fus =
+      (if cfg.fu_window <= 0.0 && not cfg.fu_piggyback then None
+       else
+         Some
+           (Batcher.create ~window:(Float.max 0.0 cfg.fu_window)
+              ~on_flush:(fun ~size ~queue_delay ->
+                Tracer.record_batch tracer ~label:"followup" size;
+                Tracer.record_queue tracer ~label:"followup" queue_delay)
+              (fun fus -> Transport.post net ~from:cfg.loc ep_fu fus)));
     ep_acks = [];
   }
 
@@ -221,6 +222,7 @@ let create ?extsvc ?(tracer = Tracer.noop) ?sharding ~net ~registry ~cache
     s_fallback = 0;
     s_skipped = 0;
     s_ro_hints = 0;
+      s_fu_piggybacked = 0;
       s_rpc_timeouts = 0;
       s_prop_batches = 0;
       s_prop_records = 0;
@@ -318,7 +320,30 @@ let endpoint_for_entry t (entry : Registry.entry) =
       | Shard.Router.Single s -> t.endpoints.(s)
       | Shard.Router.Cross -> t.endpoints.(0))
 
-let direct_execute t ~start ~exec_id ~root ep fn args =
+(* Every exit of [invoke]: read the clock, record the history op (a
+   timed-out call records none), run the speculative path's [followup]
+   — after the reply, so outside the client's latency — and fold the
+   finished trace into the per-path histograms. *)
+let complete t ~fn ~exec_id ~start ~root ?followup path
+    (res : (Proto.exec_result, string) result) =
+  let finish = Engine.now () in
+  let value =
+    match res with
+    | Ok res ->
+        record t ~exec_id ~start ~finish res;
+        res.value
+    | Error msg ->
+        t.s_rpc_timeouts <- t.s_rpc_timeouts + 1;
+        Error msg
+  in
+  (match followup with
+  | Some post -> Tracer.with_phase t.tracer ~parent:root "followup_post" post
+  | None -> ());
+  Tracer.release_exec t.tracer ~exec_id;
+  Tracer.finalize t.tracer ~fn ~path:(path_label path) root;
+  { value; latency = finish -. start; path }
+
+let direct_execute t ~exec_id ~root ep fn args =
   t.s_fallback <- t.s_fallback + 1;
   let res =
     Tracer.with_phase t.tracer ~parent:root "direct_exec" (fun () ->
@@ -332,18 +357,22 @@ let direct_execute t ~start ~exec_id ~root ep fn args =
           })
   in
   ack ep exec_id;
-  let finish = Engine.now () in
-  match res with
-  | Some res ->
-      record t ~exec_id ~start ~finish res;
-      { value = res.value; latency = finish -. start; path = Fallback }
-  | None ->
-      t.s_rpc_timeouts <- t.s_rpc_timeouts + 1;
-      {
-        value = Error "direct execution timed out";
-        latency = finish -. start;
-        path = Fallback;
-      }
+  Option.to_result ~none:"direct execution timed out" res
+
+(* Drain [ep]'s buffered followups into an outgoing LVI request; the
+   server applies them before the request itself. *)
+let take_piggyback t ep =
+  match ep.ep_fus with
+  | Some b when t.cfg.fu_piggyback ->
+      let fus = Batcher.take b in
+      t.s_fu_piggybacked <- t.s_fu_piggybacked + List.length fus;
+      fus
+  | Some _ | None -> []
+
+let post_followup t ep fu =
+  match ep.ep_fus with
+  | Some b -> Batcher.add b [ fu ]
+  | None -> Transport.post t.net ~from:t.cfg.loc ep.ep_fu [ fu ]
 
 let invoke t fn args =
   t.s_invocations <- t.s_invocations + 1;
@@ -351,7 +380,7 @@ let invoke t fn args =
   let exec_id = fresh_exec_id t fn in
   (* One trace per invocation: phase spans hang off this root, the LVI
      server attaches its own phases via the exec-id registration, and
-     [finalize] folds the finished tree into the per-path histograms. *)
+     [complete] folds the finished tree into the per-path histograms. *)
   let root = Tracer.root t.tracer fn in
   Tracer.annotate root "loc" t.cfg.loc;
   Tracer.annotate root "exec_id" exec_id;
@@ -370,11 +399,6 @@ let invoke t fn args =
       (string_of_int (Registry.conflict_degree t.registry fn))
   end;
   Tracer.register_exec t.tracer ~exec_id root;
-  let finalize (o : outcome) =
-    Tracer.release_exec t.tracer ~exec_id;
-    Tracer.finalize t.tracer ~fn ~path:(path_label o.path) root;
-    o
-  in
   Tracer.with_phase t.tracer ~parent:root "invoke_overhead" (fun () ->
       Engine.sleep invoke_overhead);
   match entry.derived with
@@ -383,9 +407,8 @@ let invoke t fn args =
          function's own expensive computation runs in series with f and
          would erase the benefit — such functions always run near
          storage. *)
-      finalize
-        (direct_execute t ~start ~exec_id ~root (endpoint_for_entry t entry)
-           fn args)
+      complete t ~fn ~exec_id ~start ~root Fallback
+        (direct_execute t ~exec_id ~root (endpoint_for_entry t entry) fn args)
   | Some derived -> (
       (* (1) Run f^rw to predict the read/write set. Dependent reads hit
          the cache (paying its latency); an analysis-time [Compute] kept
@@ -403,9 +426,9 @@ let invoke t fn args =
       with
       | exception Fdsl.Eval.Error _ ->
           Tracer.stop sp_predict;
-          finalize
-            (direct_execute t ~start ~exec_id ~root
-               (endpoint_for_entry t entry) fn args)
+          complete t ~fn ~exec_id ~start ~root Fallback
+            (direct_execute t ~exec_id ~root (endpoint_for_entry t entry) fn
+               args)
       | rwset ->
           Tracer.stop sp_predict;
           (* The concrete predicted key set picks the shard: all keys on
@@ -431,20 +454,24 @@ let invoke t fn args =
               snap
           in
           let misses = List.exists (fun (_, v) -> v = -1) reads in
-          (* Lease-local fast path (zero LVI round trips); falls through
-             to the normal protocol on any miss, uncovered key, version
-             mismatch or expiry. *)
-          if Client_pipeline.lease_local_eligible t.leases ~entry ~rwset ~misses
-               ~reads
+          let read_only = entry.read_only && rwset.writes = [] in
+          (* Lease-local fast path, zero LVI round trips: a statically
+             read-only function whose whole read set is cached AND
+             covered by valid leases certifying exactly the cached
+             versions. The server promised no write to these keys
+             validates before the leases are settled, so the snapshot is
+             current and executing against it linearizes the invocation
+             at this instant. Any miss, uncovered key, version mismatch
+             or expiry falls through to the normal protocol. *)
+          if
+            read_only && (not misses)
+            && Cache.Leases.covered t.leases ~now:(Engine.now ()) reads
           then begin
             t.s_lease_local <- t.s_lease_local + 1;
             let sp = Tracer.child t.tracer ~parent:root "lease_local" in
             let spec_iv = speculate t ~exec_id ~span:sp ~snapshot entry args in
-            let res = Ivar.read spec_iv in
-            let finish = Engine.now () in
-            record t ~exec_id ~start ~finish res;
-            finalize
-              { value = res.value; latency = finish -. start; path = Local }
+            complete t ~fn ~exec_id ~start ~root Local
+              (Ok (Ivar.read spec_iv))
           end
           else begin
           (* (2a) Speculate unless a miss makes failure certain (§3.2).
@@ -458,9 +485,7 @@ let invoke t fn args =
           in
           if misses then t.s_skipped <- t.s_skipped + 1;
           (* (2b) The single LVI request, concurrent with speculation. *)
-          let ro_hint =
-            t.cfg.ro_fast && entry.read_only && rwset.writes = []
-          in
+          let ro_hint = t.cfg.ro_fast && read_only in
           if ro_hint then t.s_ro_hints <- t.s_ro_hints + 1;
           let reply =
             Tracer.with_phase t.tracer ~parent:root "lvi_rtt" (fun () ->
@@ -474,7 +499,7 @@ let invoke t fn args =
                     writes = rwset.writes;
                     ro_hint;
                     from_loc = t.cfg.loc;
-                    piggyback = Client_pipeline.take_piggyback ep.ep_coal;
+                    piggyback = take_piggyback t ep;
                     acks = take_acks ep;
                   })
           in
@@ -486,14 +511,9 @@ let invoke t fn args =
                  to direct execution here — the server may have installed
                  the write intent, and its timer would re-execute the
                  write alongside ours. *)
-              t.s_rpc_timeouts <- t.s_rpc_timeouts + 1;
               t.s_fallback <- t.s_fallback + 1;
-              finalize
-                {
-                  value = Error "LVI request timed out";
-                  latency = Engine.now () -. start;
-                  path = Fallback;
-                }
+              complete t ~fn ~exec_id ~start ~root Fallback
+                (Error "LVI request timed out")
           | Some response ->
           let spec =
             match (response, spec) with
@@ -506,51 +526,47 @@ let invoke t fn args =
           in
           (match (response, spec) with
           | Proto.Validated { write_versions; leases }, Some spec_iv ->
-              Client_pipeline.install_leases t.leases leases;
+              install_leases t leases;
               t.s_spec <- t.s_spec + 1;
               Log.debug (fun m -> m "%s validated; releasing speculation" exec_id);
               let spec_result = Ivar.read spec_iv in
-              let finish = Engine.now () in
-              record t ~exec_id ~start ~finish spec_result;
               (* (7a) Reply to the client, then (8a) update the cache and
                  send the write followup. *)
-              let outcome =
-                {
-                  value = spec_result.value;
-                  latency = finish -. start;
-                  path = Speculative;
-                }
+              let followup =
+                if spec_result.written = [] then None
+                else
+                  Some
+                    (fun () ->
+                      List.iter
+                        (fun (k, v) ->
+                          (* The server returns the authoritative version
+                             for every key in the validated write set, so
+                             a gap means this speculation wrote a key it
+                             never predicted — only possible with an
+                             under-predicting manual f^rw. Installing a
+                             guessed version would silently poison the
+                             cache (and every peer, once propagated), so
+                             fail loudly instead. *)
+                          match List.assoc_opt k write_versions with
+                          | Some base ->
+                              Cache.update t.cache k v ~version:(base + 1)
+                          | None ->
+                              invalid_arg
+                                (Printf.sprintf
+                                   "Runtime: %s wrote key %S outside its \
+                                    validated write set (unsound manual \
+                                    f^rw?)"
+                                   exec_id k))
+                        spec_result.written;
+                      post_followup t ep
+                        {
+                          Proto.fu_exec_id = exec_id;
+                          fu_from = t.cfg.loc;
+                          fu_updates = spec_result.written;
+                        })
               in
-              if spec_result.written <> [] then
-                Tracer.with_phase t.tracer ~parent:root "followup_post"
-                  (fun () ->
-                    List.iter
-                      (fun (k, v) ->
-                        (* The server returns the authoritative version
-                           for every key in the validated write set, so
-                           a gap means this speculation wrote a key it
-                           never predicted — only possible with an
-                           under-predicting manual f^rw. Installing a
-                           guessed version would silently poison the
-                           cache (and every peer, once propagated), so
-                           fail loudly instead. *)
-                        match List.assoc_opt k write_versions with
-                        | Some base ->
-                            Cache.update t.cache k v ~version:(base + 1)
-                        | None ->
-                            invalid_arg
-                              (Printf.sprintf
-                                 "Runtime: %s wrote key %S outside its \
-                                  validated write set (unsound manual f^rw?)"
-                                 exec_id k))
-                      spec_result.written;
-                    Client_pipeline.send ep.ep_coal
-                      {
-                        Proto.fu_exec_id = exec_id;
-                        fu_from = t.cfg.loc;
-                        fu_updates = spec_result.written;
-                      });
-              finalize outcome
+              complete t ~fn ~exec_id ~start ~root ?followup Speculative
+                (Ok spec_result)
           | Proto.Validated _, None ->
               (* Unreachable: a cache miss forces validation failure. *)
               assert false
@@ -565,10 +581,7 @@ let invoke t fn args =
                     (fun { Proto.up_key; up_value; up_version } ->
                       Cache.update t.cache up_key up_value ~version:up_version)
                     updates);
-              let finish = Engine.now () in
-              record t ~exec_id ~start ~finish backup;
-              finalize
-                { value = backup.value; latency = finish -. start; path = Backup })
+              complete t ~fn ~exec_id ~start ~root Backup (Ok backup))
           end)
 
 let pending_acks t =
@@ -584,12 +597,10 @@ let stats t =
     ro_hints = t.s_ro_hints;
     fu_batches =
       Array.fold_left
-        (fun acc ep -> acc + Client_pipeline.flushes ep.ep_coal)
+        (fun acc ep ->
+          match ep.ep_fus with Some b -> acc + Batcher.flushes b | None -> acc)
         0 t.endpoints;
-    fu_piggybacked =
-      Array.fold_left
-        (fun acc ep -> acc + Client_pipeline.piggybacked ep.ep_coal)
-        0 t.endpoints;
+    fu_piggybacked = t.s_fu_piggybacked;
     rpc_timeouts = t.s_rpc_timeouts;
     prop_batches = t.s_prop_batches;
     prop_records = t.s_prop_records;

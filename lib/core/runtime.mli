@@ -82,7 +82,7 @@ type stats = {
       (** LVI requests sent with the read-only fast-path hint set. *)
   fu_batches : int;
       (** Coalesced followup messages posted, each carrying ≥ 1
-          followups (0 with the window off). *)
+          followups (0 with the window and piggybacking both off). *)
   fu_piggybacked : int;
       (** Followups that rode an outgoing LVI request. *)
   rpc_timeouts : int;

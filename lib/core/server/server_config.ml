@@ -40,19 +40,12 @@ let no_propagation =
 let default_propagation =
   { enabled = true; prop_window = 2.0; invalidate_only = false }
 
-type leases = {
-  enabled : bool;
-  duration : float;
-  revoke : bool;
-  revoke_timeout : float;
-}
+type leases = { enabled : bool; revoke : bool }
 
-let no_leases =
-  { enabled = false; duration = 0.0; revoke = true; revoke_timeout = 0.0 }
-
-let default_leases =
-  { enabled = true; duration = 2000.0; revoke = true; revoke_timeout = 400.0 }
-
+let no_leases = { enabled = false; revoke = true }
+let default_leases = { enabled = true; revoke = true }
+let lease_duration = 2000.0
+let lease_revoke_timeout = 400.0
 let lease_skew = 5.0
 
 type config = {

@@ -73,30 +73,32 @@ type leases = {
           them serve statically read-only functions locally with zero
           round trips. Off: bit-identical seed behaviour — no grants,
           no revocation channels, no table activity. *)
-  duration : float;
-      (** Lease term (virtual ms). A grant on key [k] to site [S] is
-          the server's promise that no write to [k] validates before
-          the lease is revoked-and-acked or [duration + lease_skew] has
-          passed since the grant. *)
   revoke : bool;
       (** [true]: the write path revokes leases from holding sites and
           waits for acknowledgements, falling back to the expiry wait
           only for sites that do not answer. [false]: always wait out
           the expiry — no revocation traffic, slower writes to leased
           keys. *)
-  revoke_timeout : float;
-      (** Per-site revocation RPC timeout before the expiry-wait
-          fallback; must cover a near-storage → site round trip. *)
 }
 
 val no_leases : leases
 (** Disabled — the seed behaviour. *)
 
 val default_leases : leases
-(** Enabled: 2 s leases, revocation on with a 400 ms RPC timeout. The
-    long term maximizes read locality; revocation keeps writes to
-    leased keys at ~one site round trip regardless, so only the
-    no-revocation fallback ever feels the full term. *)
+(** Enabled, revocation on. *)
+
+val lease_duration : float
+(** Lease term, 2 s of virtual time. A grant on key [k] to site [S] is
+    the server's promise that no write to [k] validates before the
+    lease is revoked-and-acked or [lease_duration + lease_skew] has
+    passed since the grant. The long term maximizes read locality;
+    revocation keeps writes to leased keys at ~one site round trip
+    regardless, so only the no-revocation fallback ever feels the full
+    term. *)
+
+val lease_revoke_timeout : float
+(** Per-site revocation RPC timeout before the expiry-wait fallback,
+    400 ms; must cover a near-storage → site round trip. *)
 
 val lease_skew : float
 (** ε = 5 ms, the clock-skew bound: the extra margin the write path

@@ -29,7 +29,7 @@ let grant_leases (t : t) ~site keys =
   then []
   else begin
     let now = Engine.now () in
-    let until = now +. lc.duration in
+    let until = now +. Server_config.lease_duration in
     let grants =
       List.filter_map
         (fun (key, version) ->
@@ -66,8 +66,8 @@ let grant_leases (t : t) ~site keys =
 (* Write-path barrier: before a write to [keys] may validate or apply,
    every outstanding lease covering them must be dead. With revocation
    on, fire one revocation RPC per holding site in parallel and wait
-   for the acks; sites that do not answer within revoke_timeout (or all
-   of them, with revocation off) are waited out instead — sleep until
+   for the acks; sites that do not answer within lease_revoke_timeout
+   (or all of them, with revocation off) are waited out instead — sleep until
    the latest surviving grant's expiry plus the clock-skew bound ε.
    Bounded either way: a settle can delay a write, never wedge it.
    Settled grants are then forgotten, guarded by the snapshot's latest
@@ -99,7 +99,8 @@ let settle_write_leases ?(span = Tracer.none) (t : t) keys =
                                 t.s_lease_revokes <- t.s_lease_revokes + 1;
                                 Transport.call_timeout t.net
                                   ~from:t.config.loc
-                                  ~timeout:lc.revoke_timeout svc
+                                  ~timeout:Server_config.lease_revoke_timeout
+                                  svc
                                   { Proto.lr_keys = keys }
                                 <> None
                           in

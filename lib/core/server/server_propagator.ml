@@ -34,10 +34,12 @@ let committed_records (t : t) written =
 (* Fan committed update records out to every subscribed near-user cache
    except [exclude] (the site whose speculation produced them — it
    installed them at [Validated] time). Each record is stamped with the
-   commit instant so receivers can report their freshness lag. A
-   [Batcher.submit_all] blocks until its destination's Nagle window
-   flushes, so the fan-out runs in spawned fibers off the request path,
-   like [persist_unlocks]. *)
+   commit instant so receivers can report their freshness lag. The
+   addition is queued behind the events already due at this instant
+   rather than made inline: an inline addition would arm the window
+   timer ahead of them and could reorder same-instant commits under a
+   0 ms window. Nothing waits for the flush, which never blocks
+   (granting leases and posting are latency-free). *)
 let publish (t : t) ?exclude records =
   if t.config.propagation.enabled && records <> [] then
     let stamped = List.map (fun u -> (u, Engine.now ())) records in
@@ -45,8 +47,8 @@ let publish (t : t) ?exclude records =
       (fun (dst, batcher) ->
         if exclude <> Some dst then begin
           t.s_prop_records <- t.s_prop_records + List.length stamped;
-          Engine.spawn ~name:"propagate" (fun () ->
-              Batcher.submit_all batcher stamped)
+          Engine.schedule ~at:(Engine.now ()) (fun () ->
+              Batcher.add batcher stamped)
         end)
       t.subscribers
 

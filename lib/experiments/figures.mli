@@ -50,8 +50,8 @@ val sensitivity : ?seed:int -> unit -> Runner.measurement list
     and the saturation at [lat_nu<->ns]. *)
 
 val bootstrap : ?seed:int -> unit -> Runner.measurement list
-(** Â§3.2: start every cache empty and track the speculative-path rate
-    over time â gradual bootstrap through mismatch repairs. *)
+(** §3.2: start every cache empty and track the speculative-path rate
+    over time — gradual bootstrap through mismatch repairs. *)
 
 val skew : ?seed:int -> unit -> Runner.measurement list
 (** §5.3: sweep the social workload's zipf parameter — higher skew
@@ -59,8 +59,8 @@ val skew : ?seed:int -> unit -> Runner.measurement list
     lowering validation success. *)
 
 val throughput : ?seed:int -> unit -> Runner.measurement list
-(** Â§5.3's footnote: Radical completes at least as many requests as the
-    baseline in a fixed window â the singleton LVI server is not a
+(** §5.3's footnote: Radical completes at least as many requests as the
+    baseline in a fixed window — the singleton LVI server is not a
     bottleneck at evaluation load. *)
 
 val ablation : ?scale:float -> ?seed:int -> unit -> Runner.measurement list

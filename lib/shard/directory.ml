@@ -2,7 +2,7 @@ type strategy =
   | Hash of { shards : int }
   | Prefix of { shards : int; rules : (string * int) list; default : int }
 
-type t = { mutable strat : strategy; mutable gen : int }
+type t = strategy
 
 let validate = function
   | Hash { shards } ->
@@ -23,18 +23,12 @@ let validate = function
 
 let create strat =
   validate strat;
-  { strat; gen = 0 }
+  strat
 
 let hash ~shards = create (Hash { shards })
 let prefix ?(default = 0) ~shards rules = create (Prefix { shards; rules; default })
-let strategy t = t.strat
-let shards t = match t.strat with Hash { shards } | Prefix { shards; _ } -> shards
-let generation t = t.gen
-
-let reconfigure t strat =
-  validate strat;
-  t.strat <- strat;
-  t.gen <- t.gen + 1
+let strategy t = t
+let shards t = match t with Hash { shards } | Prefix { shards; _ } -> shards
 
 (* FNV-1a, 64-bit: deterministic across runs and OCaml versions (unlike
    [Hashtbl.hash], whose output is implementation-defined). Masked to
@@ -53,7 +47,7 @@ let is_prefix ~prefix:p s =
   String.length p <= String.length s && String.sub s 0 (String.length p) = p
 
 let shard_of_key t key =
-  match t.strat with
+  match t with
   | Hash { shards } -> fnv64 key mod shards
   | Prefix { rules; default; _ } ->
       let best = ref None in
@@ -85,7 +79,7 @@ let shard_of_shape t shape =
     match Analyzer.Absint.exact shape with
     | Some key -> Some (shard_of_key t key)
     | None -> (
-        match t.strat with
+        match t with
         | Hash _ -> None
         | Prefix { rules; default; _ } ->
             (* Keys range over lead ^ Σ*. The longest rule prefixing
@@ -107,7 +101,7 @@ let shard_of_shape t shape =
             if !agree then Some base else None)
 
 let pp fmt t =
-  match t.strat with
+  match t with
   | Hash { shards } -> Format.fprintf fmt "hash(%d)" shards
   | Prefix { shards; rules; default } ->
       Format.fprintf fmt "prefix(%d; %s; default=%d)" shards

@@ -1,5 +1,5 @@
-(** Shard directory: a queryable, reconfigurable map from primary keys
-    to LVI shard ids.
+(** Shard directory: a queryable map from primary keys to LVI shard
+    ids.
 
     The primary key space is partitioned across [shards] independent
     LVI servers, each owning the locks, intents, idempotency records
@@ -10,10 +10,7 @@
       at request time for the actual read/write set.
     - {!shard_of_shape}: which shard owns {e every} key a static
       {!Analyzer.Absint.shape} can produce, if that is decidable —
-      the static routing oracle behind the single-shard fast path.
-
-    Reconfiguration swaps the placement strategy in place and bumps a
-    generation counter so routers can drop memoized classifications. *)
+      the static routing oracle behind the single-shard fast path. *)
 
 type strategy =
   | Hash of { shards : int }
@@ -42,17 +39,8 @@ val strategy : t -> strategy
 
 val shards : t -> int
 
-val generation : t -> int
-(** Starts at 0; incremented by every {!reconfigure}. *)
-
-val reconfigure : t -> strategy -> unit
-(** Replace the placement strategy (same validation as {!create}) and
-    bump {!generation}. Callers are responsible for quiescing in-flight
-    requests first; the simulator's chaos campaigns reconfigure only at
-    topology-construction time. *)
-
 val shard_of_key : t -> string -> int
-(** Total: every key has exactly one owner under the current strategy. *)
+(** Total: every key has exactly one owner. *)
 
 val shard_of_shape : t -> Analyzer.Absint.shape -> int option
 (** [Some s] iff every concrete key the shape can evaluate to is owned

@@ -1,20 +1,9 @@
 type placement = Single of int | Cross
 
-type t = {
-  dir : Directory.t;
-  memo : (string, placement) Hashtbl.t;
-  mutable memo_gen : int;
-}
+type t = { dir : Directory.t; memo : (string, placement) Hashtbl.t }
 
-let create dir = { dir; memo = Hashtbl.create 32; memo_gen = Directory.generation dir }
+let create dir = { dir; memo = Hashtbl.create 32 }
 let directory t = t.dir
-
-let refresh t =
-  let gen = Directory.generation t.dir in
-  if gen <> t.memo_gen then begin
-    Hashtbl.reset t.memo;
-    t.memo_gen <- gen
-  end
 
 let classify_now t (sm : Analyzer.Absint.summary) =
   if Directory.shards t.dir = 1 then Single 0
@@ -35,7 +24,6 @@ let classify_now t (sm : Analyzer.Absint.summary) =
             else Cross)
 
 let classify t sm =
-  refresh t;
   match Hashtbl.find_opt t.memo sm.Analyzer.Absint.sm_fn with
   | Some p -> p
   | None ->

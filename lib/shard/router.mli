@@ -9,8 +9,8 @@
     directory cannot pin, or shapes spanning shards) is {e cross-shard}
     and goes through the coordinator's prepare/commit round.
 
-    Classifications are memoized per function and invalidated when the
-    directory's generation changes. *)
+    Classifications are memoized per function: a directory's placement
+    never changes. *)
 
 type placement =
   | Single of int

@@ -18,13 +18,7 @@ let no_batching =
 let no_propagation =
   { Server.enabled = false; prop_window = 0.0; invalidate_only = false }
 
-let no_leases =
-  {
-    Server.enabled = false;
-    duration = 0.0;
-    revoke = true;
-    revoke_timeout = 0.0;
-  }
+let no_leases = { Server.enabled = false; revoke = true }
 
 let paper =
   {
@@ -94,13 +88,7 @@ let expectations =
         server =
           {
             paper.server with
-            leases =
-              {
-                enabled = true;
-                duration = 2000.0;
-                revoke = true;
-                revoke_timeout = 400.0;
-              };
+            leases = { enabled = true; revoke = true };
           };
       } );
     ( "sharded=4",

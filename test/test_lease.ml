@@ -213,12 +213,11 @@ let test_local_serve_zero_round_trips () =
 (* Leases expire: past the term the site falls back to the LVI trip
    (and earns a fresh grant doing so). *)
 let test_lease_expires () =
-  let leases = { Server.default_leases with duration = 300.0 } in
-  with_radical ~config:(lease_config leases) (fun _ fw ->
+  with_radical ~config:(lease_config Server.default_leases) (fun _ fw ->
       let _ = Framework.invoke fw ~from:Location.ca "get" [ Dval.Str "x" ] in
       let o2 = Framework.invoke fw ~from:Location.ca "get" [ Dval.Str "x" ] in
       check_path "within the term: local" Runtime.Local o2;
-      Engine.sleep 400.0;
+      Engine.sleep (Server.lease_duration +. 100.0);
       let o3 = Framework.invoke fw ~from:Location.ca "get" [ Dval.Str "x" ] in
       check_path "after expiry: back to the LVI path" Runtime.Speculative o3;
       let o4 = Framework.invoke fw ~from:Location.ca "get" [ Dval.Str "x" ] in
@@ -281,9 +280,7 @@ let test_writer_blocked_until_revocation () =
 (* Revocation off: the writer waits out the full lease term plus ε
    before its write validates — slower, never unsafe. *)
 let test_writer_waits_out_expiry () =
-  let leases =
-    { Server.default_leases with duration = 800.0; revoke = false }
-  in
+  let leases = { Server.default_leases with revoke = false } in
   with_radical ~config:(lease_config leases) (fun _ fw ->
       let _ = Framework.invoke fw ~from:Location.ca "get" [ Dval.Str "x" ] in
       let ow =
@@ -297,7 +294,7 @@ let test_writer_waits_out_expiry () =
       Alcotest.(check int) "no revocation traffic" 0 st.lease_revokes;
       Alcotest.(check bool)
         (Printf.sprintf "write paid the lease term (%.0f ms)" ow.latency)
-        true (ow.latency > 300.0);
+        true (ow.latency > 750.0);
       let o = Framework.invoke fw ~from:Location.ca "get" [ Dval.Str "x" ] in
       Alcotest.(check bool) "post-write read leaves the site" true
         (o.path <> Runtime.Local);
@@ -306,14 +303,7 @@ let test_writer_waits_out_expiry () =
 (* Lost revocations degrade to the expiry wait — bounded, never wedged,
    never stale. *)
 let test_lost_revocation_degrades_to_expiry_wait () =
-  let leases =
-    {
-      Server.default_leases with
-      duration = 600.0;
-      revoke_timeout = 100.0;
-    }
-  in
-  with_radical ~config:(lease_config leases) (fun net fw ->
+  with_radical ~config:(lease_config Server.default_leases) (fun net fw ->
       let _ = Framework.invoke fw ~from:Location.ca "get" [ Dval.Str "x" ] in
       let lose_revocations =
         Transport.add_fault net (fun ~src:_ ~dst:_ ~label ->

@@ -4,8 +4,9 @@
    behaviour of the same code paths is covered by test_radical,
    test_lease and the seed-identity golden; these tests pin the layer
    contracts (grant refusal rules, the settle barrier's two modes,
-   propagation's origin-site exclusion). The stage-hook tests run the
-   full stack instead, since the hook's order is the handler's. *)
+   propagation's origin-site exclusion, the Nagle batcher's rounds). The
+   stage-hook tests run the full stack instead, since the hook's order is
+   the handler's. *)
 
 open Sim
 module Transport = Net.Transport
@@ -19,6 +20,7 @@ module Framework = Radical.Framework
 module Server = Radical.Server
 module Lease = Radical.Lease
 module Proto = Radical.Proto
+module Batcher = Radical.Batcher
 
 let run_sim ?(seed = 7) f =
   let e = Engine.create ~seed () in
@@ -48,7 +50,7 @@ let revoke_sink net ~loc received =
 let leases_on revoke =
   {
     Server_config.default_config with
-    leases = { Server_config.default_leases with duration = 100.0; revoke };
+    leases = { Server_config.default_leases with revoke };
   }
 
 let test_grant_rules () =
@@ -82,7 +84,8 @@ let test_grant_rules () =
           Alcotest.(check int) "granted version" vx g.Proto.lg_version;
           Alcotest.(check (float 0.0)) "issued now" now g.Proto.lg_issued;
           Alcotest.(check (float 0.0)) "expiry = now + duration"
-            (now +. 100.0) g.Proto.lg_until
+            (now +. Server_config.lease_duration)
+            g.Proto.lg_until
       | gs ->
           Alcotest.failf "expected exactly one grant, got %d" (List.length gs));
       Alcotest.(check int) "grant counter" 1 t.s_lease_grants;
@@ -450,6 +453,170 @@ let prop_admission_matches_scan =
       in
       indexed = model)
 
+(* --- Batcher: Nagle rounds, take, the cap and pipelining --------------- *)
+
+(* A batcher over ints whose flushes and on_flush observations land in
+   logs, oldest first: [(flush instant, batch)] and [(size, queue
+   delay)]. [flush_cost] makes each flush block for that long. *)
+let logged_batcher ?(flush_cost = 0.0) ~window () =
+  let flushed = ref [] and observed = ref [] in
+  let b =
+    Batcher.create ~window
+      ~on_flush:(fun ~size ~queue_delay ->
+        observed := !observed @ [ (size, queue_delay) ])
+      (fun items ->
+        flushed := !flushed @ [ (Engine.now (), items) ];
+        if flush_cost > 0.0 then Engine.sleep flush_cost)
+  in
+  (b, flushed, observed)
+
+let flush_log = Alcotest.(list (pair (float 1e-9) (list int)))
+
+let observation_log = Alcotest.(list (pair int (float 1e-9)))
+
+let test_batcher_window () =
+  run_sim (fun () ->
+      let b, flushed, observed = logged_batcher ~window:5.0 () in
+      Batcher.add b [ 1 ];
+      Engine.sleep 1.0;
+      Batcher.add b [ 2; 3 ];
+      Engine.sleep 1.0;
+      Batcher.add b [ 4 ];
+      Alcotest.(check flush_log) "nothing before the window" [] !flushed;
+      Engine.sleep 10.0;
+      Alcotest.(check flush_log)
+        "one flush, in order, a window after the first add"
+        [ (5.0, [ 1; 2; 3; 4 ]) ]
+        !flushed;
+      Alcotest.(check observation_log) "size and oldest element's delay"
+        [ (4, 5.0) ] !observed;
+      Alcotest.(check int) "one round" 1 (Batcher.flushes b))
+
+let test_batcher_take () =
+  run_sim (fun () ->
+      let b, flushed, _ = logged_batcher ~window:5.0 () in
+      Alcotest.(check (list int)) "empty take" [] (Batcher.take b);
+      Batcher.add b [ 1 ];
+      Engine.sleep 1.0;
+      Batcher.add b [ 2 ];
+      Alcotest.(check (list int)) "drained oldest first" [ 1; 2 ]
+        (Batcher.take b);
+      Alcotest.(check int) "a take is no flush" 0 (Batcher.flushes b);
+      (* The drained round's timer (due at 5) is cancelled, so the next
+         addition opens a fresh round with its own window. *)
+      Engine.sleep 1.0;
+      Batcher.add b [ 3 ];
+      Engine.sleep 10.0;
+      Alcotest.(check flush_log) "next round flushes on its own window"
+        [ (7.0, [ 3 ]) ]
+        !flushed)
+
+let test_batcher_zero_window () =
+  run_sim (fun () ->
+      let b, flushed, observed = logged_batcher ~window:0.0 () in
+      Batcher.add b [ 1 ];
+      Batcher.add b [ 2 ];
+      Engine.sleep 1.0;
+      Batcher.add b [ 3 ];
+      Engine.sleep 1.0;
+      Alcotest.(check flush_log) "same-instant adds share a round"
+        [ (0.0, [ 1; 2 ]); (1.0, [ 3 ]) ]
+        !flushed;
+      Alcotest.(check observation_log) "no queueing delay"
+        [ (2, 0.0); (1, 0.0) ]
+        !observed)
+
+let test_batcher_pipelines () =
+  run_sim (fun () ->
+      let b, flushed, observed =
+        logged_batcher ~flush_cost:10.0 ~window:1.0 ()
+      in
+      let woke = ref [] in
+      let submitter ~at x =
+        Engine.spawn (fun () ->
+            Engine.sleep at;
+            Batcher.submit_all b [ x ];
+            woke := !woke @ [ (x, Engine.now ()) ])
+      in
+      submitter ~at:0.0 1;
+      submitter ~at:2.0 2;
+      submitter ~at:3.0 3;
+      Engine.sleep 50.0;
+      (* Round 1 flushes at 1 and blocks until 11; 2 and 3 fill round 2
+         behind it, which flushes a window later and blocks until 22. *)
+      Alcotest.(check flush_log) "second round filled during the first"
+        [ (1.0, [ 1 ]); (12.0, [ 2; 3 ]) ]
+        !flushed;
+      Alcotest.(check (list (pair int (float 1e-9))))
+        "each submitter wakes after its own round"
+        [ (1, 11.0); (2, 22.0); (3, 22.0) ]
+        !woke;
+      Alcotest.(check observation_log) "round 2 waited behind round 1"
+        [ (1, 1.0); (2, 10.0) ]
+        !observed)
+
+let test_batcher_cap () =
+  run_sim (fun () ->
+      let b, flushed, _ = logged_batcher ~window:1000.0 () in
+      Batcher.add b (List.init (Batcher.max_batch - 1) Fun.id);
+      Alcotest.(check int) "under the cap: buffered" 0 (Batcher.flushes b);
+      Batcher.add b [ Batcher.max_batch - 1 ];
+      Alcotest.(check flush_log) "the cap flushes at once"
+        [ (0.0, List.init Batcher.max_batch Fun.id) ]
+        !flushed;
+      Engine.sleep 2000.0;
+      Alcotest.(check int) "no later flush" 1 (Batcher.flushes b))
+
+(* Random interleavings of additions, takes and sleeps: every element
+   leaves exactly once, by a flush or a take, in the order it was
+   added, and no flushed element waited longer than the window. *)
+type batcher_op = Add of int | Take | Sleep of float
+
+let batcher_case_gen =
+  QCheck.Gen.(
+    pair
+      (oneofl [ 0.0; 1.0; 3.0 ])
+      (list_size (int_range 1 40)
+         (frequency
+            [
+              (4, map (fun n -> Add n) (int_range 1 30));
+              (1, return Take);
+              (3, map (fun d -> Sleep d) (oneofl [ 0.0; 0.5; 1.0; 2.5 ]));
+            ])))
+
+let show_batcher_case (window, ops) =
+  Printf.sprintf "window %g: %s" window
+    (String.concat "; "
+       (List.map
+          (function
+            | Add n -> Printf.sprintf "Add %d" n
+            | Take -> "Take"
+            | Sleep d -> Printf.sprintf "Sleep %g" d)
+          ops))
+
+let prop_batcher_conserves_order =
+  QCheck.Test.make ~name:"every element leaves once, in order" ~count:300
+    (QCheck.make ~print:show_batcher_case batcher_case_gen)
+    (fun (window, ops) ->
+      let out = ref [] and delays_ok = ref true and next = ref 0 in
+      run_sim (fun () ->
+          let b =
+            Batcher.create ~window
+              ~on_flush:(fun ~size:_ ~queue_delay ->
+                if queue_delay > window +. 1e-9 then delays_ok := false)
+              (fun items -> out := List.rev_append items !out)
+          in
+          List.iter
+            (function
+              | Add n ->
+                  Batcher.add b (List.init n (fun i -> !next + i));
+                  next := !next + n
+              | Take -> out := List.rev_append (Batcher.take b) !out
+              | Sleep d -> Engine.sleep d)
+            ops;
+          Engine.sleep (window +. 1.0));
+      !delays_ok && List.rev !out = List.init !next Fun.id)
+
 let () =
   Alcotest.run "server_units"
     [
@@ -483,4 +650,17 @@ let () =
         ] );
       ( "admission",
         [ QCheck_alcotest.to_alcotest prop_admission_matches_scan ] );
+      ( "batcher",
+        [
+          Alcotest.test_case "window coalesces in order" `Quick
+            test_batcher_window;
+          Alcotest.test_case "take drains and cancels the timer" `Quick
+            test_batcher_take;
+          Alcotest.test_case "0 ms window: same instant only" `Quick
+            test_batcher_zero_window;
+          Alcotest.test_case "submit_all pipelines rounds" `Quick
+            test_batcher_pipelines;
+          Alcotest.test_case "the cap flushes at once" `Quick test_batcher_cap;
+          QCheck_alcotest.to_alcotest prop_batcher_conserves_order;
+        ] );
     ]

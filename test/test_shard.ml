@@ -229,21 +229,6 @@ let test_shape_pinning () =
        (shape_of (reads_prefix "h" "user:"))
     = None)
 
-let test_reconfigure_invalidates_router () =
-  let dir = Directory.create two_shards in
-  let router = Router.create dir in
-  let sm = Analyzer.Absint.summarize incr_a in
-  Alcotest.(check string) "pinned to shard 0" "single-shard(0)"
-    (Format.asprintf "%a" Router.pp_placement (Router.classify router sm));
-  let gen = Directory.generation dir in
-  Directory.reconfigure dir
-    (Directory.Prefix
-       { shards = 2; rules = [ ("a:", 1); ("b:", 0) ]; default = 0 });
-  Alcotest.(check bool) "generation bumped" true
-    (Directory.generation dir > gen);
-  Alcotest.(check string) "memo invalidated, reclassified" "single-shard(1)"
-    (Format.asprintf "%a" Router.pp_placement (Router.classify router sm))
-
 let test_router_classification () =
   let router = Router.create (Directory.create two_shards) in
   let place fn =
@@ -525,8 +510,6 @@ let () =
           Alcotest.test_case "prefix longest match" `Quick
             test_prefix_longest_match;
           Alcotest.test_case "shape pinning" `Quick test_shape_pinning;
-          Alcotest.test_case "reconfigure invalidates router" `Quick
-            test_reconfigure_invalidates_router;
         ] );
       ( "router",
         [
