@@ -20,14 +20,6 @@ let lit_dval = function
 
 let is_lit e = lit_dval e <> None
 
-let rec lit_of_dval = function
-  | Dval.Unit -> Unit
-  | Dval.Bool b -> Bool b
-  | Dval.Int i -> Int i
-  | Dval.Str s -> Str s
-  | Dval.List vs -> List_lit (List.map lit_of_dval vs)
-  | Dval.Record fs -> Record_lit (List.map (fun (k, v) -> (k, lit_of_dval v)) fs)
-
 let truthy = function
   | Dval.Unit -> false
   | Dval.Bool b -> b
@@ -479,11 +471,3 @@ let optimize (d : Derive.t) =
 
 let upgraded ~(before : Derive.t) ~(after : Derive.t) =
   better after.classification before.classification
-
-let specialize (f : func) bindings =
-  let body =
-    List.fold_left
-      (fun body (x, v) -> subst x (lit_of_dval v) body)
-      f.body bindings
-  in
-  { f with body = simplify body }

@@ -33,14 +33,6 @@ val simplify :
     expression's own value is observed; residual bodies pass [false]
     (predict discards the result). *)
 
-val specialize : Fdsl.Ast.func -> (string * Dval.t) list -> Fdsl.Ast.func
-(** Partial evaluation under known inputs: substitute the given
-    (parameter, value) bindings into the body and simplify, pruning
-    branches the bindings decide. The parameter list is kept (callers
-    pass the full argument vector; bound parameters are simply no
-    longer consulted). Intended for ahead-of-time specialization of a
-    handler to a deployment-constant input. *)
-
 val optimize : Derive.t -> Derive.t
 (** Optimize the residual and reclassify. Manual derivations are
     returned unchanged (the developer owns the residual). *)

@@ -39,10 +39,6 @@ let get t key =
   Sim.Engine.sleep t.latency;
   find t key
 
-let get_many t keys =
-  Sim.Engine.sleep t.latency;
-  List.map (fun k -> (k, find t k)) keys
-
 let version_of t key =
   match Hashtbl.find_opt t.items key with
   | Some { version; _ } -> version

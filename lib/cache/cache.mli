@@ -34,9 +34,6 @@ val copy : t -> t
 val get : t -> string -> entry option
 (** Blocking read; [None] on miss. *)
 
-val get_many : t -> string list -> (string * entry option) list
-(** Batch read: one access latency. *)
-
 val version_of : t -> string -> int
 (** Latency-free version probe; [-1] on miss, matching the protocol's
     miss marker. *)

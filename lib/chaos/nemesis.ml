@@ -26,8 +26,8 @@ let windowed_hook fw rng ~duration verdict_of =
   Engine.sleep duration;
   Transport.remove_fault net h
 
-(* Shard [i mod n] of the deployment — the sole server when unsharded,
-   so shard actions degrade gracefully against a seed topology. *)
+(* Shard [i mod n] of the deployment — the sole server of a one-shard
+   deployment, so shard actions degrade gracefully against it. *)
 let shard_server fw i =
   let srvs = Framework.servers fw in
   List.nth srvs (i mod List.length srvs)

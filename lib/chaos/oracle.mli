@@ -30,7 +30,7 @@ val cross_atomic : Radical.Framework.t -> violation list
     coordinated execution reached the same terminal decision at every
     shard that prepared a slice for it — no [`Prepared] survivor at
     quiescence, and never a [`Committed]/[`Aborted] mix. Trivially
-    empty on unsharded deployments. *)
+    empty on one-shard deployments. *)
 
 val caches_coherent : Radical.Framework.t -> violation list
 (** No near-user cache entry is newer than primary storage, and entries

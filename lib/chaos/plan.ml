@@ -423,7 +423,7 @@ let shard_chaos =
            participant holding prepared slices (concluded later by
            decision retries) or a coordinator with a pending cross
            intent (re-executed on recovery); leader crashes stall one
-           shard's lock persistence mid-prepare. Against an unsharded
+           shard's lock persistence mid-prepare. Against a one-shard
            deployment the messages do not exist and the nemesis
            degrades the actions to shard 0 / a skip. *)
         let prepare_delays =

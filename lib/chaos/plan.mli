@@ -73,8 +73,8 @@ type action =
       (** Restart the LVI server: volatile intent timers are lost,
           recovery re-executes orphaned intents ({!Radical.Server.restart_recover}). *)
   | Restart_shard of int
-      (** Restart shard [i mod shards]'s LVI server in a sharded
-          deployment (shard 0 — the sole server — when unsharded). A
+      (** Restart shard [i mod shards]'s LVI server (shard 0, the sole
+          server, in a one-shard deployment). A
           restarted participant keeps its durable prepared slices; the
           coordinator's retried decisions conclude them. *)
   | Crash_shard_leader of { shard : int; downtime : float }

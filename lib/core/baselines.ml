@@ -11,8 +11,8 @@ type kind =
       svc : (string * Dval.t list, Proto.exec_result) Transport.service;
     }
   | Local of (Location.t * Kv.t) list
-  | Geo of { replicas : Location.t list; kv : Kv.t }
-  | Naive_edge of Kv.t (* app near user, every storage op crosses to VA *)
+  | Remote of { kv : Kv.t; delay : Location.t -> float }
+    (* app near the user, every storage operation pays [delay from] *)
   | Validate_per_read of Kv.t
     (* the §1 "late reads" strawman: execute near user against a local
        replica, but block on a validation round trip to VA at every read *)
@@ -67,18 +67,11 @@ let local ~locations ~funcs ~data () =
   in
   { kind = Local sites; reg; primary_kv }
 
-let geo_replicated ~replicas ~locations:_ ~funcs
-    ~data () =
+let remote ~delay ~funcs ~data =
   let reg = make_registry funcs in
   let kv = Kv.create () in
   Kv.load kv data;
-  { kind = Geo { replicas; kv }; reg; primary_kv = kv }
-
-let naive_edge ~funcs ~data () =
-  let reg = make_registry funcs in
-  let kv = Kv.create () in
-  Kv.load kv data;
-  { kind = Naive_edge kv; reg; primary_kv = kv }
+  { kind = Remote { kv; delay }; reg; primary_kv = kv }
 
 let validate_per_read ~funcs ~data () =
   let reg = make_registry funcs in
@@ -90,19 +83,30 @@ let validate_per_read ~funcs ~data () =
    the nearest replica and then coordinates across the replica set. The
    PRAM bound (§2) makes the coordination term at least the largest
    inter-replica distance; we charge exactly that. *)
-let geo_op_delay ~replicas ~from =
-  let nearest =
-    List.fold_left
-      (fun acc r -> Float.min acc (Location.rtt from r))
-      Float.infinity replicas
+let geo_replicated ~replicas ~funcs ~data () =
+  let geo_op_delay from =
+    let nearest =
+      List.fold_left
+        (fun acc r -> Float.min acc (Location.rtt from r))
+        Float.infinity replicas
+    in
+    let coordination =
+      List.fold_left
+        (fun acc a ->
+          List.fold_left
+            (fun acc b -> Float.max acc (Location.rtt a b))
+            acc replicas)
+        0.0 replicas
+    in
+    nearest +. coordination
   in
-  let coordination =
-    List.fold_left
-      (fun acc a ->
-        List.fold_left (fun acc b -> Float.max acc (Location.rtt a b)) acc replicas)
-      0.0 replicas
-  in
-  nearest +. coordination
+  remote ~delay:geo_op_delay ~funcs ~data
+
+(* §2: the application moved near the user but the data stayed in VA —
+   every storage operation pays the full user↔VA RTT. *)
+let naive_edge ~funcs ~data () =
+  remote ~funcs ~data ~delay:(fun from ->
+      Location.rtt from Location.near_storage)
 
 let invoke t ~from fn args =
   let start = Engine.now () in
@@ -117,24 +121,9 @@ let invoke t ~from fn args =
         in
         Engine.sleep Runtime.invoke_overhead;
         Execute.on_kv (find t.reg fn) ~kv args
-    | Geo { replicas; kv } ->
+    | Remote { kv; delay } ->
         Engine.sleep Runtime.invoke_overhead;
-        let delay = geo_op_delay ~replicas ~from in
-        Execute.run (find t.reg fn)
-          ~read:(fun k ->
-            Engine.sleep delay;
-            match Kv.get kv k with
-            | Some { value; _ } -> Some value
-            | None -> None)
-          ~write:(fun k v ->
-            Engine.sleep delay;
-            ignore (Kv.put kv k v))
-          args
-    | Naive_edge kv ->
-        (* §2: the application moved near the user but the data stayed in
-           VA — every storage operation pays the full user↔VA RTT. *)
-        Engine.sleep Runtime.invoke_overhead;
-        let delay = Location.rtt from Location.near_storage in
+        let delay = delay from in
         Execute.run (find t.reg fn)
           ~read:(fun k ->
             Engine.sleep delay;

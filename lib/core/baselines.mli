@@ -35,7 +35,6 @@ val local :
 
 val geo_replicated :
   replicas:Net.Location.t list ->
-  locations:Net.Location.t list ->
   funcs:Fdsl.Ast.func list ->
   data:(string * Dval.t) list ->
   unit ->

@@ -59,13 +59,23 @@ let rec do_flush t =
     if t.count > 0 then if t.count >= max_batch then do_flush t else arm t
   end
 
+(* A fired timer cannot be cancelled: if a [take] drains its round before
+   its fiber runs and an [add] arms the next round's timer, the fiber must
+   leave that round to its own timer. *)
 and arm t =
-  if t.timer = None && not t.flushing then
-    t.timer <-
+  if t.timer = None && not t.flushing then begin
+    let self = ref None in
+    let timer =
       Some
         (Timer.after t.window (fun () ->
-             t.timer <- None;
-             do_flush t))
+             if t.timer == !self then begin
+               t.timer <- None;
+               do_flush t
+             end))
+    in
+    self := timer;
+    t.timer <- timer
+  end
 
 let add t items =
   if items <> [] then begin

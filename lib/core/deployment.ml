@@ -22,7 +22,7 @@ let apply (c : Framework.config) = function
   | Leased ->
       { c with server = { c.server with leases = Server.default_leases } }
   | Sharded shards ->
-      { c with sharding = Some (Shard.Directory.Hash { shards }) }
+      { c with sharding = Shard.Directory.Hash { shards } }
 
 let config ?(base = Framework.default_config) features =
   List.fold_left apply base features

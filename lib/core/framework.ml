@@ -1,7 +1,7 @@
 type config = {
   locations : Net.Location.t list;
   server : Server.config;
-  sharding : Shard.Directory.strategy option;
+  sharding : Shard.Directory.strategy;
   overlap : bool;
   ro_fast : bool;
   fu_window : float;
@@ -14,7 +14,7 @@ let default_config =
   {
     locations = Net.Location.user_locations;
     server = Server.default_config;
-    sharding = None;
+    sharding = Shard.Directory.Hash { shards = 1 };
     overlap = true;
     ro_fast = true;
     fu_window = 0.0;
@@ -29,9 +29,8 @@ type t = {
   reg : Registry.t;
   kv : Store.Kv.t;
   extsvc : Extsvc.t;
-  srv : Server.t; (* shard 0 — the sole server when unsharded *)
-  srvs : Server.t list; (* every shard, ascending; [srv] unsharded *)
-  dir : Shard.Directory.t option;
+  srvs : Server.t list; (* every shard, ascending *)
+  dir : Shard.Directory.t;
   sites : (Net.Location.t * Runtime.t) list;
   mutable ops : Lincheck.op list; (* newest first *)
 }
@@ -68,37 +67,20 @@ let create ?(config = default_config) ?schema ?(manual = [])
   Store.Kv.load kv data;
   let extsvc = Extsvc.create () in
   if Metrics.Tracer.enabled tracer then Net.Transport.set_tracer net tracer;
-  (* Sharded deployment: N independent LVI servers over the one shared
-     primary store, each owning a partition of the key space per the
-     directory, wired to each other for cross-shard prepare/commit. All
-     shards live in the near-storage location (the transport dispatches
-     services by value, so colocated same-name services are fine).
-     Unsharded (the default): the single seed server, constructed
-     through the identical code path. *)
-  let dir, srvs =
-    match config.sharding with
-    | None ->
-        ( None,
-          [ Server.create ~extsvc ~tracer ~net ~registry:reg ~kv config.server ] )
-    | Some strategy ->
-        let dir = Shard.Directory.create strategy in
-        let n = Shard.Directory.shards dir in
-        let srvs =
-          List.init n (fun id ->
-              let s =
-                Server.create ~extsvc ~tracer ~net ~registry:reg ~kv
-                  config.server
-              in
-              Server.enable_sharding s ~id ~directory:dir;
-              s)
-        in
-        List.iter (fun s -> Server.connect_shards s srvs) srvs;
-        (Some dir, srvs)
+  (* N independent LVI servers over the one shared primary store, each
+     owning a partition of the key space per the directory, wired to
+     each other for cross-shard prepare/commit; the paper's single
+     server is the one-shard case. All shards live in the near-storage
+     location (the transport dispatches services by value, so colocated
+     same-name services are fine). *)
+  let dir = Shard.Directory.create config.sharding in
+  let srvs =
+    List.init (Shard.Directory.shards dir) (fun shard ->
+        Server.create ~extsvc ~tracer ~net ~registry:reg ~kv ~shard
+          ~directory:dir config.server)
   in
-  let srv = List.hd srvs in
-  let sharding =
-    Option.map (fun dir -> (Shard.Router.create dir, srvs)) dir
-  in
+  List.iter (fun s -> Server.connect_shards s srvs) srvs;
+  let router = Shard.Router.create dir in
   (* One warm table, built from the primary's final record of each seed
      key (so a duplicated key warms to the value the primary kept);
      every site starts from its own copy of it. *)
@@ -117,8 +99,8 @@ let create ?(config = default_config) ?schema ?(manual = [])
     List.map
       (fun loc ->
         let rt =
-          Runtime.create ~extsvc ~tracer ?sharding ~net ~registry:reg
-            ~cache:(Cache.copy warm) ~server:srv
+          Runtime.create ~extsvc ~tracer ~net ~registry:reg
+            ~cache:(Cache.copy warm) ~router ~servers:srvs
             {
               loc;
               overlap = config.overlap;
@@ -144,7 +126,7 @@ let create ?(config = default_config) ?schema ?(manual = [])
           Server.register_lease_site s (Runtime.lease_revoke_service rt))
         srvs)
     sites;
-  { cfg = config; net; reg; kv; extsvc; srv; srvs; dir; sites; ops = [] }
+  { cfg = config; net; reg; kv; extsvc; srvs; dir; sites; ops = [] }
 
 let locations t = List.map fst t.sites
 
@@ -157,7 +139,7 @@ let runtime t loc =
 
 let invoke t ~from fn args = Runtime.invoke (runtime t from) fn args
 
-let server t = t.srv
+let server t = List.hd t.srvs
 
 let servers t = t.srvs
 

@@ -9,14 +9,15 @@
 type config = {
   locations : Net.Location.t list; (** Near-user deployment locations. *)
   server : Server.config;
-  sharding : Shard.Directory.strategy option;
-      (** [Some strategy] partitions the primary key space across N
-          independent LVI servers (one per shard of the directory, each
-          with its own locks, intents, idempotency table and — in
-          replicated mode — Raft cluster) wired together for
-          cross-shard atomic commit; every runtime routes by key shape
-          through a shared {!Shard.Router}. [None] (default) builds the
-          single seed server, bit-identically. *)
+  sharding : Shard.Directory.strategy;
+      (** Partitions the primary key space across N independent LVI
+          servers (one per shard of the directory, each with its own
+          locks, intents, idempotency table and — in replicated mode —
+          Raft cluster) wired together for cross-shard atomic commit;
+          every runtime routes by key shape through a shared
+          {!Shard.Router}. The default [Hash {shards = 1}] is the
+          paper's single LVI server: one shard hashes no key and runs
+          no cross-shard round. *)
   overlap : bool; (** Disable to ablate speculation/LVI overlap. *)
   ro_fast : bool;
       (** Enable the read-only LVI fast path for functions the static
@@ -41,8 +42,8 @@ type config = {
 }
 
 val default_config : config
-(** The paper's evaluation setup: the five user locations, singleton
-    server in VA, warm caches. *)
+(** The paper's evaluation setup: the five user locations, one
+    singleton server in VA (a one-shard directory), warm caches. *)
 
 type t
 
@@ -83,15 +84,15 @@ val net : t -> Net.Transport.t
 (** The transport the deployment was created on. *)
 
 val server : t -> Server.t
-(** Shard 0 — the sole server when unsharded. *)
+(** Shard 0 — the sole server of a one-shard deployment. *)
 
 val servers : t -> Server.t list
-(** Every LVI server, ascending by shard id ([[server t]] unsharded).
+(** Every LVI server, ascending by shard id.
     Aggregate server statistics — and quiescence checks like
     [locks_held] / [pending_intents] — must sum over all of them. *)
 
-val directory : t -> Shard.Directory.t option
-(** The shard directory ([None] unsharded). *)
+val directory : t -> Shard.Directory.t
+(** The shard directory. *)
 
 val primary : t -> Store.Kv.t
 

@@ -151,9 +151,3 @@ let pp_vote fmt = function
       Format.fprintf fmt "Stale(%s)" (String.concat "," sv_stale)
   | Shard_busy -> Format.fprintf fmt "Busy"
 
-let pp_response fmt = function
-  | Validated { write_versions; leases } ->
-      Format.fprintf fmt "Validated(%d write versions, %d leases)"
-        (List.length write_versions) (List.length leases)
-  | Mismatch { updates; _ } ->
-      Format.fprintf fmt "Mismatch(%d updates)" (List.length updates)

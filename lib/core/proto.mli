@@ -208,5 +208,4 @@ type shard_decision = {
           shard: each shard publishes its own keys to its subscribers. *)
 }
 
-val pp_response : Format.formatter -> lvi_response -> unit
 val pp_vote : Format.formatter -> shard_vote -> unit

@@ -49,8 +49,6 @@ let certification = ref true
 
 let set_certification enabled = certification := enabled
 
-let certification_enabled () = !certification
-
 (* Both registration paths share everything except how f^rw is
    obtained; [derive] returns [(raw, optimized)] or a fatal error. *)
 let validate_and_store t (f : Fdsl.Ast.func) ~derive =

@@ -43,8 +43,6 @@ val set_certification : bool -> unit
     the pre-certification pipeline (the escape hatch for reproducing
     seed behavior bit for bit). *)
 
-val certification_enabled : unit -> bool
-
 val register : t -> Fdsl.Ast.func -> (entry, string) result
 (** Compile, validate determinism, derive f^rw, and (unless disabled)
     certify the compiled bytecode's effects against the derived f^rw —

@@ -47,8 +47,8 @@ type stats = {
   lease_revoked : int;
 }
 
-(* One LVI server this runtime talks to. Unsharded deployments have
-   exactly one; sharded ones have one per shard, indexed by shard id.
+(* One LVI server this runtime talks to: one per shard, indexed by shard
+   id.
    Followup batchers are per-endpoint: a followup must reach the shard
    that installed its intent, and a piggybacked followup may only ride
    a request bound for that same shard. So is the ack buffer: a reply
@@ -91,7 +91,7 @@ type t = {
   leases : Cache.Leases.t;
   extsvc : Extsvc.t;
   endpoints : endpoint array;
-  router : Shard.Router.t option;
+  router : Shard.Router.t;
   mutable next_id : int;
   mutable recorder : (Lincheck.op -> unit) option;
   mutable s_invocations : int;
@@ -178,30 +178,16 @@ let endpoint_of ~net ~tracer cfg server =
     ep_acks = [];
   }
 
-let create ?extsvc ?(tracer = Tracer.noop) ?sharding ~net ~registry ~cache
-    ~server cfg =
-  let router, endpoints =
-    match sharding with
-    | None -> (None, [| endpoint_of ~net ~tracer cfg server |])
-    | Some (router, servers) ->
-        let n = Shard.Directory.shards (Shard.Router.directory router) in
-        let eps = Array.make n None in
-        List.iter
-          (fun s ->
-            match Server.shard_id s with
-            | Some id -> eps.(id) <- Some (endpoint_of ~net ~tracer cfg s)
-            | None ->
-                invalid_arg "Runtime.create: server without enable_sharding")
-          servers;
-        ( Some router,
-          Array.mapi
-            (fun i ep ->
-              match ep with
-              | Some ep -> ep
-              | None ->
-                  invalid_arg
-                    (Printf.sprintf "Runtime.create: no server for shard %d" i))
-            eps )
+let create ?extsvc ?(tracer = Tracer.noop) ~net ~registry ~cache ~router
+    ~servers cfg =
+  let n = Shard.Directory.shards (Shard.Router.directory router) in
+  let endpoints =
+    Array.init n (fun i ->
+        match List.find_opt (fun s -> Server.shard_id s = i) servers with
+        | Some s -> endpoint_of ~net ~tracer cfg s
+        | None ->
+            invalid_arg
+              (Printf.sprintf "Runtime.create: no server for shard %d" i))
   in
   let t =
     {
@@ -300,12 +286,9 @@ let speculate t ~exec_id ?(span = Tracer.none) ?(snapshot = [])
 
 (* Target for a request with a concrete predicted key set: the shard
    holding all of them, or the coordinator anchor (minimum touched
-   shard) when they span several. Unsharded runtimes have exactly one
-   endpoint. *)
+   shard) when they span several. *)
 let endpoint_for_keys t keys =
-  match t.router with
-  | None -> t.endpoints.(0)
-  | Some r -> t.endpoints.(Shard.Router.target_of_keys r keys)
+  t.endpoints.(Shard.Router.target_of_keys t.router keys)
 
 (* Target for a direct execution (no predicted key set): route by the
    function's static key-shape classification — its home shard when the
@@ -313,12 +296,9 @@ let endpoint_for_keys t keys =
    run against the shared primary store, so any shard is correct; the
    classification merely spreads load. *)
 let endpoint_for_entry t (entry : Registry.entry) =
-  match t.router with
-  | None -> t.endpoints.(0)
-  | Some r -> (
-      match Shard.Router.classify r entry.summary with
-      | Shard.Router.Single s -> t.endpoints.(s)
-      | Shard.Router.Cross -> t.endpoints.(0))
+  match Shard.Router.classify t.router entry.summary with
+  | Shard.Router.Single s -> t.endpoints.(s)
+  | Shard.Router.Cross -> t.endpoints.(0)
 
 (* Every exit of [invoke]: read the clock, record the history op (a
    timed-out call records none), run the speculative path's [followup]

@@ -111,27 +111,27 @@ type stats = {
 val create :
   ?extsvc:Extsvc.t ->
   ?tracer:Metrics.Tracer.t ->
-  ?sharding:Shard.Router.t * Server.t list ->
   net:Net.Transport.t ->
   registry:Registry.t ->
   cache:Cache.t ->
-  server:Server.t ->
+  router:Shard.Router.t ->
+  servers:Server.t list ->
   config ->
   t
 (** [extsvc] must be the same registry as the server's so speculation
     and re-execution share idempotency records (§3.5).
 
-    [sharding] makes this runtime shard-aware: every listed server must
-    have had {!Server.enable_sharding}, and the runtime keeps one
-    endpoint (LVI / followup / direct-exec services plus its own
-    followup coalescing buffer) per shard. Each invocation's predicted
-    key set picks the endpoint through the router — the owning shard
-    when the set is single-shard, the coordinator anchor (minimum
-    touched shard) when it spans several; direct executions route by
-    the function's static key-shape classification. Followup buffers
-    are per-shard so a followup (or piggyback) always reaches the shard
-    holding its intent. Without [sharding] the single [server] is the
-    only endpoint — the seed behaviour, bit for bit.
+    [servers] holds one server per shard of the [router]'s directory
+    (raises [Invalid_argument] if a shard has none), and the runtime
+    keeps one endpoint (LVI / followup / direct-exec services plus its
+    own followup coalescing buffer) per shard. Each invocation's
+    predicted key set picks the endpoint through the router — the
+    owning shard when the set is single-shard, the coordinator anchor
+    (minimum touched shard) when it spans several; direct executions
+    route by the function's static key-shape classification. Followup
+    buffers are per-shard so a followup (or piggyback) always reaches
+    the shard holding its intent. With one shard every request goes to
+    the one server.
 
     With a [tracer] (default noop), every {!invoke} builds a span tree
     rooted at the function name with phases [invoke_overhead],

@@ -36,51 +36,25 @@ type stats = {
   reexecutions : int;
   direct_executions : int;
   ro_fast : int;
-      (* Requests answered by the read-only validate-only fast path
-         (subset of [validated]): no locks, no intent, no idempotency
-         record. *)
   admission_waits : int;
-      (* Requests that queued in conflict-aware admission before their
-         lock-and-persist section (0 unless batching.admission). *)
   persist_flushes : int;
-      (* Batched lock-persist rounds flushed to Raft (0 unless
-         batching.persist_window > 0). *)
   prop_records : int;
-      (* Cache-update records enqueued for propagation, summed over
-         destinations (0 unless propagation.enabled). *)
   prop_batches : int;
-      (* Coalesced cache_update messages actually sent. *)
   dup_deliveries : int;
-      (* Duplicated LVI / direct-exec deliveries answered from the
-         reply cache instead of being re-processed. *)
   cross_requests : int;
-      (* LVI requests this server coordinated through the cross-shard
-         prepare/commit round (0 unless sharded). *)
-  cross_commits : int; (* ... that committed on every shard. *)
+  cross_commits : int;
   cross_aborts : int;
-      (* ... that aborted (validation failure somewhere, or prepare
-         retries exhausted) — the write set was applied nowhere, though
-         a backup execution may still have served the client. *)
   shard_prepares : int;
-      (* Participant slices this server prepared for coordinators
-         running elsewhere. *)
   lease_grants : int;
-      (* Read leases issued, over reply-path and propagation piggyback
-         (0 unless leases.enabled). *)
   lease_revokes : int;
-      (* Revocation RPCs fired at holding sites from the write path. *)
   lease_expiry_waits : int;
-      (* Writes that waited out a lease expiry (plus ε) because
-         revocation was off, timed out, or had no channel to the
-         holder. *)
   lease_blocked_writes : int;
-      (* Writes that found outstanding grants on their write set and had
-         to settle them before validating. *)
 }
 
 (* --- Construction --------------------------------------------------- *)
 
-let create ?extsvc ?(tracer = Tracer.noop) ~net ~registry ~kv config =
+let create ?extsvc ?(tracer = Tracer.noop) ~net ~registry ~kv ~shard ~directory
+    config =
   let extsvc = match extsvc with Some e -> e | None -> Extsvc.create () in
   let repl =
     match config.mode with
@@ -142,7 +116,7 @@ let create ?extsvc ?(tracer = Tracer.noop) ~net ~registry ~kv config =
   in
   let t =
     Server_state.create ?repl ?admission ~tracer ~net ~registry ~kv ~extsvc
-      config
+      ~shard ~directory config
   in
   t.lvi_svc <-
     Some
@@ -201,8 +175,7 @@ let stats (t : t) =
     cross_requests = t.s_cross;
     cross_commits = t.s_cross_commits;
     cross_aborts = t.s_cross_aborts;
-    shard_prepares =
-      (match t.sharding with Some sh -> sh.sh_prepares | None -> 0);
+    shard_prepares = t.sharding.sh_prepares;
     lease_grants = t.s_lease_grants;
     lease_revokes = t.s_lease_revokes;
     lease_expiry_waits = t.s_lease_waits;
@@ -248,7 +221,6 @@ let stop (t : t) =
 
 (* --- Sharded topology ------------------------------------------------ *)
 
-let enable_sharding = Server_coordinator.enable_sharding
 let connect_shards = Server_coordinator.connect_shards
 let shard_id = Server_coordinator.shard_id
 let cross_states = Server_coordinator.cross_states

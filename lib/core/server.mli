@@ -51,7 +51,7 @@ type stats = {
           reply cache instead of being re-processed. *)
   cross_requests : int;
       (** LVI requests this server coordinated through the cross-shard
-          prepare/commit round (0 unless sharded). *)
+          prepare/commit round (0 on one shard). *)
   cross_commits : int;  (** ... that committed on every touched shard. *)
   cross_aborts : int;
       (** ... that aborted (validation failure somewhere, or prepare
@@ -76,8 +76,18 @@ type stats = {
 val create :
   ?extsvc:Extsvc.t ->
   ?tracer:Metrics.Tracer.t ->
-  net:Net.Transport.t -> registry:Registry.t -> kv:Store.Kv.t -> config -> t
-(** [extsvc] is the external-service registry used by backup execution
+  net:Net.Transport.t ->
+  registry:Registry.t ->
+  kv:Store.Kv.t ->
+  shard:int ->
+  directory:Shard.Directory.t ->
+  config ->
+  t
+(** Shard [shard] of [directory]; the paper's single LVI server is
+    shard 0 of a one-shard directory. Raises [Invalid_argument] if
+    [shard] is out of range.
+
+    [extsvc] is the external-service registry used by backup execution
     and deterministic re-execution (§3.5); defaults to an empty one.
     With a [tracer] (default noop), [handle_lvi] attaches [lock_wait],
     [validate], [backup_exec] and [raft_persist] phase spans to the
@@ -165,9 +175,10 @@ val raft_cluster : t -> Raft_locks.cluster option
 (** The replicated server's lock cluster ([None] for a singleton) —
     exposed so tests can crash and restart its nodes. *)
 
-(** {1 Sharded deployment}
+(** {1 Shards}
 
-    N independent LVI servers — each with its own lock table, intents,
+    Every deployment is a sharded one; the paper's single server is the
+    one-shard case. N independent LVI servers — each with its own lock table, intents,
     idempotency table and (optionally) Raft cluster — partition the
     primary key space by a {!Shard.Directory}. A request whose key set
     lives on one shard runs the unchanged one-round-trip protocol
@@ -178,17 +189,12 @@ val raft_cluster : t -> Raft_locks.cluster option
     orphaned cross-shard intent is anchored at the coordinator, which
     rebroadcasts the commit decision until every participant acks. *)
 
-val enable_sharding : t -> id:int -> directory:Shard.Directory.t -> unit
-(** Make this server shard [id] of [directory]: serves the
-    [shard_prepare] / [shard_decide] participant services at its
-    location and routes multi-shard requests through the coordinator
-    path. Must be called once, before traffic. *)
-
 val connect_shards : t -> t list -> unit
-(** Point this server at its peer shards (self is filtered out).
-    Call after every server has had {!enable_sharding}. *)
+(** Point this server at its peer shards' [shard_prepare] /
+    [shard_decide] participant services (self is filtered out). Call
+    once every shard's server exists, before traffic. *)
 
-val shard_id : t -> int option
+val shard_id : t -> int
 
 val cross_states : t -> (string * [ `Prepared | `Committed | `Aborted ]) list
 (** Terminal-state log of every cross-shard exec this shard

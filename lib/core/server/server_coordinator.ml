@@ -63,14 +63,13 @@ let slices_of sh ~reads ~writes =
     (Hashtbl.fold (fun s sl acc -> (s, sl) :: acc) slices [])
 
 let cross_parts (t : t) (req : Proto.lvi_request) =
-  match t.sharding with
-  | None -> None
-  | Some sh when Shard.Directory.shards sh.sh_dir = 1 -> None
-  | Some sh -> (
-      match slices_of sh ~reads:req.reads ~writes:req.writes with
-      | [] -> None
-      | [ (s, _) ] when s = sh.sh_id -> None
-      | parts -> Some parts)
+  let sh = t.sharding in
+  if Shard.Directory.shards sh.sh_dir = 1 then None
+  else
+    match slices_of sh ~reads:req.reads ~writes:req.writes with
+    | [] -> None
+    | [ (s, _) ] when s = sh.sh_id -> None
+    | parts -> Some parts
 
 (* Participant side of one prepare round — also runs the coordinator's
    own slice. On [Shard_prepared] and [Shard_stale] the slice's locks
@@ -190,23 +189,16 @@ let conclude_slice (t : t) sh (sd : Proto.shard_decision) =
   end
 
 let handle_shard_prepare (t : t) (sp : Proto.shard_prepare) : Proto.shard_vote =
-  match t.sharding with
-  | None -> Proto.Shard_busy
-  | Some sh -> (
-      let vote = prepare_slice t sh sp in
-      Log.debug (fun m ->
-          m "shard %d: prepare %s round %d -> %a" sh.sh_id sp.sp_exec_id
-            sp.sp_round Proto.pp_vote vote);
-      match vote with
-      | Proto.Shard_prepared _ | Proto.Shard_stale _ ->
-          sh.sh_prepares <- sh.sh_prepares + 1;
-          vote
-      | Proto.Shard_busy -> vote)
-
-let handle_shard_decide (t : t) (sd : Proto.shard_decision) : unit =
-  match t.sharding with
-  | None -> ()
-  | Some sh -> conclude_slice t sh sd
+  let sh = t.sharding in
+  let vote = prepare_slice t sh sp in
+  Log.debug (fun m ->
+      m "shard %d: prepare %s round %d -> %a" sh.sh_id sp.sp_exec_id
+        sp.sp_round Proto.pp_vote vote);
+  (match vote with
+  | Proto.Shard_prepared _ | Proto.Shard_stale _ ->
+      sh.sh_prepares <- sh.sh_prepares + 1
+  | Proto.Shard_busy -> ());
+  vote
 
 (* Conclude a round at every peer in [targets] (self is skipped; the
    coordinator concludes itself with [conclude_local]). Decisions are
@@ -275,7 +267,8 @@ let conclude_local (t : t) sh ~exec_id ~round ~commit ~from updates =
    this call concluded the intent, so count the commit and send each
    touched peer its slice of [records]; [None]: another party did. The
    coordinator's own slice retires either way. *)
-let conclude_commit (t : t) sh ~exec_id ~from ~parts records =
+let conclude_commit (t : t) ~exec_id ~from ~parts records =
+  let sh = t.sharding in
   let round =
     Option.value ~default:1 (Hashtbl.find_opt sh.sh_coord_round exec_id)
   in
@@ -325,8 +318,9 @@ let prepare_at (t : t) sh ~exec_id ~round ~blocking ~intent (target, sl) =
    — [arm_intent] starts the recovery layer's intent timer; commit is
    decided later, by followup or timer — or aborts everywhere and
    serves the client through backup execution. *)
-let handle_lvi_cross (t : t) sh (req : Proto.lvi_request) ~root ~arm_intent
+let handle_lvi_cross (t : t) (req : Proto.lvi_request) ~root ~arm_intent
     parts : Proto.lvi_response =
+  let sh = t.sharding in
   let exec_id = req.exec_id in
   t.s_cross <- t.s_cross + 1;
   Server_persist.register_invocation t ~exec_id;
@@ -492,66 +486,37 @@ let handle_lvi_cross (t : t) sh (req : Proto.lvi_request) ~root ~arm_intent
 
 (* --- Sharded topology wiring ---------------------------------------- *)
 
-let enable_sharding (t : t) ~id ~directory =
-  if t.sharding <> None then
-    invalid_arg "Server.enable_sharding: already enabled";
-  let n = Shard.Directory.shards directory in
-  if id < 0 || id >= n then
-    invalid_arg (Printf.sprintf "Server.enable_sharding: id %d out of range" id);
-  t.sharding <-
-    Some
-      {
-        sh_id = id;
-        sh_dir = directory;
-        sh_peers = [];
-        sh_prepared = Hashtbl.create 64;
-        sh_preparing = Hashtbl.create 16;
-        sh_decided = Hashtbl.create 64;
-        sh_coord_round = Hashtbl.create 64;
-        sh_cross = Hashtbl.create 64;
-        sh_prepares = 0;
-      };
-  t.prepare_svc <-
-    Some
-      (Transport.serve t.net ~loc:t.config.loc ~name:"shard_prepare"
-         (handle_shard_prepare t));
-  t.decide_svc <-
-    Some
-      (Transport.serve t.net ~loc:t.config.loc ~name:"shard_decide"
-         (handle_shard_decide t))
+(* A peer's participant services. The transport dispatches a service by
+   value, so the coordinator builds them from the peer's state. *)
+let peer_of (s : t) =
+  {
+    pe_prepare =
+      Transport.serve s.net ~loc:s.config.loc ~name:"shard_prepare"
+        (handle_shard_prepare s);
+    pe_decide =
+      Transport.serve s.net ~loc:s.config.loc ~name:"shard_decide"
+        (conclude_slice s s.sharding);
+  }
 
 let connect_shards (t : t) servers =
-  match t.sharding with
-  | None -> invalid_arg "Server.connect_shards: sharding not enabled"
-  | Some sh ->
-      let peers =
-        List.filter_map
-          (fun (s : Server_state.t) ->
-            match s.sharding with
-            | Some sh' when sh'.sh_id <> sh.sh_id ->
-                Some
-                  ( sh'.sh_id,
-                    {
-                      pe_prepare = Option.get s.prepare_svc;
-                      pe_decide = Option.get s.decide_svc;
-                    } )
-            | Some _ | None -> None)
-          servers
-      in
-      sh.sh_peers <- List.sort (fun (a, _) (b, _) -> compare a b) peers
+  t.sharding.sh_peers <-
+    List.sort
+      (fun (a, _) (b, _) -> compare a b)
+      (List.filter_map
+         (fun (s : t) ->
+           if s.sharding.sh_id = t.sharding.sh_id then None
+           else Some (s.sharding.sh_id, peer_of s))
+         servers)
 
-let shard_id (t : t) = Option.map (fun sh -> sh.sh_id) t.sharding
+let shard_id (t : t) = t.sharding.sh_id
 
 let cross_states (t : t) =
-  match t.sharding with
-  | None -> []
-  | Some sh ->
-      Hashtbl.fold
-        (fun exec_id st acc ->
-          ( exec_id,
-            match st with
-            | Cross_prepared -> `Prepared
-            | Cross_committed -> `Committed
-            | Cross_aborted -> `Aborted )
-          :: acc)
-        sh.sh_cross []
+  Hashtbl.fold
+    (fun exec_id st acc ->
+      ( exec_id,
+        match st with
+        | Cross_prepared -> `Prepared
+        | Cross_committed -> `Committed
+        | Cross_aborted -> `Aborted )
+      :: acc)
+    t.sharding.sh_cross []

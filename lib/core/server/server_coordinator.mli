@@ -12,7 +12,8 @@ val cross_parts :
   Proto.lvi_request ->
   (int * Server_state.slice) list option
 (** The request's key set partitioned by owning shard, ascending; [None]
-    when the request stays on this (or a single) shard. *)
+    when the request stays on this shard. A one-shard directory hashes
+    no key. *)
 
 val handle_shard_prepare :
   Server_state.t -> Proto.shard_prepare -> Proto.shard_vote
@@ -20,14 +21,8 @@ val handle_shard_prepare :
     [Shard_stale] the slice's locks are HELD; only [Shard_busy] holds
     nothing. Safe against delayed, reordered or duplicated prepares. *)
 
-val handle_shard_decide : Server_state.t -> Proto.shard_decision -> unit
-(** Conclude rounds <= sd_round at this shard: release the slice, settle
-    its intent, record the outcome, publish its own records.
-    Idempotent. *)
-
 val conclude_commit :
   Server_state.t ->
-  Server_state.sharding ->
   exec_id:string ->
   from:Net.Location.t option ->
   parts:(int * Server_state.slice) list ->
@@ -43,7 +38,6 @@ val conclude_commit :
 
 val handle_lvi_cross :
   Server_state.t ->
-  Server_state.sharding ->
   Proto.lvi_request ->
   root:Metrics.Tracer.span ->
   arm_intent:(Proto.lvi_request -> unit) ->
@@ -54,12 +48,14 @@ val handle_lvi_cross :
     ([arm_intent] starts the recovery layer's intent timer) or abort
     everywhere and serve the client through backup execution. *)
 
-val enable_sharding :
-  Server_state.t -> id:int -> directory:Shard.Directory.t -> unit
-
 val connect_shards : Server_state.t -> Server_state.t list -> unit
+(** Point this server at its peer shards' [shard_prepare] /
+    [shard_decide] services (self is filtered out). A peer's decide
+    service concludes rounds <= sd_round at that shard: it releases the
+    slice, settles its intent, records the outcome and publishes its
+    own records, idempotently. *)
 
-val shard_id : Server_state.t -> int option
+val shard_id : Server_state.t -> int
 
 val cross_states :
   Server_state.t ->

@@ -194,15 +194,15 @@ let handle_lvi_once (t : t) (req : Proto.lvi_request) : Proto.lvi_response =
   let root = Tracer.exec_span t.tracer ~exec_id:req.exec_id in
   match Server_coordinator.cross_parts t req with
   | Some parts ->
-      Server_coordinator.handle_lvi_cross t
-        (Option.get t.sharding)
-        req ~root
+      Server_coordinator.handle_lvi_cross t req ~root
         ~arm_intent:(Server_recovery.start_intent_timer t)
         parts
   | None -> (
-      (match t.sharding with
-      | Some sh -> Tracer.record_shard t.tracer ~shard:sh.sh_id ~parts:1
-      | None -> ());
+      (* Per-shard load is a sharded deployment's row: one shard records
+         none. *)
+      let sh = t.sharding in
+      if Shard.Directory.shards sh.sh_dir > 1 then
+        Tracer.record_shard t.tracer ~shard:sh.sh_id ~parts:1;
       let fast =
         if ro_fast_eligible t req then ro_validate t req ~root else None
       in

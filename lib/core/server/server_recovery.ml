@@ -65,16 +65,14 @@ let resolve_orphaned_intent (t : t) (req : Proto.lvi_request) =
          carrying that peer's own records. A lost [try_complete] means
          a racing conclusion handled the decisions; only our own slice
          is retired. *)
-      let sh = Option.get t.sharding in
       let records =
         if Intents.try_complete t.intents ~exec_id then Some (replay t req)
         else None
       in
-      Server_coordinator.conclude_commit t sh ~exec_id ~from:None ~parts
-        records;
+      Server_coordinator.conclude_commit t ~exec_id ~from:None ~parts records;
       Intents.remove t.intents ~exec_id;
       Hashtbl.remove t.durable_reqs exec_id;
-      Hashtbl.remove sh.sh_coord_round exec_id)
+      Hashtbl.remove t.sharding.sh_coord_round exec_id)
 
 (* Exponentially-weighted expected followup delay for a function; the
    timer fires at 4x the expectation (bounded below by 200 ms and above
@@ -147,11 +145,10 @@ let handle_followup (t : t) (fu : Proto.followup) =
           (* Conclude the commit at every touched shard; each publishes
              its own slice of the committed records. The coordinator's
              slice releases through the same path. *)
-          let sh = Option.get t.sharding in
-          Server_coordinator.conclude_commit t sh ~exec_id
+          Server_coordinator.conclude_commit t ~exec_id
             ~from:(Some fu.fu_from) ~parts
             (if applied then Some committed else None);
-          Hashtbl.remove sh.sh_coord_round exec_id)
+          Hashtbl.remove t.sharding.sh_coord_round exec_id)
 
 (* Followups travel as a list: a coalescing runtime flushes one message
    per window carrying every followup buffered for this destination. *)

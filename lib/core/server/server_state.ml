@@ -119,8 +119,9 @@ type t = {
      FIFO pins the response any more. *)
   reply_cache : (string, Proto.lvi_response reply) Sim.Expiring.t;
   exec_replies : (string, Proto.exec_result reply) Sim.Expiring.t;
-  (* Some when this server is one shard of a sharded LVI service. *)
-  mutable sharding : sharding option;
+  (* This server's shard of the LVI service; an unsharded deployment is
+     shard 0 of a one-shard directory. *)
+  sharding : sharding;
   (* Outstanding read leases this server (the lease authority for its
      keys) has granted to near-user sites. Conceptually persisted with
      the lock table: it survives [restart_recover], so a restarted
@@ -159,9 +160,6 @@ type t = {
   mutable fu_svc : (Proto.followup list, unit) Transport.service option;
   mutable exec_svc :
     (Proto.exec_request, Proto.exec_result) Transport.service option;
-  mutable prepare_svc :
-    (Proto.shard_prepare, Proto.shard_vote) Transport.service option;
-  mutable decide_svc : (Proto.shard_decision, unit) Transport.service option;
 }
 
 (* Bare state with no transport services wired: what [Server.create]
@@ -169,7 +167,10 @@ type t = {
    (lease authority, propagator, …) construct without spinning up the
    full stack. *)
 let create ?repl ?admission ?(tracer = Tracer.noop) ~net ~registry ~kv ~extsvc
-    (config : Server_config.config) =
+    ~shard ~directory (config : Server_config.config) =
+  let n = Shard.Directory.shards directory in
+  if shard < 0 || shard >= n then
+    invalid_arg (Printf.sprintf "Server.create: shard %d out of range" shard);
   {
     config;
     net;
@@ -188,7 +189,18 @@ let create ?repl ?admission ?(tracer = Tracer.noop) ~net ~registry ~kv ~extsvc
     subscribers = [];
     reply_cache = Sim.Expiring.create 256;
     exec_replies = Sim.Expiring.create 64;
-    sharding = None;
+    sharding =
+      {
+        sh_id = shard;
+        sh_dir = directory;
+        sh_peers = [];
+        sh_prepared = Hashtbl.create 64;
+        sh_preparing = Hashtbl.create 16;
+        sh_decided = Hashtbl.create 64;
+        sh_coord_round = Hashtbl.create 64;
+        sh_cross = Hashtbl.create 64;
+        sh_prepares = 0;
+      };
     lease_tbl = Lease.create ();
     lease_peers = [];
     stage_hook = ignore;
@@ -213,8 +225,6 @@ let create ?repl ?admission ?(tracer = Tracer.noop) ~net ~registry ~kv ~extsvc
     lvi_svc = None;
     fu_svc = None;
     exec_svc = None;
-    prepare_svc = None;
-    decide_svc = None;
   }
 
 (* [cell], the reply bound to [id], was filled now: no copy of its

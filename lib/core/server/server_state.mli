@@ -73,7 +73,7 @@ type t = {
       (** Dedup tables: entries are forgotten once the clock passes
           their fill time plus {!Net.Transport.max_message_age}; an
           acknowledged entry holds the table's tombstone until then. *)
-  mutable sharding : sharding option;
+  sharding : sharding;
   lease_tbl : Lease.t;
   mutable lease_peers :
     (Net.Location.t * (Proto.lease_revoke, unit) Net.Transport.service) list;
@@ -105,10 +105,6 @@ type t = {
   mutable fu_svc : (Proto.followup list, unit) Net.Transport.service option;
   mutable exec_svc :
     (Proto.exec_request, Proto.exec_result) Net.Transport.service option;
-  mutable prepare_svc :
-    (Proto.shard_prepare, Proto.shard_vote) Net.Transport.service option;
-  mutable decide_svc :
-    (Proto.shard_decision, unit) Net.Transport.service option;
 }
 
 val create :
@@ -119,11 +115,15 @@ val create :
   registry:Registry.t ->
   kv:Store.Kv.t ->
   extsvc:Extsvc.t ->
+  shard:int ->
+  directory:Shard.Directory.t ->
   Server_config.config ->
   t
-(** Bare state with no transport services wired: what [Server.create]
-    starts from, and what isolation tests of the extracted layers
-    construct without spinning up the full stack. *)
+(** Bare state with no transport services wired, as shard [shard] of
+    [directory] (an unsharded server is shard 0 of a one-shard
+    directory): what [Server.create] starts from, and what isolation
+    tests of the extracted layers construct without spinning up the
+    full stack. Raises [Invalid_argument] if [shard] is out of range. *)
 
 val expire_reply : (string, 'r reply) Sim.Expiring.t -> string -> 'r reply -> unit
 (** [expire_reply tbl id cell], called when [cell]'s ivar is filled:

@@ -64,7 +64,10 @@ let residuals_of name =
 let classification_str (d : Derive.t) =
   Format.asprintf "%a" Derive.pp_classification d.classification
 
-let predict_cost ~scale ~seed () =
+(* Both parts run at this seed. *)
+let seed = 42
+
+let predict_cost ~scale () =
   Runner.heading "analyze: f^rw predict cost, raw vs. residual-optimized";
   let n = Runner.scaled scale 200 in
   let rng = Sim.Rng.create seed in
@@ -182,7 +185,7 @@ let digest_heavy_forum =
           else Apps.Forum.next inner rng);
   }
 
-let fast_path ~scale ~seed () =
+let fast_path ~scale () =
   Runner.heading
     "analyze: read-only LVI fast path (forum + 50% digest, 3 seeds merged)";
   let rpc = Runner.scaled scale 40 in
@@ -246,6 +249,6 @@ let fast_path ~scale ~seed () =
       [ "deployment"; "median ms"; "p99 ms"; "digest med"; "spec"; "validated" ]
     ~rows
 
-let run ?(scale = 1.0) ?(seed = 42) () =
-  predict_cost ~scale ~seed ();
-  fast_path ~scale ~seed ()
+let run ?(scale = 1.0) () =
+  predict_cost ~scale ();
+  fast_path ~scale ()

@@ -11,4 +11,5 @@
       read-only fast path on vs. off, singleton and Raft-replicated,
       reporting median/p99 latency and the speculative-path rate. *)
 
-val run : ?scale:float -> ?seed:int -> unit -> unit
+val run : ?scale:float -> unit -> unit
+(** Both parts at seed 42. *)

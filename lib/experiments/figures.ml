@@ -4,6 +4,9 @@ module Transport = Net.Transport
 module Stats = Metrics.Stats
 module Table = Metrics.Table
 
+(* Every figure runs at this seed. *)
+let seed = 42
+
 (* A table's rows and measurements, built item by item and concatenated
    in order. *)
 let tabulate f items =
@@ -12,7 +15,7 @@ let tabulate f items =
 
 (* --- Figure 1 -------------------------------------------------------- *)
 
-let fig1 ?(scale = 1.0) ?(seed = 42) () =
+let fig1 ?(scale = 1.0) () =
   Runner.heading
     "Figure 1 — simple app (~100 ms compute + 1 read): centralized vs\n\
      geo-replicated storage vs inconsistent local (best possible)";
@@ -57,7 +60,7 @@ let fig1 ?(scale = 1.0) ?(seed = 42) () =
 
 (* --- Table 2 ---------------------------------------------------------- *)
 
-let table2 ?(seed = 42) () =
+let table2 () =
   Runner.heading "Table 2 — storage ping RTT (ms) from each location to the\nprimary in VA";
   let engine = Engine.create ~seed () in
   let meds = ref [] in
@@ -99,7 +102,7 @@ let table2 ?(seed = 42) () =
    accesses at the deployment's cache latency, as the paper measures the
    WASM execution (§5.5 component 4): run it five times against a local
    store, no network. *)
-let measured_exec_ms ?(seed = 42) (info : Apps.Catalog.info) =
+let measured_exec_ms (info : Apps.Catalog.info) =
   let engine = Engine.create ~seed () in
   let result = ref nan in
   Engine.run engine (fun () ->
@@ -143,7 +146,7 @@ let measured_exec_ms ?(seed = 42) (info : Apps.Catalog.info) =
       result := Stats.median s);
   !result
 
-let table1 ?(seed = 42) () =
+let table1 () =
   Runner.heading
     "Table 1 — function catalog: writes, analyzability, measured median\n\
      execution time (vs paper), workload share";
@@ -163,7 +166,7 @@ let table1 ?(seed = 42) () =
               | Analyzer.Derive.Manual ->
                   ("Yes", false))
         in
-        let measured = measured_exec_ms ~seed info in
+        let measured = measured_exec_ms info in
         ( [
             [
               info.fn_name;
@@ -195,7 +198,7 @@ let table1 ?(seed = 42) () =
 
 type eval_data = (Apps.Bundle.app * (string * Runner.result) list) list
 
-let collect_eval ?(scale = 1.0) ?(seed = 42) () =
+let collect_eval ?(scale = 1.0) () =
   let rpc = Runner.scaled scale 40 in
   List.map
     (fun (app : Apps.Bundle.app) ->
@@ -367,7 +370,7 @@ let write_heavy_fn n_keys =
                      Input "tag" ))) );
   }
 
-let replication ?(seed = 42) () =
+let replication () =
   Runner.heading
     "§5.6 — replicated LVI server: added request latency vs number of\n\
      locks (paper model: 3 + 2.3 * L ms)";
@@ -453,7 +456,7 @@ let cost () =
 
 (* --- §5.5 sensitivity: execution time vs benefit ------------------------ *)
 
-let sensitivity ?(seed = 42) () =
+let sensitivity () =
   Runner.heading
     "§5.5 — sensitivity to function execution time: Radical vs baseline\n\
      for a synthetic handler (1 read + T ms compute), clients in CA";
@@ -507,7 +510,7 @@ let sensitivity ?(seed = 42) () =
 
 (* --- §3.2 gradual cache bootstrap ----------------------------------------- *)
 
-let bootstrap ?(seed = 42) () =
+let bootstrap () =
   Runner.heading
     "§3.2 — gradual cache bootstrap: validation success over time when\n\
      every near-user cache starts empty (each miss repairs the cache)";
@@ -556,7 +559,7 @@ let bootstrap ?(seed = 42) () =
 
 (* --- Skew sweep (§5.3: high skew stresses the locking scheme) -------- *)
 
-let skew ?(seed = 42) () =
+let skew () =
   Runner.heading
     "§5.3 — workload skew vs validation success: the social app with\n\
      the user-selection zipf parameter swept (paper runs at 0.99)";
@@ -598,7 +601,7 @@ let skew ?(seed = 42) () =
 
 (* --- Throughput parity (§5.3's footnote) --------------------------------- *)
 
-let throughput ?(seed = 42) () =
+let throughput () =
   Runner.heading
     "§5.3 — throughput parity: completed requests in a fixed window,\n\
      Radical vs primary-datacenter baseline (paper: identical; the only\n\
@@ -640,7 +643,7 @@ let throughput ?(seed = 42) () =
 
 (* --- Per-phase latency breakdown (tracing) ------------------------------- *)
 
-let phases ?(scale = 1.0) ?(seed = 42) () =
+let phases ?(scale = 1.0) () =
   Runner.heading
     "Per-phase latency breakdown — the social app under Radical with\n\
      request tracing enabled: where each request path spends its time";
@@ -710,7 +713,7 @@ let phases ?(scale = 1.0) ?(seed = 42) () =
 
 (* --- Ablations ----------------------------------------------------------- *)
 
-let ablation ?(scale = 1.0) ?(seed = 42) () =
+let ablation ?(scale = 1.0) () =
   Runner.heading
     "Ablation — why a single overlapped LVI request: Radical vs\n\
      no-overlap vs per-access coordination (naive edge) vs baselines";

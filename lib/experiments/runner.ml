@@ -39,7 +39,7 @@ let deploy ~net ~tracer ~locations system ~funcs ~schema ~data =
   | Central -> Baseline (Baselines.centralized ~net ~funcs ~data ())
   | Local -> Baseline (Baselines.local ~locations ~funcs ~data ())
   | Geo replicas ->
-      Baseline (Baselines.geo_replicated ~replicas ~locations ~funcs ~data ())
+      Baseline (Baselines.geo_replicated ~replicas ~funcs ~data ())
   | Naive_edge -> Baseline (Baselines.naive_edge ~funcs ~data ())
   | Validate_per_read -> Baseline (Baselines.validate_per_read ~funcs ~data ())
 

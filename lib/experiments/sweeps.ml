@@ -607,7 +607,7 @@ module Sharding = struct
       repl with
       server =
         { repl.server with batching = { Server.no_batching with append_cost } };
-      sharding = Some (strategy shards);
+      sharding = strategy shards;
     }
 
   let draw cross_frac wrng =

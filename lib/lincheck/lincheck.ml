@@ -6,12 +6,6 @@ type op = {
   writes : (string * Dval.t) list;
 }
 
-let pp_op fmt o =
-  let pp_kv fmt (k, v) = Format.fprintf fmt "%s=%a" k Dval.pp v in
-  let pp_kvs = Format.pp_print_list ~pp_sep:Format.pp_print_space pp_kv in
-  Format.fprintf fmt "@[%s [%.2f,%.2f] reads(%a) writes(%a)@]" o.op_id o.start
-    o.finish pp_kvs o.reads pp_kvs o.writes
-
 module Smap = Map.Make (String)
 
 let read_state state k =

@@ -40,5 +40,3 @@ val check : ?init:(string * Dval.t) list -> op list -> bool
 val witness : ?init:(string * Dval.t) list -> op list -> string list option
 (** Like [check] but returns the op ids in a valid linearization
     order. *)
-
-val pp_op : Format.formatter -> op -> unit

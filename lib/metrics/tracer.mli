@@ -117,7 +117,8 @@ val queue_stats : t -> (string * Stats.t) list
 
 val shard_stats : t -> (int * (int * int)) list
 (** Per-shard load, sorted by shard id: [(shard, (requests,
-    cross_shard_requests))]. Empty when disabled or unsharded. *)
+    cross_shard_requests))]. Empty when disabled or on one shard,
+    whose server records nothing. *)
 
 val slowest : ?k:int -> t -> Span.t list
 (** The [k] slowest finalized request trees, slowest first. *)

@@ -8,8 +8,11 @@
     log replication with the AppendEntries consistency check and conflict
     truncation, commit-rule application (current-term entries only),
     crash/restart with persistent term/vote/log and in-memory state
-    machines rebuilt by replay. Snapshots and membership changes are out
-    of scope — the lock service never needs them in the evaluation.
+    machines rebuilt by replay, and log compaction into state-machine
+    snapshots with snapshot installation for followers that lag behind a
+    compacted prefix (the replicated LVI server's lock cluster compacts
+    every 256 entries). Membership change is out of scope — the lock
+    service never needs it in the evaluation.
 
     The replicated state machine is supplied as a functor argument. *)
 

@@ -39,7 +39,8 @@ let anchor = function
   | s :: rest -> List.fold_left min s rest
 
 let target_of_keys t keys =
-  match shards_of_keys t keys with [] -> 0 | [ s ] -> s | ss -> anchor ss
+  if Directory.shards t.dir = 1 then 0
+  else match shards_of_keys t keys with [] -> 0 | [ s ] -> s | ss -> anchor ss
 
 type stats = { classified : int; single : int; cross : int }
 

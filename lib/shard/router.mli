@@ -35,7 +35,9 @@ val shards_of_keys : t -> string list -> int list
 val target_of_keys : t -> string list -> int
 (** The shard a request with this concrete key set is sent to: the only
     owner when the set is single-shard, otherwise the {!anchor}
-    (coordinator) of the owners. Empty key sets go to shard 0. *)
+    (coordinator) of the owners. Empty key sets go to shard 0, and so
+    does every set on a one-shard directory, whose keys are not
+    hashed. *)
 
 val anchor : int list -> int
 (** Coordinator choice for a cross-shard owner set: the minimum shard

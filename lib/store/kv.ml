@@ -45,19 +45,6 @@ let put_many t kvs =
   t.writes <- t.writes + List.length kvs;
   List.map (fun (k, v) -> (k, bump t k v)) kvs
 
-let put_if_version t key value ~expected =
-  pay t;
-  t.writes <- t.writes + 1;
-  let current =
-    match Hashtbl.find_opt t.items key with
-    | Some { version; _ } -> version
-    | None -> 0
-  in
-  if current = expected then begin
-    ignore (bump t key value);
-    true
-  end
-  else false
 
 let version_peek t key =
   match Hashtbl.find_opt t.items key with

@@ -29,10 +29,6 @@ val put : t -> string -> Dval.t -> int
 val put_many : t -> (string * Dval.t) list -> (string * int) list
 (** Batch write: one access latency; returns new versions. *)
 
-val put_if_version : t -> string -> Dval.t -> expected:int -> bool
-(** Conditional write: succeeds only if the current version equals
-    [expected]. *)
-
 val version_of : t -> string -> int
 (** Blocking version read; 0 if absent. *)
 

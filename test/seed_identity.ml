@@ -151,8 +151,8 @@ let campaign features =
   }
 
 let () =
-  measurements "fig1" (Figures.fig1 ~scale:0.25 ~seed:42 ());
-  measurements "table1" (Figures.table1 ~seed:42 ());
+  measurements "fig1" (Figures.fig1 ~scale:0.25 ());
+  measurements "table1" (Figures.table1 ());
   pr "== radical full-stack ==\n";
   radical_run "seed" Runner.Radical;
   radical_run "featureful" (Runner.Radical_with featureful);

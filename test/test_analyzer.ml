@@ -635,19 +635,6 @@ let test_optimize_nested_if_read_alignment () =
       (Dval.Bool false, [ "b"; "cfg" ]);
     ]
 
-let test_specialize_binds_inputs () =
-  let f =
-    mk_fn "branchy"
-      (If
-         ( Binop (Gt, Input "x", Int 10L),
-           Read (Str "big"),
-           Read (Str "small") ))
-  in
-  let g = Optimize.specialize f [ ("x", Dval.Int 20L) ] in
-  match g.body with
-  | Read (Str "big") -> ()
-  | e -> Alcotest.fail (Format.asprintf "not specialized: %a" Ast.pp e)
-
 (* The soundness property: on a coherent cache, prediction equals the
    accesses of the real execution, for randomized inputs over a fixed
    corpus of analyzable functions. *)
@@ -742,6 +729,5 @@ let () =
             test_optimize_foreach_over_read_list;
           Alcotest.test_case "nested-if read alignment" `Quick
             test_optimize_nested_if_read_alignment;
-          Alcotest.test_case "specialize" `Quick test_specialize_binds_inputs;
         ] );
     ]

@@ -32,7 +32,7 @@ let paper =
         propagation = no_propagation;
         leases = no_leases;
       };
-    sharding = None;
+    sharding = Shard.Directory.Hash { shards = 1 };
     overlap = true;
     ro_fast = true;
     fu_window = 0.0;
@@ -92,7 +92,7 @@ let expectations =
           };
       } );
     ( "sharded=4",
-      { paper with sharding = Some (Shard.Directory.Hash { shards = 4 }) } );
+      { paper with sharding = Shard.Directory.Hash { shards = 4 } } );
   ]
 
 let parse s =

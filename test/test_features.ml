@@ -197,12 +197,17 @@ let test_manual_rw_registration () =
       in
       let kv = Kv.create () in
       Kv.load kv [ ("profile:bob", Dval.Str "bob's profile") ];
-      let srv = Server.create ~net ~registry:reg ~kv Server.default_config in
+      let directory = Shard.Directory.hash ~shards:1 in
+      let srv =
+        Server.create ~net ~registry:reg ~kv ~shard:0 ~directory
+          Server.default_config
+      in
       let cache = Cache.create () in
       Cache.update cache "profile:bob" (Dval.Str "bob's profile") ~version:1;
       Cache.update cache "seen:bob" Dval.Unit ~version:0;
       let rt =
-        Runtime.create ~net ~registry:reg ~cache ~server:srv
+        Runtime.create ~net ~registry:reg ~cache
+          ~router:(Shard.Router.create directory) ~servers:[ srv ]
           {
             loc = Location.de;
             overlap = true;

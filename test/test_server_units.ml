@@ -36,8 +36,8 @@ let bare_state ?(config = Server_config.default_config) ?(data = []) () =
   Kv.load kv data;
   let t =
     Server_state.create ~net ~registry:(Radical.Registry.create ()) ~kv
-      ~extsvc:(Radical.Extsvc.create ())
-      config
+      ~extsvc:(Radical.Extsvc.create ()) ~shard:0
+      ~directory:(Shard.Directory.hash ~shards:1) config
   in
   (net, t)
 
@@ -511,6 +511,23 @@ let test_batcher_take () =
         [ (7.0, [ 3 ]) ]
         !flushed)
 
+let test_batcher_take_after_fire () =
+  run_sim (fun () ->
+      let b, flushed, _ = logged_batcher ~window:5.0 () in
+      Batcher.add b [ 1 ];
+      (* Wakes at 5 after the window timer has fired but before its
+         fiber runs: [take] cannot cancel that timer any more, and the
+         next addition must get a full window of its own. *)
+      Engine.spawn (fun () ->
+          Engine.sleep 5.0;
+          Alcotest.(check (list int)) "drained the first round" [ 1 ]
+            (Batcher.take b);
+          Batcher.add b [ 2 ]);
+      Engine.sleep 20.0;
+      Alcotest.(check flush_log) "the new round flushes a window later"
+        [ (10.0, [ 2 ]) ]
+        !flushed)
+
 let test_batcher_zero_window () =
   run_sim (fun () ->
       let b, flushed, observed = logged_batcher ~window:0.0 () in
@@ -662,5 +679,7 @@ let () =
             test_batcher_pipelines;
           Alcotest.test_case "the cap flushes at once" `Quick test_batcher_cap;
           QCheck_alcotest.to_alcotest prop_batcher_conserves_order;
+          Alcotest.test_case "take after the timer fired" `Quick
+            test_batcher_take_after_fire;
         ] );
     ]

@@ -2,9 +2,9 @@
    path (unchanged one-round-trip protocol), cross-shard atomic commit
    (commit, stale-abort-backup, dependent re-lock backup, concurrent
    opposite-order transfers),
-   N=1 bit-identity with the unsharded seed deployment, workload-stream
-   determinism across shard counts, and the restart reply-cache
-   regression. *)
+   the one-shard default deployment (bit-identical to the paper's single
+   server, no shard traffic or trace rows), workload-stream determinism
+   across shard counts, and the restart reply-cache regression. *)
 
 open Sim
 open Fdsl.Ast
@@ -117,7 +117,7 @@ let two_shards =
     { shards = 2; rules = [ ("a:", 0); ("b:", 1) ]; default = 0 }
 
 let sharded_config =
-  { Framework.default_config with sharding = Some two_shards }
+  { Framework.default_config with sharding = two_shards }
 
 (* --- Harness --------------------------------------------------------- *)
 
@@ -390,14 +390,58 @@ let run_scripted sharding =
   List.rev !out
 
 let test_one_shard_bit_identical () =
-  (* A 1-shard directory must construct a deployment that behaves
-     bit-identically to the unsharded seed path: same results, same
-     latencies to the microsecond, with transport jitter on (any extra
-     message or RNG draw would shift every subsequent sample). *)
+  (* The default one-shard deployment must behave bit-identically to
+     the paper's single-server deployment, whose results and latencies
+     (to the microsecond, with transport jitter on) are pinned here: any
+     extra message or RNG draw would shift every subsequent sample. *)
   Alcotest.(check (list string))
     "same results and latencies"
-    (run_scripted None)
-    (run_scripted (Some (Directory.Hash { shards = 1 })))
+    [
+      "CA incr_a -> 11 @ 91.736835";
+      "JP xfer -> 51 @ 188.659081";
+      "DE get_a -> 10 @ 125.630527";
+      "IE refund -> 6 @ 111.786318";
+      "VA incr_a -> 7 @ 37.971186";
+    ]
+    (run_scripted Framework.default_config.sharding)
+
+let test_paper_deployment_one_shard () =
+  (* The paper's deployment is the one-shard directory: one server, shard
+     0, and the functions that span families at two shards (xfer,
+     refund) run the single-server protocol — no participant service is
+     ever called and no per-shard load row is traced. *)
+  let tracer = Metrics.Tracer.create () in
+  with_sharded ~config:Framework.default_config ~tracer (fun _ fw ->
+      Alcotest.(check int) "one server" 1 (List.length (Framework.servers fw));
+      Alcotest.(check int) "one-shard directory" 1
+        (Directory.shards (Framework.directory fw));
+      Alcotest.(check int) "shard 0" 0 (Server.shard_id (Framework.server fw));
+      List.iter
+        (fun (fn, args) ->
+          ignore (ok_value (Framework.invoke fw ~from:Location.jp fn args)))
+        [
+          ("xfer", [ Dval.Str "x"; Dval.Str "y" ]);
+          ("refund", [ Dval.Str "y"; Dval.Str "x" ]);
+          ("incr_a", [ Dval.Str "x" ]);
+        ];
+      Engine.sleep 2000.0;
+      Alcotest.(check (list string))
+        "no shard_prepare / shard_decide messages" []
+        (List.filter_map
+           (fun (label, _) ->
+             if
+               String.starts_with ~prefix:"shard_prepare" label
+               || String.starts_with ~prefix:"shard_decide" label
+             then Some label
+             else None)
+           (Metrics.Tracer.wire_stats tracer));
+      Alcotest.(check bool) "some wire traffic traced" true
+        (Metrics.Tracer.wire_stats tracer <> []);
+      Alcotest.(check int) "no per-shard load rows" 0
+        (List.length (Metrics.Tracer.shard_stats tracer));
+      Alcotest.(check int) "no participant prepares" 0
+        (Server.stats (Framework.server fw)).shard_prepares;
+      check_clean fw)
 
 (* --- Workload-stream determinism across shard counts ------------------ *)
 
@@ -434,13 +478,13 @@ let test_workload_stream_determinism () =
         Framework.stop fw);
     List.rev !out
   in
-  let unsharded = stream None in
+  let one_shard = stream Framework.default_config.sharding in
   Alcotest.(check (list string))
-    "same request stream at 4 shards" unsharded
-    (stream (Some (Directory.Hash { shards = 4 })));
+    "same request stream at 4 shards" one_shard
+    (stream (Directory.Hash { shards = 4 }));
   Alcotest.(check (list string))
-    "same request stream at 2 shards" unsharded
-    (stream (Some (Directory.Hash { shards = 2 })))
+    "same request stream at 2 shards" one_shard
+    (stream (Directory.Hash { shards = 2 }))
 
 (* --- Restart repopulates the reply cache (regression) ----------------- *)
 
@@ -533,6 +577,8 @@ let () =
         [
           Alcotest.test_case "1 shard bit-identical to seed" `Quick
             test_one_shard_bit_identical;
+          Alcotest.test_case "paper deployment is one shard" `Quick
+            test_paper_deployment_one_shard;
           Alcotest.test_case "workload stream determinism" `Quick
             test_workload_stream_determinism;
         ] );

@@ -42,17 +42,6 @@ let test_kv_access_latency () =
       ignore (Store.Kv.get_many kv [ "a"; "b"; "c" ]);
       check_float "batch pays once" 6.0 (Engine.now () -. t1))
 
-let test_kv_put_if_version () =
-  run_sim (fun () ->
-      let kv = Store.Kv.create () in
-      Alcotest.(check bool) "cond create ok" true
-        (Store.Kv.put_if_version kv "x" (v "a") ~expected:0);
-      Alcotest.(check bool) "stale expected fails" false
-        (Store.Kv.put_if_version kv "x" (v "b") ~expected:0);
-      Alcotest.(check bool) "correct expected ok" true
-        (Store.Kv.put_if_version kv "x" (v "b") ~expected:1);
-      Alcotest.(check int) "version advanced" 2 (Store.Kv.version_of kv "x"))
-
 let test_kv_load_and_counters () =
   run_sim (fun () ->
       let kv = Store.Kv.create () in
@@ -74,18 +63,15 @@ let test_kv_versions_of () =
         [ ("a", 1); ("zz", 0) ]
         (Store.Kv.versions_of kv [ "a"; "zz" ]))
 
-(* Version monotonicity: under any interleaving of put / put_if_version /
-   load, each key's observable version never decreases, and every
-   successful write strictly increases it. *)
+(* Version monotonicity: under any interleaving of put and load, each
+   key's observable version never decreases, and every successful write
+   strictly increases it. *)
 let prop_kv_versions_monotonic =
   let op_gen =
     QCheck.Gen.(
       oneof
         [
           map2 (fun k v -> `Put (k, v)) (int_range 0 4) small_nat;
-          map3
-            (fun k v e -> `Put_if (k, v, e))
-            (int_range 0 4) small_nat (int_range 0 6);
           map2 (fun k v -> `Load (k, v)) (int_range 0 4) small_nat;
         ])
   in
@@ -110,12 +96,6 @@ let prop_kv_versions_monotonic =
               | `Put (k, v) ->
                   let k = key k in
                   observe k (Store.Kv.put kv k (Dval.int v)) ~wrote:true
-              | `Put_if (k, v, expected) ->
-                  let k = key k in
-                  let wrote =
-                    Store.Kv.put_if_version kv k (Dval.int v) ~expected
-                  in
-                  observe k (Store.Kv.version_of kv k) ~wrote
               | `Load (k, v) ->
                   let k = key k in
                   Store.Kv.load kv [ (k, Dval.int v) ];
@@ -616,7 +596,6 @@ let () =
           Alcotest.test_case "versions increment" `Quick
             test_kv_versions_increment;
           Alcotest.test_case "access latency" `Quick test_kv_access_latency;
-          Alcotest.test_case "put_if_version" `Quick test_kv_put_if_version;
           Alcotest.test_case "load and counters" `Quick test_kv_load_and_counters;
           Alcotest.test_case "versions_of" `Quick test_kv_versions_of;
         ]
