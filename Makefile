@@ -1,6 +1,6 @@
 # Radical (SOSP '25) reproduction.
 
-.PHONY: all build test bench examples quick check chaos analyze certify batch propagate shard lease radbench radbench-compare fmt fmt-check clean
+.PHONY: all build test bench examples quick check lint-state chaos analyze certify batch propagate shard lease radbench radbench-compare fmt fmt-check clean
 
 all: build
 
@@ -32,6 +32,29 @@ analyze:
 # the registered f^rw (see DESIGN.md "Bytecode effect certification").
 certify:
 	dune build @certify
+
+# State lint: fails on any top-level `ref`, `Hashtbl.create` or
+# `Atomic.make` binding in lib/ (a binding split after its `=` counts
+# too), so that independent seeded runs never share mutable state
+# through a module. Two are allowed: `Engine.current`, the engine that
+# `Engine.run` is executing, which every blocking call (`sleep`,
+# `suspend`, `now`) finds it through; and `Interp.last_retired`, which
+# radbench reads through `Interp.instructions_executed` and which goes
+# once the benchmark stops calling it.
+STATE_ALLOWED = -e 'lib/sim/engine.ml: let current ' \
+  -e 'lib/wasm/interp.ml: let last_retired '
+
+lint-state:
+	@bad=$$(find lib -name '*.ml' -exec awk ' \
+	  FNR == 1 { prev = "" } \
+	  { line = (prev ~ /=[ \t]*$$/) ? prev " " $$0 : $$0; prev = $$0 } \
+	  line ~ /^let [a-z_][A-Za-z0-9_]*( *:[^=]*)? *= *(ref|Hashtbl\.create|Atomic\.make)([^A-Za-z0-9_.]|$$)/ \
+	    { print FILENAME ": " line }' {} + \
+	  | grep -vF $(STATE_ALLOWED)); \
+	if [ -n "$$bad" ]; then \
+	  echo "lint-state: top-level mutable binding(s) in lib/:"; \
+	  echo "$$bad"; exit 1; \
+	fi
 
 # Batching load sweep (`Experiments.Sweeps.batch`, run by
 # `Experiments.Sweep`): open-loop load against the replicated LVI
@@ -106,6 +129,7 @@ radbench-compare:
 check:
 	dune build @all
 	$(MAKE) fmt-check
+	$(MAKE) lint-state
 	dune runtest --force
 	$(MAKE) analyze
 	$(MAKE) certify

@@ -11,9 +11,11 @@ let usage () =
   print_endline "usage: main.exe [--scale F] [--json] [TARGET...]";
   let line name doc = Printf.printf "  %-12s%s\n" name doc in
   line "all" "every target from fig1 to phases (the default)";
+  (* Names and docs do not depend on the scale. *)
   List.iter
     (fun (t : Experiments.Targets.t) -> line t.name t.doc)
-    (Experiments.Targets.paper @ Experiments.Targets.features);
+    (Experiments.Targets.paper ~scale:1.0
+    @ Experiments.Targets.features ~scale:1.0);
   print_string
     "  analyze     f^rw predict cost raw vs. residual-optimized, and the\n\
     \              read-only LVI fast-path latency ablation (on/off,\n\
@@ -44,8 +46,12 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let targets = if !targets = [] then [ "all" ] else List.rev !targets in
   let scale = !scale in
+  (* One list for the whole invocation, so that Figures 4-6 collect
+     their evaluation once however many of them are named. *)
+  let paper = Experiments.Targets.paper ~scale in
+  let all = paper @ Experiments.Targets.features ~scale in
   let run (t : Experiments.Targets.t) =
-    let measurements = t.run ~scale in
+    let measurements = t.run () in
     if !json then begin
       let config = [ ("scale", Printf.sprintf "%g" scale) ] in
       let path =
@@ -57,10 +63,14 @@ let () =
   List.iter
     (fun target ->
       match target with
-      | "all" -> List.iter run Experiments.Targets.paper
+      | "all" -> List.iter run paper
       | "analyze" -> Experiments.Analyze_exp.run ~scale ()
       | name -> (
-          match Experiments.Targets.find name with
+          match
+            List.find_opt
+              (fun (t : Experiments.Targets.t) -> t.name = name)
+              all
+          with
           | Some t -> run t
           | None -> usage ()))
     targets

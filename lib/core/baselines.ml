@@ -43,7 +43,7 @@ let centralized ~net ~funcs ~data () =
   let kv = Kv.create () in
   Kv.load kv data;
   let svc =
-    Transport.serve net ~loc:Location.near_storage ~name:"baseline-app"
+    Transport.serve ~loc:Location.near_storage ~name:"baseline-app"
       (fun (fn, args) ->
         Engine.sleep Runtime.invoke_overhead;
         Execute.on_kv (find reg fn) ~kv args)

@@ -35,8 +35,8 @@ type t = {
   mutable ops : Lincheck.op list; (* newest first *)
 }
 
-let create ?(config = default_config) ?schema ?(manual = [])
-    ?(tracer = Metrics.Tracer.noop) ~net ~funcs ~data () =
+let create ?(config = default_config) ?schema ?(tracer = Metrics.Tracer.noop)
+    ~net ~funcs ~data () =
   (match schema with
   | None -> ()
   | Some schema -> (
@@ -48,18 +48,9 @@ let create ?(config = default_config) ?schema ?(manual = [])
                Fdsl.Typecheck.pp_error e)
       | Error [] -> ()));
   let reg = Registry.create () in
-  let manual_rw f =
-    List.assoc_opt f.Fdsl.Ast.fn_name
-      (List.map (fun (src, rw) -> (src.Fdsl.Ast.fn_name, rw)) manual)
-  in
   List.iter
     (fun f ->
-      let result =
-        match manual_rw f with
-        | Some rw_func -> Registry.register_manual reg f ~rw_func
-        | None -> Registry.register reg f
-      in
-      match result with
+      match Registry.register reg f with
       | Ok _ -> ()
       | Error e -> invalid_arg ("Framework.create: " ^ e))
     funcs;

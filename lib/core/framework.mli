@@ -50,7 +50,6 @@ type t
 val create :
   ?config:config ->
   ?schema:Fdsl.Typecheck.schema ->
-  ?manual:(Fdsl.Ast.func * Fdsl.Ast.func) list ->
   ?tracer:Metrics.Tracer.t ->
   net:Net.Transport.t ->
   funcs:Fdsl.Ast.func list ->
@@ -61,11 +60,6 @@ val create :
     function fails determinism validation (unanalyzable functions are
     fine — they fall back to near-storage execution), or fails the
     gradual typecheck when a storage [schema] is supplied.
-
-    [manual] pairs a function (which must also appear in [funcs]) with a
-    developer-written [f^rw]; those functions are registered through
-    {!Registry.register_manual} instead of the automatic analyzer —
-    the §7 escape hatch for sources the symbolic execution rejects.
 
     An enabled [tracer] (default noop) is shared by every runtime, the
     LVI server and the transport: each invocation produces one span

@@ -9,6 +9,13 @@ type entry = {
 }
 
 type t = {
+  certify : bool;
+      (* Effect certification (translation validation of f^rw against
+         the compiled bytecode) runs as a hard registration gate unless
+         the registry was created without it. The escape hatch exists
+         so deployments can fall back to the seed behavior bit for bit:
+         with it off, registration performs exactly the seed's
+         compile/validate/analyze pipeline. *)
   entries : (string, entry) Hashtbl.t;
   mutable conflicts : Analyzer.Conflict.report option;
       (* Memoized whole-program conflict report; invalidated whenever
@@ -24,8 +31,9 @@ type t = {
          lookup builds no pair and allocates nothing. *)
 }
 
-let create () =
+let create ?(certify = true) () =
   {
+    certify;
     entries = Hashtbl.create 32;
     conflicts = None;
     degrees = Hashtbl.create 32;
@@ -39,15 +47,6 @@ let create () =
    even for functions the residual derivation rejects. *)
 let is_read_only (sm : Analyzer.Absint.summary) =
   sm.sm_writes = [] && not sm.sm_external
-
-(* Effect certification (translation validation of f^rw against the
-   compiled bytecode) runs as a hard registration gate by default. The
-   escape hatch exists so deployments can fall back to the seed
-   behavior bit for bit — with it off, registration performs exactly
-   the seed's compile/validate/analyze pipeline. *)
-let certification = ref true
-
-let set_certification enabled = certification := enabled
 
 (* Both registration paths share everything except how f^rw is
    obtained; [derive] returns [(raw, optimized)] or a fatal error. *)
@@ -69,7 +68,7 @@ let validate_and_store t (f : Fdsl.Ast.func) ~derive =
             | Error m -> Error m
             | Ok (raw_derived, derived) -> (
                 let certificate =
-                  if !certification then
+                  if t.certify then
                     Some
                       (Analyzer.Certify.check ~source:f ~modul
                          ?derived:raw_derived ())

@@ -28,20 +28,18 @@ type entry = {
           validate-only LVI fast path. *)
   certificate : Analyzer.Certify.report option;
       (** Bytecode effect certification report ({!Analyzer.Certify}) —
-          always a passing one for stored entries. [None] when the gate
-          was disabled at registration time. *)
+          always a passing one for stored entries. [None] when the
+          registry was created with [~certify:false]. *)
 }
 
 type t
 
-val create : unit -> t
-
-val set_certification : bool -> unit
-(** Globally enable/disable the bytecode effect-certification gate that
-    {!register}/{!register_manual} run after determinism validation.
-    Enabled by default; with it disabled, registration performs exactly
-    the pre-certification pipeline (the escape hatch for reproducing
-    seed behavior bit for bit). *)
+val create : ?certify:bool -> unit -> t
+(** An empty registry. [certify] (default [true]) enables the bytecode
+    effect-certification gate that {!register}/{!register_manual} run
+    after determinism validation; with [~certify:false], registration
+    performs exactly the pre-certification pipeline (the escape hatch
+    for reproducing seed behavior bit for bit). *)
 
 val register : t -> Fdsl.Ast.func -> (entry, string) result
 (** Compile, validate determinism, derive f^rw, and (unless disabled)

@@ -106,8 +106,6 @@ type t = {
   mutable s_prop_records : int;
   mutable s_prop_installed : int;
   mutable s_lease_local : int;
-  mutable cu_svc : (Proto.cache_update, unit) Transport.service option;
-  mutable lr_svc : (Proto.lease_revoke, unit) Transport.service option;
 }
 
 (* Grants arrive piggybacked on Validated replies and cache updates.
@@ -189,8 +187,7 @@ let create ?extsvc ?(tracer = Tracer.noop) ~net ~registry ~cache ~router
             invalid_arg
               (Printf.sprintf "Runtime.create: no server for shard %d" i))
   in
-  let t =
-    {
+  {
     cfg;
     net;
     tracer;
@@ -208,29 +205,19 @@ let create ?extsvc ?(tracer = Tracer.noop) ~net ~registry ~cache ~router
     s_fallback = 0;
     s_skipped = 0;
     s_ro_hints = 0;
-      s_fu_piggybacked = 0;
-      s_rpc_timeouts = 0;
-      s_prop_batches = 0;
-      s_prop_records = 0;
-      s_prop_installed = 0;
-      s_lease_local = 0;
-      cu_svc = None;
-      lr_svc = None;
-    }
-  in
-  t.cu_svc <-
-    Some
-      (Transport.serve net ~loc:cfg.loc ~name:"cache_update"
-         (handle_cache_update t));
-  t.lr_svc <-
-    Some
-      (Transport.serve net ~loc:cfg.loc ~name:"lease_revoke"
-         (handle_lease_revoke t));
-  t
+    s_fu_piggybacked = 0;
+    s_rpc_timeouts = 0;
+    s_prop_batches = 0;
+    s_prop_records = 0;
+    s_prop_installed = 0;
+    s_lease_local = 0;
+  }
 
-let lease_revoke_service t = Option.get t.lr_svc
+let lease_revoke_service t =
+  Transport.serve ~loc:t.cfg.loc ~name:"lease_revoke" (handle_lease_revoke t)
 
-let cache_update_service t = Option.get t.cu_svc
+let cache_update_service t =
+  Transport.serve ~loc:t.cfg.loc ~name:"cache_update" (handle_cache_update t)
 
 let set_recorder t r = t.recorder <- Some r
 

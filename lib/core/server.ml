@@ -114,23 +114,8 @@ let create ?extsvc ?(tracer = Tracer.noop) ~net ~registry ~kv ~shard ~directory
            ())
     else None
   in
-  let t =
-    Server_state.create ?repl ?admission ~tracer ~net ~registry ~kv ~extsvc
-      ~shard ~directory config
-  in
-  t.lvi_svc <-
-    Some
-      (Transport.serve net ~loc:config.loc ~name:"lvi"
-         (Server_lvi_engine.handle_lvi t));
-  t.fu_svc <-
-    Some
-      (Transport.serve net ~loc:config.loc ~name:"followup"
-         (Server_recovery.handle_followups t));
-  t.exec_svc <-
-    Some
-      (Transport.serve net ~loc:config.loc ~name:"exec"
-         (Server_lvi_engine.handle_exec t));
-  t
+  Server_state.create ?repl ?admission ~tracer ~net ~registry ~kv ~extsvc
+    ~shard ~directory config
 
 (* --- Propagation and lease wiring ----------------------------------- *)
 
@@ -144,11 +129,16 @@ let register_lease_site (t : t) svc =
   if t.config.leases.enabled && site <> t.config.loc then
     t.lease_peers <- (site, svc) :: List.remove_assoc site t.lease_peers
 
-let lvi_service (t : t) = Option.get t.lvi_svc
+let lvi_service (t : t) =
+  Transport.serve ~loc:t.config.loc ~name:"lvi" (Server_lvi_engine.handle_lvi t)
 
-let followup_service (t : t) = Option.get t.fu_svc
+let followup_service (t : t) =
+  Transport.serve ~loc:t.config.loc ~name:"followup"
+    (Server_recovery.handle_followups t)
 
-let exec_service (t : t) = Option.get t.exec_svc
+let exec_service (t : t) =
+  Transport.serve ~loc:t.config.loc ~name:"exec"
+    (Server_lvi_engine.handle_exec t)
 
 (* --- Observation ----------------------------------------------------- *)
 

@@ -95,6 +95,8 @@ val create :
     submit-to-commit latency. *)
 
 val lvi_service : t -> (Proto.lvi_request, Proto.lvi_response) Net.Transport.service
+(** Built from the server's state on each call, like {!followup_service}
+    and {!exec_service}: the same handler at the same location. *)
 
 val followup_service : t -> (Proto.followup list, unit) Net.Transport.service
 (** Followups arrive as a list: one message per coalescing window from

@@ -491,10 +491,10 @@ let handle_lvi_cross (t : t) (req : Proto.lvi_request) ~root ~arm_intent
 let peer_of (s : t) =
   {
     pe_prepare =
-      Transport.serve s.net ~loc:s.config.loc ~name:"shard_prepare"
+      Transport.serve ~loc:s.config.loc ~name:"shard_prepare"
         (handle_shard_prepare s);
     pe_decide =
-      Transport.serve s.net ~loc:s.config.loc ~name:"shard_decide"
+      Transport.serve ~loc:s.config.loc ~name:"shard_decide"
         (conclude_slice s s.sharding);
   }
 

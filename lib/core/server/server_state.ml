@@ -155,17 +155,12 @@ type t = {
   mutable s_lease_revokes : int;
   mutable s_lease_waits : int;
   mutable s_lease_blocked : int;
-  mutable lvi_svc :
-    (Proto.lvi_request, Proto.lvi_response) Transport.service option;
-  mutable fu_svc : (Proto.followup list, unit) Transport.service option;
-  mutable exec_svc :
-    (Proto.exec_request, Proto.exec_result) Transport.service option;
 }
 
-(* Bare state with no transport services wired: what [Server.create]
-   starts from, and what the isolation tests of the extracted layers
-   (lease authority, propagator, …) construct without spinning up the
-   full stack. *)
+(* The state a server's layers share: what [Server.create] builds, and
+   what the isolation tests of the extracted layers (lease authority,
+   propagator, …) construct without spinning up the full stack. It holds
+   no transport service; [Server] builds each one from it on demand. *)
 let create ?repl ?admission ?(tracer = Tracer.noop) ~net ~registry ~kv ~extsvc
     ~shard ~directory (config : Server_config.config) =
   let n = Shard.Directory.shards directory in
@@ -222,9 +217,6 @@ let create ?repl ?admission ?(tracer = Tracer.noop) ~net ~registry ~kv ~extsvc
     s_lease_revokes = 0;
     s_lease_waits = 0;
     s_lease_blocked = 0;
-    lvi_svc = None;
-    fu_svc = None;
-    exec_svc = None;
   }
 
 (* [cell], the reply bound to [id], was filled now: no copy of its

@@ -100,11 +100,6 @@ type t = {
   mutable s_lease_revokes : int;
   mutable s_lease_waits : int;
   mutable s_lease_blocked : int;
-  mutable lvi_svc :
-    (Proto.lvi_request, Proto.lvi_response) Net.Transport.service option;
-  mutable fu_svc : (Proto.followup list, unit) Net.Transport.service option;
-  mutable exec_svc :
-    (Proto.exec_request, Proto.exec_result) Net.Transport.service option;
 }
 
 val create :
@@ -119,11 +114,13 @@ val create :
   directory:Shard.Directory.t ->
   Server_config.config ->
   t
-(** Bare state with no transport services wired, as shard [shard] of
-    [directory] (an unsharded server is shard 0 of a one-shard
-    directory): what [Server.create] starts from, and what isolation
-    tests of the extracted layers construct without spinning up the
-    full stack. Raises [Invalid_argument] if [shard] is out of range. *)
+(** The state of shard [shard] of [directory] (an unsharded server is
+    shard 0 of a one-shard directory): what [Server.create] builds, and
+    what isolation tests of the extracted layers construct without
+    spinning up the full stack. It holds no transport service: the
+    server's services are built from it when asked for (see
+    [Server.lvi_service]). Raises [Invalid_argument] if [shard] is out
+    of range. *)
 
 val expire_reply : (string, 'r reply) Sim.Expiring.t -> string -> 'r reply -> unit
 (** [expire_reply tbl id cell], called when [cell]'s ivar is filled:

@@ -69,7 +69,7 @@ let table2 () =
       let kv = Store.Kv.create () in
       Store.Kv.load kv [ ("ping", Dval.Unit) ];
       let svc =
-        Transport.serve net ~loc:Location.va ~name:"storage-ping" (fun () ->
+        Transport.serve ~loc:Location.va ~name:"storage-ping" (fun () ->
             ignore (Store.Kv.version_of kv "ping"))
       in
       List.iter

@@ -10,10 +10,9 @@ let count t = Sim.Vec.length t.samples
 
 let ensure_sorted t =
   if not t.sorted then begin
-    let a = Array.of_list (Sim.Vec.to_list t.samples) in
+    let a = Array.init (count t) (Sim.Vec.get t.samples) in
     Array.sort Float.compare a;
-    Sim.Vec.truncate t.samples 0;
-    Array.iter (Sim.Vec.push t.samples) a;
+    Array.iteri (Sim.Vec.set t.samples) a;
     t.sorted <- true
   end
 

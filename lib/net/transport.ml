@@ -93,7 +93,7 @@ let fault_verdict t ~src ~dst ~label =
   in
   first t.hooks
 
-let serve _t ~loc ~name handler =
+let serve ~loc ~name handler =
   { svc_loc = loc; svc_name = name; svc_reply = name ^ ":reply"; handler }
 
 let service_location svc = svc.svc_loc

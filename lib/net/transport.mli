@@ -89,8 +89,11 @@ val partition : t -> Location.t list -> int
 type ('req, 'resp) service
 
 val serve :
-  t -> loc:Location.t -> name:string -> ('req -> 'resp) -> ('req, 'resp) service
-(** Register a handler at a location. The handler may block. *)
+  loc:Location.t -> name:string -> ('req -> 'resp) -> ('req, 'resp) service
+(** [serve ~loc ~name handler] is a service value: [handler] at [loc],
+    named [name]. Nothing is registered with any transport; a caller
+    passes the value to {!call}, {!call_timeout} or {!post} on the
+    transport it sends over. The handler may block. *)
 
 val service_location : ('req, 'resp) service -> Location.t
 

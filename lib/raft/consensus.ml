@@ -593,7 +593,7 @@ module Make (Sm : State_machine) = struct
     let node_svcs =
       Array.map
         (fun n ->
-          Transport.serve net ~loc:n.loc
+          Transport.serve ~loc:n.loc
             ~name:(Printf.sprintf "raft-%d" n.id)
             (fun msg ->
               match !c_ref with Some c -> handle_msg c n msg | None -> Down))
@@ -602,7 +602,7 @@ module Make (Sm : State_machine) = struct
     let client_svcs =
       Array.map
         (fun n ->
-          Transport.serve net ~loc:n.loc
+          Transport.serve ~loc:n.loc
             ~name:(Printf.sprintf "raft-client-%d" n.id)
             (fun cmd ->
               match !c_ref with

@@ -33,6 +33,7 @@ type t = {
   mutable pos : int array;
   mutable free : int array;
   mutable nfree : int;
+  mutable generation : int; (* of the last armed event *)
   root_rng : Rng.t;
   mutable fibers : int;
   mutable processed : int;
@@ -42,10 +43,10 @@ type t = {
   effc : 'c. 'c Effect.t -> (('c, unit) continuation -> unit) option;
 }
 
-(* [gen] is unique across engines, so an event that ran, was cancelled
-   or belongs to another engine never matches its slot's generation,
-   even after the slot is reused. *)
-type event = { slot : int; gen : int }
+(* [gen] is unique within [engine], so an event that ran or was
+   cancelled never matches its slot's generation, even after the slot
+   is reused; an event of another engine is told apart by [engine]. *)
+type event = { engine : t; slot : int; gen : int }
 
 exception Not_running
 exception Fiber_error of string * exn
@@ -57,8 +58,6 @@ type _ Effect.t +=
 (* Fills every vacated callback slot, of the FIFO and of the slot
    table alike: a vacated slot pins nothing. *)
 let noop () = ()
-
-let generation = ref 0
 
 (* The FIFO of events due now. Its capacity is a power of two. *)
 let grow_fifo t =
@@ -231,9 +230,9 @@ let arm ~at run =
   let t = get () in
   if Float.is_nan at then invalid_arg "Engine.schedule: NaN time";
   let s = push_later t (if at > t.clock.now then at else t.clock.now) run in
-  incr generation;
-  t.gens.(s) <- !generation;
-  { slot = s; gen = !generation }
+  t.generation <- t.generation + 1;
+  t.gens.(s) <- t.generation;
+  { engine = t; slot = s; gen = t.generation }
 
 let schedule ~at run =
   let t = get () in
@@ -242,7 +241,7 @@ let schedule ~at run =
 
 let cancel ev =
   match !current with
-  | Some t when ev.slot < Array.length t.gens && t.gens.(ev.slot) = ev.gen ->
+  | Some t when t == ev.engine && t.gens.(ev.slot) = ev.gen ->
       remove t t.pos.(ev.slot)
   | Some _ | None -> ()
 
@@ -291,6 +290,7 @@ let create ?(seed = 42) () =
       pos = [||];
       free = [||];
       nfree = 0;
+      generation = 0;
       root_rng;
       fibers = 0;
       processed = 0;

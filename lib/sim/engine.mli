@@ -68,9 +68,10 @@ val arm : at:float -> (unit -> unit) -> event
 
 val cancel : event -> unit
 (** Remove the event from the running engine's queue, so it never runs.
-    A no-op once it has run or been cancelled, and for an event of an
-    engine that is not running, even after its slot has been reused: a
-    slot's generation must match the event's. *)
+    A no-op once it has run or been cancelled, even after its slot has
+    been reused (a slot's generation must match the event's), and for an
+    event of an engine that is not the running one (the event names its
+    engine). *)
 
 val rng : unit -> Rng.t
 (** The engine's root generator. Subsystems should [Rng.split] it. *)

@@ -40,8 +40,6 @@ let truncate t n = if n < t.size then vacate t (max 0 n)
 
 let last t = if t.size = 0 then None else Some t.data.(t.size - 1)
 
-let to_list t = List.init t.size (fun i -> t.data.(i))
-
 let iter f t =
   for i = 0 to t.size - 1 do
     f t.data.(i)

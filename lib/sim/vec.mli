@@ -27,8 +27,6 @@ val drop : 'a t -> int -> unit
 
 val last : 'a t -> 'a option
 
-val to_list : 'a t -> 'a list
-
 val iter : ('a -> unit) -> 'a t -> unit
 
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc

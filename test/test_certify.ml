@@ -398,16 +398,26 @@ let test_gate_rejects_lying_manual () =
       Alcotest.(check bool) "names the lie" true (contains msg "lie:b:")
 
 let test_gate_escape_hatch () =
-  Radical.Registry.set_certification false;
-  Fun.protect
-    ~finally:(fun () -> Radical.Registry.set_certification true)
-  @@ fun () ->
-  let reg = Radical.Registry.create () in
+  let reg = Radical.Registry.create ~certify:false () in
   match Radical.Registry.register_manual reg lying_fn ~rw_func:lying_rw with
   | Error msg -> Alcotest.failf "gate off, yet rejected: %s" msg
   | Ok e ->
       Alcotest.(check bool) "no certificate stored" true
         (e.Radical.Registry.certificate = None)
+
+(* The gate is a property of one registry: an uncertified registry
+   accepting the lie leaves a default one created after it gated. *)
+let test_gate_is_per_registry () =
+  let loose = Radical.Registry.create ~certify:false () in
+  (match Radical.Registry.register_manual loose lying_fn ~rw_func:lying_rw with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "gate off, yet rejected: %s" msg);
+  let strict = Radical.Registry.create () in
+  match Radical.Registry.register_manual strict lying_fn ~rw_func:lying_rw with
+  | Ok _ -> Alcotest.fail "default registry accepted the lie"
+  | Error msg ->
+      Alcotest.(check bool) "names the certifier" true
+        (contains msg "effect certification failed")
 
 let test_honest_registration_carries_certificate () =
   let reg = Radical.Registry.create () in
@@ -458,5 +468,7 @@ let () =
             test_gate_escape_hatch;
           Alcotest.test_case "honest registration carries certificate" `Quick
             test_honest_registration_carries_certificate;
+          Alcotest.test_case "gate does not leak between registries" `Quick
+            test_gate_is_per_registry;
         ] );
     ]

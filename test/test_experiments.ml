@@ -331,8 +331,8 @@ let test_sweep_names () =
       Alcotest.(check (list string))
         (t.name ^ " names match BENCH_" ^ t.name ^ ".json")
         (bench_names t.name)
-        (List.map fst (t.run ~scale:0.2)))
-    Experiments.Targets.features
+        (List.map fst (t.run ())))
+    (Experiments.Targets.features ~scale:0.2)
 
 (* --- Semantic equivalence of the speculative path ---------------------- *)
 

@@ -64,7 +64,7 @@ let test_jitter_tail () =
 let test_call_roundtrip_latency () =
   run_sim (fun () ->
       let net = mknet () in
-      let svc = Transport.serve net ~loc:Location.va ~name:"echo" (fun x -> x * 2) in
+      let svc = Transport.serve ~loc:Location.va ~name:"echo" (fun x -> x * 2) in
       let t0 = Engine.now () in
       let r = Transport.call net ~from:Location.ca svc 21 in
       Alcotest.(check int) "result" 42 r;
@@ -75,7 +75,7 @@ let test_call_includes_handler_time () =
   run_sim (fun () ->
       let net = mknet () in
       let svc =
-        Transport.serve net ~loc:Location.va ~name:"slow" (fun () -> Engine.sleep 50.0)
+        Transport.serve ~loc:Location.va ~name:"slow" (fun () -> Engine.sleep 50.0)
       in
       let t0 = Engine.now () in
       Transport.call net ~from:Location.ca svc ();
@@ -88,7 +88,7 @@ let test_concurrent_handlers () =
   run_sim (fun () ->
       let net = mknet () in
       let svc =
-        Transport.serve net ~loc:Location.va ~name:"slow" (fun () -> Engine.sleep 50.0)
+        Transport.serve ~loc:Location.va ~name:"slow" (fun () -> Engine.sleep 50.0)
       in
       let done1 = Ivar.create () and done2 = Ivar.create () in
       Engine.spawn (fun () ->
@@ -104,14 +104,14 @@ let test_concurrent_handlers () =
 let test_call_timeout_success () =
   run_sim (fun () ->
       let net = mknet () in
-      let svc = Transport.serve net ~loc:Location.va ~name:"echo" Fun.id in
+      let svc = Transport.serve ~loc:Location.va ~name:"echo" Fun.id in
       let r = Transport.call_timeout net ~from:Location.ca ~timeout:1000.0 svc 7 in
       Alcotest.(check (option int)) "delivered" (Some 7) r)
 
 let test_call_timeout_drop () =
   run_sim (fun () ->
       let net = mknet () in
-      let svc = Transport.serve net ~loc:Location.va ~name:"echo" Fun.id in
+      let svc = Transport.serve ~loc:Location.va ~name:"echo" Fun.id in
       ignore
         (Transport.add_fault net (fun ~src ~dst:_ ~label:_ ->
              if src = Location.ca then Transport.Drop else Transport.Deliver)
@@ -127,7 +127,7 @@ let test_call_timeout_cancels_timer () =
      timeout after a successful call records no spurious timeout. *)
   run_sim (fun () ->
       let net = mknet () in
-      let svc = Transport.serve net ~loc:Location.va ~name:"echo" Fun.id in
+      let svc = Transport.serve ~loc:Location.va ~name:"echo" Fun.id in
       let r = Transport.call_timeout net ~from:Location.ca ~timeout:1000.0 svc 7 in
       Alcotest.(check (option int)) "delivered" (Some 7) r;
       Engine.sleep 2000.0;
@@ -137,7 +137,7 @@ let test_call_timeout_cancels_timer () =
 let test_call_timeout_stats () =
   run_sim (fun () ->
       let net = mknet () in
-      let svc = Transport.serve net ~loc:Location.va ~name:"echo" Fun.id in
+      let svc = Transport.serve ~loc:Location.va ~name:"echo" Fun.id in
       ignore
         (Transport.add_fault net (fun ~src ~dst:_ ~label:_ ->
              if src = Location.ca then Transport.Drop else Transport.Deliver)
@@ -151,7 +151,7 @@ let test_call_timeout_late_reply () =
       let net = mknet () in
       let tracer = Metrics.Tracer.create () in
       Transport.set_tracer net tracer;
-      let svc = Transport.serve net ~loc:Location.va ~name:"echo" Fun.id in
+      let svc = Transport.serve ~loc:Location.va ~name:"echo" Fun.id in
       (* 300 ms extra per leg pushes the reply far past the 200 ms
          timeout: the caller gets None, and when the reply eventually
          lands it is counted as late instead of re-filling the ivar. *)
@@ -177,7 +177,7 @@ let test_call_timeout_late_reply () =
 let test_call_timeout_under_chaos_hook () =
   run_sim (fun () ->
       let net = mknet () in
-      let svc = Transport.serve net ~loc:Location.va ~name:"echo" Fun.id in
+      let svc = Transport.serve ~loc:Location.va ~name:"echo" Fun.id in
       let frng = Transport.fault_rng net in
       let handle =
         Transport.add_fault net (fun ~src:_ ~dst:_ ~label ->
@@ -212,7 +212,7 @@ let test_call_timeout_under_chaos_hook () =
 let test_response_drop () =
   run_sim (fun () ->
       let net = mknet () in
-      let svc = Transport.serve net ~loc:Location.va ~name:"echo" Fun.id in
+      let svc = Transport.serve ~loc:Location.va ~name:"echo" Fun.id in
       (* Drop only the response leg. *)
       ignore
         (Transport.add_fault net (fun ~src ~dst:_ ~label:_ ->
@@ -226,7 +226,7 @@ let test_duplicate_fault () =
       let net = mknet () in
       let hits = ref 0 in
       let svc =
-        Transport.serve net ~loc:Location.va ~name:"sink" (fun () -> incr hits)
+        Transport.serve ~loc:Location.va ~name:"sink" (fun () -> incr hits)
       in
       (* Duplicate only the request leg of the first post. *)
       let first = ref true in
@@ -252,7 +252,7 @@ let test_duplicate_fault () =
 let test_delay_fault () =
   run_sim (fun () ->
       let net = mknet () in
-      let svc = Transport.serve net ~loc:Location.va ~name:"echo" Fun.id in
+      let svc = Transport.serve ~loc:Location.va ~name:"echo" Fun.id in
       let h =
         Transport.add_fault net (fun ~src:_ ~dst:_ ~label:_ ->
             Transport.Delay 100.0)
@@ -275,7 +275,7 @@ let test_delay_beyond_lifetime_expires () =
       Transport.set_tracer net tracer;
       let hits = ref 0 in
       let svc =
-        Transport.serve net ~loc:Location.va ~name:"sink" (fun () -> incr hits)
+        Transport.serve ~loc:Location.va ~name:"sink" (fun () -> incr hits)
       in
       let h =
         Transport.add_fault net (fun ~src:_ ~dst:_ ~label:_ ->
@@ -302,7 +302,7 @@ let test_delay_beyond_lifetime_expires () =
 let test_fault_hooks_compose () =
   run_sim (fun () ->
       let net = mknet () in
-      let svc = Transport.serve net ~loc:Location.va ~name:"echo" Fun.id in
+      let svc = Transport.serve ~loc:Location.va ~name:"echo" Fun.id in
       (* Two stacked hooks: the first non-Deliver verdict wins, in
          registration order. *)
       let h1 =
@@ -330,8 +330,8 @@ let test_fault_hooks_compose () =
 let test_partition_and_heal () =
   run_sim (fun () ->
       let net = mknet () in
-      let echo_va = Transport.serve net ~loc:Location.va ~name:"echo" Fun.id in
-      let echo_jp = Transport.serve net ~loc:Location.jp ~name:"echo-jp" Fun.id in
+      let echo_va = Transport.serve ~loc:Location.va ~name:"echo" Fun.id in
+      let echo_jp = Transport.serve ~loc:Location.jp ~name:"echo-jp" Fun.id in
       let h = Transport.partition net [ Location.ca; Location.jp ] in
       let r = Transport.call_timeout net ~from:Location.ca ~timeout:300.0 echo_va 1 in
       Alcotest.(check (option int)) "cross-partition dropped" None r;
@@ -360,7 +360,7 @@ let test_post_delivers () =
       let net = mknet () in
       let got = ref [] in
       let svc =
-        Transport.serve net ~loc:Location.va ~name:"sink" (fun x -> got := x :: !got)
+        Transport.serve ~loc:Location.va ~name:"sink" (fun x -> got := x :: !got)
       in
       let t0 = Engine.now () in
       Transport.post net ~from:Location.ca svc 1;
@@ -371,7 +371,7 @@ let test_post_delivers () =
 let test_message_counts () =
   run_sim (fun () ->
       let net = mknet () in
-      let svc = Transport.serve net ~loc:Location.va ~name:"echo" Fun.id in
+      let svc = Transport.serve ~loc:Location.va ~name:"echo" Fun.id in
       ignore (Transport.call net ~from:Location.ca svc 1);
       Transport.post net ~from:Location.ca svc 2;
       Engine.sleep 500.0;

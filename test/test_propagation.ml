@@ -35,16 +35,15 @@ let prop_config prop =
     server = { Server.default_config with propagation = prop };
   }
 
-let with_radical ?(seed = 11) ?config ?manual ?(funcs = funcs) ?(data = data)
-    ?rtt f =
-  let e = Engine.create ~seed () in
+let with_radical ?config ?rtt f =
+  let e = Engine.create ~seed:11 () in
   Engine.run e (fun () ->
       let net =
         Transport.create ?rtt ~jitter_sigma:0.0
           ~rng:(Rng.split (Engine.rng ()))
           ()
       in
-      let fw = Framework.create ?config ?manual ~net ~funcs ~data () in
+      let fw = Framework.create ?config ~net ~funcs ~data () in
       f net fw;
       Framework.stop fw)
 
@@ -450,15 +449,39 @@ let sneaky_rw =
 
 let test_write_outside_validated_set_raises () =
   (* The registration-time effect certifier rejects this very lie
-     (bytecode write not covered by the declared f^rw); disable the
-     gate so the *runtime* accounting check is the one under test. *)
-  Radical.Registry.set_certification false;
-  Fun.protect ~finally:(fun () -> Radical.Registry.set_certification true)
-  @@ fun () ->
-  with_radical ~funcs:(sneaky_fn :: funcs)
-    ~manual:[ (sneaky_fn, sneaky_rw) ]
-    (fun _ fw ->
-      match Framework.invoke fw ~from:Location.ca "sneaky" [ Dval.Str "u1" ] with
+     (bytecode write not covered by the declared f^rw). An uncertified
+     registry lets it through, so the *runtime* accounting check is the
+     one under test; [Framework.create] always certifies, so the
+     deployment is built by hand: one server and one site at CA. *)
+  let e = Engine.create ~seed:11 () in
+  Engine.run e (fun () ->
+      let net =
+        Transport.create ~jitter_sigma:0.0 ~rng:(Rng.split (Engine.rng ())) ()
+      in
+      let registry = Radical.Registry.create ~certify:false () in
+      List.iter
+        (fun r -> if Result.is_error r then Alcotest.fail "registration")
+        (Radical.Registry.register_manual registry sneaky_fn ~rw_func:sneaky_rw
+        :: List.map (Radical.Registry.register registry) funcs);
+      let kv = Kv.create () in
+      Kv.load kv data;
+      let directory = Shard.Directory.hash ~shards:1 in
+      let server =
+        Server.create ~net ~registry ~kv ~shard:0 ~directory
+          Server.default_config
+      in
+      let rt =
+        Runtime.create ~net ~registry ~cache:(Cache.create ())
+          ~router:(Shard.Router.create directory) ~servers:[ server ]
+          {
+            loc = Location.ca;
+            overlap = true;
+            ro_fast = true;
+            fu_window = 0.0;
+            fu_piggyback = false;
+          }
+      in
+      (match Runtime.invoke rt "sneaky" [ Dval.Str "u1" ] with
       | exception Invalid_argument msg ->
           let contains s sub =
             let n = String.length s and m = String.length sub in
@@ -475,7 +498,8 @@ let test_write_outside_validated_set_raises () =
               | Runtime.Backup -> "backup"
               | Runtime.Fallback -> "fallback"
               | Runtime.Local -> "local")
-            ^ " outcome"))
+            ^ " outcome"));
+      Server.stop server)
 
 (* --- Chaos smoke ------------------------------------------------------- *)
 

@@ -26,23 +26,19 @@ let run_sim ?(seed = 7) f =
   let e = Engine.create ~seed () in
   Engine.run e f
 
-(* A bare engine state at the near-storage location, loaded with [data],
-   plus the transport to hang peer services off. *)
+(* A bare engine state at the near-storage location, loaded with [data]. *)
 let bare_state ?(config = Server_config.default_config) ?(data = []) () =
   let net =
     Transport.create ~jitter_sigma:0.0 ~rng:(Rng.split (Engine.rng ())) ()
   in
   let kv = Kv.create () in
   Kv.load kv data;
-  let t =
-    Server_state.create ~net ~registry:(Radical.Registry.create ()) ~kv
-      ~extsvc:(Radical.Extsvc.create ()) ~shard:0
-      ~directory:(Shard.Directory.hash ~shards:1) config
-  in
-  (net, t)
+  Server_state.create ~net ~registry:(Radical.Registry.create ()) ~kv
+    ~extsvc:(Radical.Extsvc.create ()) ~shard:0
+    ~directory:(Shard.Directory.hash ~shards:1) config
 
-let revoke_sink net ~loc received =
-  Transport.serve net ~loc ~name:"lease_revoke"
+let revoke_sink ~loc received =
+  Transport.serve ~loc ~name:"lease_revoke"
     (fun (lr : Proto.lease_revoke) -> received := lr.lr_keys :: !received)
 
 (* --- Lease_authority: grant refusal rules ---------------------------- *)
@@ -55,14 +51,14 @@ let leases_on revoke =
 
 let test_grant_rules () =
   run_sim (fun () ->
-      let net, t =
+      let t =
         bare_state ~config:(leases_on true)
           ~data:[ ("x", Dval.Str "v1"); ("y", Dval.Str "w1") ]
           ()
       in
       let received = ref [] in
       t.lease_peers <-
-        [ (Location.ca, revoke_sink net ~loc:Location.ca received) ];
+        [ (Location.ca, revoke_sink ~loc:Location.ca received) ];
       let vx = Kv.version_of t.kv "x" and vy = Kv.version_of t.kv "y" in
       (* Own site and unregistered sites get nothing. *)
       Alcotest.(check int) "own site refused" 0
@@ -94,10 +90,10 @@ let test_grant_rules () =
 
 let test_grant_disabled () =
   run_sim (fun () ->
-      let net, t = bare_state ~data:[ ("x", Dval.Str "v1") ] () in
+      let t = bare_state ~data:[ ("x", Dval.Str "v1") ] () in
       let received = ref [] in
       t.lease_peers <-
-        [ (Location.ca, revoke_sink net ~loc:Location.ca received) ];
+        [ (Location.ca, revoke_sink ~loc:Location.ca received) ];
       Alcotest.(check int) "leases off: no grants" 0
         (List.length
            (Lease_authority.grant_leases t ~site:Location.ca
@@ -107,12 +103,12 @@ let test_grant_disabled () =
 
 let test_settle_by_revocation () =
   run_sim (fun () ->
-      let net, t =
+      let t =
         bare_state ~config:(leases_on true) ~data:[ ("x", Dval.Str "v1") ] ()
       in
       let received = ref [] in
       t.lease_peers <-
-        [ (Location.ca, revoke_sink net ~loc:Location.ca received) ];
+        [ (Location.ca, revoke_sink ~loc:Location.ca received) ];
       let grants =
         Lease_authority.grant_leases t ~site:Location.ca
           [ ("x", Kv.version_of t.kv "x") ]
@@ -131,12 +127,12 @@ let test_settle_by_expiry_wait () =
   run_sim (fun () ->
       (* Revocation off: the writer must wait out the grant's expiry
          plus the clock-skew bound. *)
-      let net, t =
+      let t =
         bare_state ~config:(leases_on false) ~data:[ ("x", Dval.Str "v1") ] ()
       in
       let received = ref [] in
       t.lease_peers <-
-        [ (Location.ca, revoke_sink net ~loc:Location.ca received) ];
+        [ (Location.ca, revoke_sink ~loc:Location.ca received) ];
       let grant =
         match
           Lease_authority.grant_leases t ~site:Location.ca
@@ -158,7 +154,7 @@ let test_settle_by_expiry_wait () =
 
 let test_settle_no_holders () =
   run_sim (fun () ->
-      let _net, t =
+      let t =
         bare_state ~config:(leases_on true) ~data:[ ("x", Dval.Str "v1") ] ()
       in
       let t0 = Engine.now () in
@@ -174,18 +170,18 @@ let prop_config =
     propagation = Server_config.default_propagation;
   }
 
-let cache_update_sink net ~loc received =
-  Transport.serve net ~loc ~name:"cache_update"
+let cache_update_sink ~loc received =
+  Transport.serve ~loc ~name:"cache_update"
     (fun (cu : Proto.cache_update) -> received := cu :: !received)
 
 let test_publish_excludes_origin () =
   run_sim (fun () ->
-      let net, t =
+      let t =
         bare_state ~config:prop_config ~data:[ ("x", Dval.Str "v1") ] ()
       in
       let at_ca = ref [] and at_ie = ref [] in
-      Propagator.subscribe t (cache_update_sink net ~loc:Location.ca at_ca);
-      Propagator.subscribe t (cache_update_sink net ~loc:Location.ie at_ie);
+      Propagator.subscribe t (cache_update_sink ~loc:Location.ca at_ca);
+      Propagator.subscribe t (cache_update_sink ~loc:Location.ie at_ie);
       let records = Propagator.apply_updates t [ ("x", Dval.Str "v2") ] in
       let version = Kv.version_of t.kv "x" in
       Propagator.publish t ~exclude:Location.ca records;
@@ -208,9 +204,9 @@ let test_publish_excludes_origin () =
 
 let test_publish_propagation_off () =
   run_sim (fun () ->
-      let net, t = bare_state ~data:[ ("x", Dval.Str "v1") ] () in
+      let t = bare_state ~data:[ ("x", Dval.Str "v1") ] () in
       let at_ca = ref [] in
-      Propagator.subscribe t (cache_update_sink net ~loc:Location.ca at_ca);
+      Propagator.subscribe t (cache_update_sink ~loc:Location.ca at_ca);
       Alcotest.(check int) "subscribe is a no-op" 0 (List.length t.subscribers);
       Propagator.publish t (Propagator.apply_updates t [ ("x", Dval.Str "v2") ]);
       Engine.sleep 500.0;
